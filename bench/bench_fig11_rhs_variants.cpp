@@ -2,9 +2,11 @@
 /// \brief Regenerates Fig. 11: time per octant for 10 RHS evaluations using
 /// the SymPyGR-CSE baseline, binary-reduce, and staged+CSE generated
 /// kernels (register-machine execution with 56 registers), plus the
-/// hand-compiled production kernel for reference.
+/// hand-compiled production kernel for reference and its scalar-vs-SIMD
+/// pair.
 
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -78,6 +80,45 @@ int main(int argc, char** argv) {
   bench::note("flat curves); spill traffic costs explicit load/store micro-ops");
   bench::note("in the register machine, so fewer spills -> faster kernels.");
 
+  // The production kernel at the active SIMD width against its scalar body
+  // — the selection exec_space::sweep_rhs makes: the packed kernel at width
+  // 4, the staged kernel at width 1. The target column is the ROADMAP gate
+  // (1.8x), not a paper figure.
+  const int wact = simd_active_width();
+  const auto compiled_at_wact =
+      wact == 4 ? bssn::bssn_rhs_patch_packed : bssn::bssn_rhs_patch;
+  std::printf("\n  compiled kernel, width 1 vs %d (%s):\n", wact,
+              simd_backend_name(wact));
+  std::printf("  octants | scalar (ms) | simd (ms) | speedup (target 1.80)\n");
+  for (int noct : {8, 16, 32}) {
+    WallTimer ts;
+    for (int e = 0; e < noct; ++e)
+      for (int r = 0; r < 10; ++r)
+        bssn::bssn_rhs_patch(pi, po, geom, 1e9, prm, ws);
+    const double t_scalar = ts.milliseconds() / noct;
+    WallTimer tv;
+    for (int e = 0; e < noct; ++e)
+      for (int r = 0; r < 10; ++r)
+        compiled_at_wact(pi, po, geom, 1e9, prm, ws, nullptr);
+    const double t_simd = tv.milliseconds() / noct;
+    const std::string oc = std::to_string(noct);
+    rep.pair("compiled_simd_speedup_" + oc, 1.8, t_scalar / t_simd, "x");
+    rep.metric("compiled_simd_ms_per_octant_" + oc, t_simd);
+    std::printf("  %-7d | %-11.2f | %-9.2f | %.2f\n", noct, t_scalar, t_simd,
+                t_scalar / t_simd);
+  }
+  {
+    std::vector<Real> ref(out.size());
+    bssn::bssn_rhs_patch(pi, po, geom, 1e9, prm, ws);
+    ref = out;
+    compiled_at_wact(pi, po, geom, 1e9, prm, ws, nullptr);
+    const bool identical =
+        std::memcmp(out.data(), ref.data(), out.size() * sizeof(Real)) == 0;
+    rep.metric("compiled_bitwise_identical", identical ? 1.0 : 0.0);
+    std::printf("  bitwise vs scalar kernel: %s\n",
+                identical ? "IDENTICAL" : "MISMATCH");
+  }
+
   // Per-variant memory profile from the kernels' exact op counters: one RHS
   // evaluation each, reported as bytes moved per flop (the roofline x-axis
   // reciprocal). The fused SoA kernel skips the 210-array derivative store/
@@ -101,11 +142,9 @@ int main(int argc, char** argv) {
                 1e-6 * double(vc[s].bytes_moved()), bpf);
   }
 
-  // The tentpole comparison: staged+CSE through the scalar per-point
-  // interpreter (the PR's "before") vs the fused SoA kernel at the active
-  // SIMD width (the "after"). The paper target column carries the PR's
-  // acceptance floor of 2x, not a paper figure.
-  const int wact = simd_active_width();
+  // Staged+CSE through the scalar per-point interpreter vs the fused SoA
+  // kernel at the active SIMD width. The target column is the 2x floor set
+  // when the fused kernel was introduced, not a paper figure.
   std::printf("\n  fused SoA kernel, width %d (%s):\n", wact,
               simd_backend_name(wact));
   std::printf(
@@ -132,8 +171,7 @@ int main(int argc, char** argv) {
 
   // Bitwise smoke: the fused kernel at the active width must reproduce both
   // its own width-1 run and the interpreted staged+CSE reference exactly on
-  // every interior point (the DGR_SIMD=scalar vs =avx2 CI leg asserts on
-  // this metric).
+  // every interior point.
   {
     std::vector<Real> ref(out.size()), w1(out.size());
     bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[2]);
@@ -155,9 +193,9 @@ int main(int argc, char** argv) {
     std::printf("  bitwise vs scalar reference: %s\n",
                 identical ? "IDENTICAL" : "MISMATCH");
   }
-  bench::note("fused kernel: SoA gather + register-machine block execution");
-  bench::note("replaces 210 per-point array walks; bitwise-identical to the");
-  bench::note("scalar interpreter at every width (speedup target is the PR");
-  bench::note("acceptance floor, the paper reports no host-SIMD figure).");
+  bench::note("compiled kernel: the same algebra template instantiated at a");
+  bench::note("4-wide pack over the pack gather; bitwise-identical to its");
+  bench::note("scalar body. fused kernel: the same gather feeding the");
+  bench::note("register machine, bitwise-identical to the scalar interpreter.");
   return 0;
 }

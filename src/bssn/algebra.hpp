@@ -5,8 +5,10 @@
 /// derivatives, KO terms) to the 24 RHS outputs, written once as a template
 /// over the scalar type.
 ///
-/// Instantiated with S = Real it is the compiled production kernel used by
-/// `bssn_rhs_patch`; instantiated with the codegen module's symbolic scalar
+/// Instantiated with S = Real it is the compiled scalar kernel used by
+/// `bssn_rhs_patch`, and with S = dgr::simd<double, 4> the packed kernel of
+/// `bssn_rhs_patch_packed` (lanewise the same expressions, so the same
+/// bits); instantiated with the codegen module's symbolic scalar
 /// it emits the expression DAG from which the paper's code-generation
 /// variants (SymPyGR-CSE, binary-reduce, staged+CSE — Table II / Fig. 11)
 /// are scheduled. A single source of truth guarantees the scheduled

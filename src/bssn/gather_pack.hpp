@@ -1,0 +1,96 @@
+#pragma once
+/// \file gather_pack.hpp
+/// \brief The pack gather: every algebra input of W consecutive x-points of
+/// a patch row, evaluated point-locally from the input patches and written
+/// straight into AlgebraInputs<P>, P = dgr::simd<double, W>. It is the
+/// derivative stage D without the 210 patch-sized derivative arrays (72
+/// gradients, 72 upwind gradients, 66 Hessian components, 24 KO terms):
+/// only the 22 inner sweeps of the mixed second derivatives stay arrays.
+///
+/// Shared by the production packed kernel (bssn_rhs_patch_packed) and the
+/// register-machine SoA kernel (codegen::bssn_rhs_patch_fused), so each
+/// stencil is written once. Every lane is bitwise identical to the value
+/// bssn_gather_point reads from the derivative-stage arrays at that point:
+/// the point evaluators of fd/stencils_point.hpp contract the sweeps' weight
+/// tables in the sweeps' order.
+///
+/// A pack may extend past the interior row end. Its extra lanes read
+/// in-bounds padding (a pack at x = 7..10 reaches x = 13, the next row's
+/// x = 0) and are discarded by the caller.
+
+#include "bssn/algebra.hpp"
+#include "bssn/rhs.hpp"
+#include "fd/stencils_point.hpp"
+
+namespace dgr::bssn {
+
+/// Gather the algebra inputs of the W x-points starting at patch index p.
+/// `inner` must hold the sweeps of the same input patches; `chi_floor` is
+/// applied as std::max(chi, floor) lanewise.
+template <class P>
+void bssn_gather_pack(const Real* const in[kNumVars],
+                      const MixedInnerSweeps& inner, int p, Real inv_h,
+                      Real inv_h2, Real chi_floor, AlgebraInputs<P>& q) {
+  // Field values. With maxpd semantics (a > b ? a : b), max(floor, chi) is
+  // lanewise bitwise-equal to std::max(chi, floor), NaN included.
+  q.a = P::load(in[kAlpha] + p);
+  q.ch = max(P::broadcast(chi_floor), P::load(in[kChi] + p));
+  q.Kt = P::load(in[kK] + p);
+  for (int i = 0; i < 3; ++i) {
+    q.Gt[i] = P::load(in[kGt0 + i] + p);
+    q.bet[i] = P::load(in[kBeta0 + i] + p);
+    q.Bv[i] = P::load(in[kB0 + i] + p);
+  }
+  for (int s = 0; s < 6; ++s) {
+    q.gt[s] = P::load(in[kGtxx + s] + p);
+    q.At[s] = P::load(in[kAtxx + s] + p);
+  }
+
+  // First derivatives.
+  for (int ax = 0; ax < 3; ++ax) {
+    q.d_a[ax] = fd::d1_point<P>(in[kAlpha], p, ax, inv_h);
+    q.d_ch[ax] = fd::d1_point<P>(in[kChi], p, ax, inv_h);
+    q.d_K[ax] = fd::d1_point<P>(in[kK], p, ax, inv_h);
+    for (int i = 0; i < 3; ++i) {
+      q.d_b[i][ax] = fd::d1_point<P>(in[kBeta0 + i], p, ax, inv_h);
+      q.d_Gt[i][ax] = fd::d1_point<P>(in[kGt0 + i], p, ax, inv_h);
+    }
+    for (int s = 0; s < 6; ++s) {
+      q.d_gt[s][ax] = fd::d1_point<P>(in[kGtxx + s], p, ax, inv_h);
+      q.d_At[s][ax] = fd::d1_point<P>(in[kAtxx + s], p, ax, inv_h);
+    }
+  }
+
+  // Second derivatives (Hessian slots fixed by kSecondDerivVars: alpha=0,
+  // beta=1..3, chi=4, gt=5..10). Diagonals are d2 stencils; each mixed
+  // component is the outer d1 stencil over an inner sweep, in
+  // fd::d2_mixed's order: (0,1) = d/dy of d/dx, (0,2) = d/dz of d/dx,
+  // (1,2) = d/dz of d/dy.
+  for (int s = 0; s < static_cast<int>(kSecondDerivVars.size()); ++s) {
+    const int v = kSecondDerivVars[s];
+    P* dd = s == 0   ? q.dd_a
+            : s <= 3 ? q.dd_b[s - 1]
+            : s == 4 ? q.dd_ch
+                     : q.dd_gt[s - 5];
+    dd[sym_idx(0, 0)] = fd::d2_point<P>(in[v], p, 0, inv_h2);
+    dd[sym_idx(1, 1)] = fd::d2_point<P>(in[v], p, 1, inv_h2);
+    dd[sym_idx(2, 2)] = fd::d2_point<P>(in[v], p, 2, inv_h2);
+    dd[sym_idx(0, 1)] = fd::d1_point<P>(inner.of(s, 0), p, 1, inv_h);
+    dd[sym_idx(0, 2)] = fd::d1_point<P>(inner.of(s, 0), p, 2, inv_h);
+    dd[sym_idx(1, 2)] = fd::d1_point<P>(inner.of(s, 1), p, 2, inv_h);
+  }
+
+  // Advection beta^j d_j v (upwind side picked lanewise by the shift's
+  // sign, summed from zero over the axes as bssn_gather_point does) and
+  // unit-sigma KO dissipation.
+  for (int v = 0; v < kNumVars; ++v) {
+    P adv = P::zero();
+    for (int ax = 0; ax < 3; ++ax)
+      adv = adv +
+            q.bet[ax] * fd::upwind_point<P>(in[v], q.bet[ax], p, ax, inv_h);
+    q.ad[v] = adv;
+    q.ko[v] = fd::ko_point<P>(in[v], p, inv_h);
+  }
+}
+
+}  // namespace dgr::bssn

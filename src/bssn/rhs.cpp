@@ -1,10 +1,13 @@
 #include "bssn/rhs.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "bssn/algebra.hpp"
+#include "bssn/gather_pack.hpp"
 #include "common/error.hpp"
 #include "fd/stencils.hpp"
+#include "simd/simd.hpp"
 
 namespace dgr::bssn {
 
@@ -13,6 +16,18 @@ using mesh::kPatch;
 using mesh::kPatchPts;
 using mesh::kR;
 using mesh::patch_idx;
+
+MixedInnerSweeps::MixedInnerSweeps()
+    : d1(static_cast<std::size_t>(kSecondDerivVars.size()) * 2 * kPatchPts) {}
+
+void MixedInnerSweeps::compute(const Real* const in[kNumVars], Real h) {
+  for (std::size_t s = 0; s < kSecondDerivVars.size(); ++s) {
+    const int v = kSecondDerivVars[s];
+    Real* dx = d1.data() + (s * 2) * kPatchPts;
+    fd::d1(in[v], dx, 0, h);
+    fd::d1(in[v], dx + kPatchPts, 1, h);
+  }
+}
 
 DerivWorkspace::DerivWorkspace()
     : grad(static_cast<std::size_t>(kNumVars) * 3 * kPatchPts),
@@ -26,6 +41,58 @@ int hess_slot(int var) {
     if (kSecondDerivVars[s] == var) return static_cast<int>(s);
   return -1;
 }
+
+namespace {
+
+/// OpCounts of the derivative stage (both RHS bodies charge these, so the
+/// simgpu kernel records and the modeled times do not depend on the width).
+void charge_deriv_stage(OpCounts& c) {
+  const std::uint64_t pts = kR * kR * kR;
+  c.flops += pts * (kNumVars * 3ull * (fd::kD1Flops + fd::kUpwindFlops) +
+                    kNumVars * fd::kKoFlops +
+                    kSecondDerivVars.size() * 6ull * fd::kD2Flops);
+  c.bytes_read += std::uint64_t(kNumVars) * kPatchPts * sizeof(Real);
+}
+
+/// OpCounts of the algebraic stage: A reads the 24 fields + 210 derivatives
+/// per point and writes 24 outputs (paper Eq. 21b memory accounting).
+void charge_algebraic_stage(OpCounts& c) {
+  const std::uint64_t pts = kR * kR * kR;
+  c.flops += pts * kAFlopsPerPoint;
+  c.bytes_read += pts * (kNumVars * 2 + 210) * sizeof(Real);
+  c.bytes_written += pts * kNumVars * sizeof(Real);
+}
+
+/// The Sommerfeld overwrite (see bssn_sommerfeld) with the centered
+/// gradient d_axis(var) at patch index p taken from grad(var, axis, p):
+/// the staged kernel reads its derivative-stage arrays, the packed kernels
+/// evaluate the same stencil point-locally (the same bits).
+template <class Grad>
+void sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
+                const mesh::PatchGeom& geom, Real half_extent, Grad&& grad) {
+  const Real eps = 1e-9 * half_extent;
+  for (int kk = kPad; kk < kPad + kR; ++kk)
+    for (int jj = kPad; jj < kPad + kR; ++jj)
+      for (int ii = kPad; ii < kPad + kR; ++ii) {
+        const Real x = geom.origin[0] + ii * geom.h;
+        const Real y = geom.origin[1] + jj * geom.h;
+        const Real z = geom.origin[2] + kk * geom.h;
+        const bool on_boundary = std::abs(std::abs(x) - half_extent) < eps ||
+                                 std::abs(std::abs(y) - half_extent) < eps ||
+                                 std::abs(std::abs(z) - half_extent) < eps;
+        if (!on_boundary) continue;
+        const int p = patch_idx(ii, jj, kk);
+        const Real r = std::sqrt(x * x + y * y + z * z);
+        for (int v = 0; v < kNumVars; ++v) {
+          const Real du =
+              (x * grad(v, 0, p) + y * grad(v, 1, p) + z * grad(v, 2, p)) / r;
+          out[v][p] = -var_wave_speed(v) *
+                      (du + (in[v][p] - var_asymptotic(v)) / r);
+        }
+      }
+}
+
+}  // namespace
 
 void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
                       DerivWorkspace& ws, OpCounts* counts) {
@@ -52,14 +119,7 @@ void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
     fd::d2_mixed(in[v], ws.scratch.data(), ws.hess_of(s, sym_idx(1, 2)), 1, 2,
                  h);
   }
-  if (counts) {
-    const std::uint64_t pts = kR * kR * kR;
-    counts->flops +=
-        pts * (kNumVars * 3ull * (fd::kD1Flops + fd::kUpwindFlops) +
-               kNumVars * fd::kKoFlops +
-               kSecondDerivVars.size() * 6ull * fd::kD2Flops);
-    counts->bytes_read += std::uint64_t(kNumVars) * kPatchPts * sizeof(Real);
-  }
+  if (counts) charge_deriv_stage(*counts);
 }
 
 /// Gather the point-local inputs of the algebraic stage from the workspace
@@ -122,39 +182,12 @@ void bssn_algebraic_stage(const Real* const in[kNumVars],
         bssn_gather_point(in, ws, p, prm, q);
         bssn_algebra_point(q, aprm, rhs_pt);
         for (int v = 0; v < kNumVars; ++v) out[v][p] = rhs_pt[v];
-
-        // Sommerfeld radiative condition on the outer boundary overwrites
-        // the interior RHS (standard moving-puncture practice).
-        if (prm.sommerfeld) {
-          const Real x = geom.origin[0] + ii * geom.h;
-          const Real y = geom.origin[1] + jj * geom.h;
-          const Real z = geom.origin[2] + kk * geom.h;
-          const Real eps = 1e-9 * half_extent;
-          const bool on_boundary = std::abs(std::abs(x) - half_extent) < eps ||
-                                   std::abs(std::abs(y) - half_extent) < eps ||
-                                   std::abs(std::abs(z) - half_extent) < eps;
-          if (on_boundary) {
-            const Real r = std::sqrt(x * x + y * y + z * z);
-            for (int v = 0; v < kNumVars; ++v) {
-              const Real du = (x * ws.grad_of(v, 0)[p] +
-                               y * ws.grad_of(v, 1)[p] +
-                               z * ws.grad_of(v, 2)[p]) /
-                              r;
-              out[v][p] = -var_wave_speed(v) *
-                          (du + (in[v][p] - var_asymptotic(v)) / r);
-            }
-          }
-        }
       }
-  if (counts) {
-    counts->flops += std::uint64_t(kR * kR * kR) * kAFlopsPerPoint;
-    // A reads the 24 fields + 210 derivatives per point and writes 24
-    // outputs (paper Eq. 21b memory accounting).
-    counts->bytes_read +=
-        std::uint64_t(kR * kR * kR) * (kNumVars * 2 + 210) * sizeof(Real);
-    counts->bytes_written +=
-        std::uint64_t(kR * kR * kR) * kNumVars * sizeof(Real);
-  }
+  if (prm.sommerfeld)
+    sommerfeld(in, out, geom, half_extent, [&](int v, int axis, int p) {
+      return ws.grad_of(v, axis)[p];
+    });
+  if (counts) charge_algebraic_stage(*counts);
 }
 
 void bssn_rhs_patch(const Real* const in[kNumVars], Real* const out[kNumVars],
@@ -163,6 +196,45 @@ void bssn_rhs_patch(const Real* const in[kNumVars], Real* const out[kNumVars],
                     OpCounts* counts) {
   bssn_deriv_stage(in, geom.h, ws, counts);
   bssn_algebraic_stage(in, out, geom, half_extent, params, ws, counts);
+}
+
+void bssn_rhs_patch_packed(const Real* const in[kNumVars],
+                           Real* const out[kNumVars],
+                           const mesh::PatchGeom& geom, Real half_extent,
+                           const BssnParams& prm, DerivWorkspace& ws,
+                           OpCounts* counts) {
+  using P = simd<Real, 4>;
+  ws.inner.compute(in, geom.h);
+  const Real inv_h = 1.0 / geom.h;
+  const Real inv_h2 = 1.0 / (geom.h * geom.h);
+  const AlgebraParams<P> aprm{P::broadcast(prm.lambda_f0),
+                              P::broadcast(prm.eta),
+                              P::broadcast(prm.ko_sigma)};
+  AlgebraInputs<P> q;
+  P rhs[kNumVars];
+  for (int kk = kPad; kk < kPad + kR; ++kk)
+    for (int jj = kPad; jj < kPad + kR; ++jj)
+      for (int i0 = 0; i0 < kR; i0 += P::width) {
+        const int p = patch_idx(kPad + i0, jj, kk);
+        const int live = std::min(P::width, kR - i0);
+        bssn_gather_pack(in, ws.inner, p, inv_h, inv_h2, prm.chi_floor, q);
+        bssn_algebra_point(q, aprm, rhs);
+        for (int v = 0; v < kNumVars; ++v)
+          rhs[v].store_partial(out[v] + p, live);
+      }
+  if (prm.sommerfeld) bssn_sommerfeld(in, out, geom, half_extent);
+  if (counts) {
+    charge_deriv_stage(*counts);
+    charge_algebraic_stage(*counts);
+  }
+}
+
+void bssn_sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
+                     const mesh::PatchGeom& geom, Real half_extent) {
+  const Real inv_h = 1.0 / geom.h;
+  sommerfeld(in, out, geom, half_extent, [&](int v, int axis, int p) {
+    return fd::d1_point<simd<Real, 1>>(in[v], p, axis, inv_h)[0];
+  });
 }
 
 }  // namespace dgr::bssn

@@ -25,6 +25,25 @@ struct BssnParams {
   bool sommerfeld = true;
 };
 
+/// The 22 inner first-derivative sweeps (d/dx and d/dy of the 11
+/// second-derivative variables) that the pack gather's mixed second
+/// derivatives contract over. They are the only patch-sized intermediates
+/// the packed kernels keep: each inner value feeds up to 14 outer stencil
+/// taps, so sweeping once beats recomputing it per point.
+struct MixedInnerSweeps {
+  std::vector<Real> d1;  ///< [hvar][axis 0|1] * kPatchPts
+
+  MixedInnerSweeps();
+  const Real* of(int hvar, int axis) const {
+    return d1.data() + (hvar * 2 + axis) * mesh::kPatchPts;
+  }
+  /// Sweep d/dx and d/dy of every second-derivative variable (fd::d1: valid
+  /// at x resp. y = 3..9 and at every index of the other two axes). The
+  /// entries outside that region are never written and stay zero from
+  /// construction; only the discarded lane of a partial pack reads them.
+  void compute(const Real* const in[kNumVars], Real h);
+};
+
 /// Scratch buffers for the derivative stage; allocate once, reuse across
 /// patches (the GPU analogue is the per-block shared-memory workspace of
 /// Fig. 9).
@@ -36,6 +55,7 @@ struct DerivWorkspace {
   std::vector<Real> hess;   ///< [hvar][sym6] * kPatchPts
   std::vector<Real> ko;     ///< [var] * kPatchPts
   std::vector<Real> scratch;///< one patch, for mixed-derivative sweeps
+  MixedInnerSweeps inner;   ///< the packed kernel's only patch arrays
 
   DerivWorkspace();
   Real* grad_of(int var, int axis) {
@@ -78,11 +98,33 @@ void bssn_algebraic_stage(const Real* const in[kNumVars],
                           const BssnParams& params, DerivWorkspace& ws,
                           OpCounts* counts = nullptr);
 
-/// Full RHS on one patch: derivative stage then algebraic stage.
+/// Full RHS on one patch: derivative stage then algebraic stage. The scalar
+/// body of the production kernel, and the reference the packed kernel is
+/// pinned against bitwise.
 void bssn_rhs_patch(const Real* const in[kNumVars], Real* const out[kNumVars],
                     const mesh::PatchGeom& geom, Real half_extent,
                     const BssnParams& params, DerivWorkspace& ws,
                     OpCounts* counts = nullptr);
+
+/// Full RHS on one patch, 4 x-points at a time: each 7-point interior
+/// x-row is one full dgr::simd<double, 4> pack plus one 3-lane partial pack.
+/// The pack gather (gather_pack.hpp) evaluates every stencil point-locally
+/// and bssn_algebra_point runs on the packs. Uses only `ws.inner`. Bitwise
+/// identical to bssn_rhs_patch on every interior point (same stencil and
+/// algebra expressions, lanewise), and charges the same OpCounts.
+void bssn_rhs_patch_packed(const Real* const in[kNumVars],
+                           Real* const out[kNumVars],
+                           const mesh::PatchGeom& geom, Real half_extent,
+                           const BssnParams& params, DerivWorkspace& ws,
+                           OpCounts* counts = nullptr);
+
+/// Sommerfeld radiative condition: overwrites the RHS at the interior
+/// points of the patch that lie on the outer boundary |x_i| = half_extent
+/// (standard moving-puncture practice). The radial derivative is the
+/// centered d1 stencil evaluated point-locally, bitwise equal to the
+/// derivative stage's gradient.
+void bssn_sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
+                     const mesh::PatchGeom& geom, Real half_extent);
 
 /// Approximate flop count of the algebraic stage per grid point, matching
 /// the paper's operation count O_A in Eq. (21b) (Q_A ~ 1.94 with m = 8 *

@@ -1,9 +1,7 @@
 #include "codegen/fused_rhs.hpp"
 
-#include <cmath>
-
+#include "bssn/gather_pack.hpp"
 #include "codegen/bssn_graph.hpp"
-#include "fd/stencils_point.hpp"
 #include "simd/simd.hpp"
 
 namespace dgr::codegen {
@@ -20,92 +18,27 @@ namespace {
 
 constexpr int kOct = kR * kR * kR;  // interior points per patch
 
-/// Evaluate every algebra input for W consecutive x-points starting at
-/// patch index p, and store the first `store_n` lanes at SoA column `col`.
-/// A chunk may extend past the interior row end (lanes beyond store_n are
-/// computed from in-bounds padding data and discarded), which keeps the
-/// 7-point rows fully vectorized as one whole + one partial pack.
+/// Gather the algebra inputs of W consecutive x-points starting at patch
+/// index p and store the first `store_n` lanes at SoA column `col` (input n
+/// of the graph goes to row n).
 template <int W>
 void gather_chunk(const Real* const in[kNumVars], FusedWorkspace& ws, int p,
                   int col, int store_n, Real inv_h, Real inv_h2,
                   Real chi_floor) {
   using P = dgr::simd<Real, W>;
-  using namespace bssn;
-  const AlgebraInputIndex& L = algebra_input_index();
+  bssn::AlgebraInputs<P> q;
+  bssn::bssn_gather_pack(in, ws.inner, p, inv_h, inv_h2, chi_floor, q);
   Real* soa = ws.in_soa.data();
-  auto put = [&](int slot, const P& v) {
-    v.store_partial(soa + std::size_t(slot) * kOct + col, store_n);
-  };
-
-  // Field values. The chi floor uses max(floor, chi): with maxpd semantics
-  // (a > b ? a : b) this is lanewise bitwise-equal to std::max(chi, floor).
-  put(L.idx.a, P::load(in[kAlpha] + p));
-  put(L.idx.ch, max(P::broadcast(chi_floor), P::load(in[kChi] + p)));
-  put(L.idx.Kt, P::load(in[kK] + p));
-  for (int i = 0; i < 3; ++i) {
-    put(L.idx.Gt[i], P::load(in[kGt0 + i] + p));
-    put(L.idx.bet[i], P::load(in[kBeta0 + i] + p));
-    put(L.idx.Bv[i], P::load(in[kB0 + i] + p));
-  }
-  for (int s = 0; s < 6; ++s) {
-    put(L.idx.gt[s], P::load(in[kGtxx + s] + p));
-    put(L.idx.At[s], P::load(in[kAtxx + s] + p));
-  }
-
-  // First derivatives: fused centered stencils, no intermediate arrays.
-  for (int ax = 0; ax < 3; ++ax) {
-    put(L.idx.d_a[ax], fd::d1_point<P>(in[kAlpha], p, ax, inv_h));
-    put(L.idx.d_ch[ax], fd::d1_point<P>(in[kChi], p, ax, inv_h));
-    put(L.idx.d_K[ax], fd::d1_point<P>(in[kK], p, ax, inv_h));
-    for (int i = 0; i < 3; ++i) {
-      put(L.idx.d_b[i][ax], fd::d1_point<P>(in[kBeta0 + i], p, ax, inv_h));
-      put(L.idx.d_Gt[i][ax], fd::d1_point<P>(in[kGt0 + i], p, ax, inv_h));
-    }
-    for (int s = 0; s < 6; ++s) {
-      put(L.idx.d_gt[s][ax], fd::d1_point<P>(in[kGtxx + s], p, ax, inv_h));
-      put(L.idx.d_At[s][ax], fd::d1_point<P>(in[kAtxx + s], p, ax, inv_h));
-    }
-  }
-
-  // Second derivatives. Diagonals are fused d2 stencils; mixed components
-  // contract the outer d1 stencil over the precomputed inner d1 sweep
-  // (sym slots: (0,1)->1 outer y over d/dx, (0,2)->2 outer z over d/dx,
-  // (1,2)->4 outer z over d/dy), matching fd::d2_mixed's sweep order.
-  for (int s = 0; s < static_cast<int>(kSecondDerivVars.size()); ++s) {
-    const int v = kSecondDerivVars[s];
-    const int* dd = s == 0   ? L.idx.dd_a
-                    : s <= 3 ? L.idx.dd_b[s - 1]
-                    : s == 4 ? L.idx.dd_ch
-                             : L.idx.dd_gt[s - 5];
-    put(dd[sym_idx(0, 0)], fd::d2_point<P>(in[v], p, 0, inv_h2));
-    put(dd[sym_idx(1, 1)], fd::d2_point<P>(in[v], p, 1, inv_h2));
-    put(dd[sym_idx(2, 2)], fd::d2_point<P>(in[v], p, 2, inv_h2));
-    const Real* dx = ws.inner_of(s, 0);
-    const Real* dy = ws.inner_of(s, 1);
-    put(dd[sym_idx(0, 1)], fd::d1_point<P>(dx, p, 1, inv_h));
-    put(dd[sym_idx(0, 2)], fd::d1_point<P>(dx, p, 2, inv_h));
-    put(dd[sym_idx(1, 2)], fd::d1_point<P>(dy, p, 2, inv_h));
-  }
-
-  // Advective terms (upwind stencil selected lanewise by the shift's sign)
-  // and KO dissipation (unit sigma, as in the derivative stage).
-  P bet[3];
-  for (int ax = 0; ax < 3; ++ax) bet[ax] = P::load(in[kBeta0 + ax] + p);
-  for (int v = 0; v < kNumVars; ++v) {
-    P adv = P::zero();
-    for (int ax = 0; ax < 3; ++ax)
-      adv = adv + bet[ax] * fd::upwind_point<P>(in[v], bet[ax], p, ax, inv_h);
-    put(L.idx.ad[v], adv);
-    put(L.idx.ko[v], fd::ko_point<P>(in[v], p, inv_h));
-  }
+  std::size_t row = 0;
+  visit_algebra_inputs(q, [&](const P& v, auto&&) {
+    v.store_partial(soa + row++ * kOct + col, store_n);
+  });
 }
 
 }  // namespace
 
 FusedWorkspace::FusedWorkspace()
-    : inner_d1(static_cast<std::size_t>(kSecondDerivVars.size()) * 2 *
-               kPatchPts),
-      in_soa(static_cast<std::size_t>(bssn_algebra_num_inputs()) * kOct),
+    : in_soa(static_cast<std::size_t>(bssn_algebra_num_inputs()) * kOct),
       out_soa(static_cast<std::size_t>(kNumVars) * kOct) {}
 
 void bssn_rhs_patch_fused(const Real* const in[kNumVars],
@@ -114,7 +47,9 @@ void bssn_rhs_patch_fused(const Real* const in[kNumVars],
                           const bssn::BssnParams& params,
                           const CompiledKernel& kernel, FusedWorkspace& ws,
                           OpCounts* counts, int width) {
-  if (width <= 0) width = simd_active_width();
+  if (width == 0) width = simd_active_width();
+  DGR_CHECK_MSG(width == 1 || width == 4,
+                "fused RHS width must be 0, 1 or 4, got " << width);
   if (ws.spill.size() < static_cast<std::size_t>(kernel.spill_scratch_size()))
     ws.spill.resize(static_cast<std::size_t>(kernel.spill_scratch_size()));
   const Real inv_h = 1.0 / geom.h;
@@ -122,19 +57,15 @@ void bssn_rhs_patch_fused(const Real* const in[kNumVars],
 
   // Stage 1: the only patch-sized intermediates — inner d1 sweeps feeding
   // the three mixed Hessian components of each second-derivative variable.
-  for (int s = 0; s < static_cast<int>(kSecondDerivVars.size()); ++s) {
-    const int v = kSecondDerivVars[s];
-    fd::d1(in[v], ws.inner_of(s, 0), 0, geom.h);
-    fd::d1(in[v], ws.inner_of(s, 1), 1, geom.h);
-  }
+  ws.inner.compute(in, geom.h);
 
-  // Stage 2: fused SoA gather over the interior, one 7-point x-row at a
-  // time as one full pack plus one partial pack (or scalars at width 1).
+  // Stage 2: SoA gather over the interior, one 7-point x-row at a time as
+  // one full pack plus one partial pack (or scalars at width 1).
   for (int kk = kPad; kk < kPad + kR; ++kk)
     for (int jj = kPad; jj < kPad + kR; ++jj) {
       const int p0 = patch_idx(kPad, jj, kk);
       const int col0 = ((kk - kPad) * kR + (jj - kPad)) * kR;
-      if (width >= 4) {
+      if (width == 4) {
         gather_chunk<4>(in, ws, p0, col0, 4, inv_h, inv_h2, params.chi_floor);
         gather_chunk<4>(in, ws, p0 + 4, col0 + 4, kR - 4, inv_h, inv_h2,
                         params.chi_floor);
@@ -149,9 +80,8 @@ void bssn_rhs_patch_fused(const Real* const in[kNumVars],
   kernel.run_block(ws.in_soa.data(), ws.out_soa.data(), kOct, width,
                    ws.spill.data());
 
-  // Stage 4: scatter back to patch layout + Sommerfeld boundary overwrite
-  // (the radial derivative is the same fused d1 stencil, always scalar —
-  // boundary handling is width-independent by construction).
+  // Stage 4: scatter back to patch layout, then the (scalar, hence
+  // width-independent) Sommerfeld boundary overwrite.
   for (int kk = kPad; kk < kPad + kR; ++kk)
     for (int jj = kPad; jj < kPad + kR; ++jj)
       for (int ii = kPad; ii < kPad + kR; ++ii) {
@@ -160,30 +90,8 @@ void bssn_rhs_patch_fused(const Real* const in[kNumVars],
             ((kk - kPad) * kR + (jj - kPad)) * kR + (ii - kPad);
         for (int v = 0; v < kNumVars; ++v)
           out[v][p] = ws.out_soa[std::size_t(v) * kOct + col];
-
-        if (params.sommerfeld) {
-          const Real x = geom.origin[0] + ii * geom.h;
-          const Real y = geom.origin[1] + jj * geom.h;
-          const Real z = geom.origin[2] + kk * geom.h;
-          const Real eps = 1e-9 * half_extent;
-          const bool on_boundary =
-              std::abs(std::abs(x) - half_extent) < eps ||
-              std::abs(std::abs(y) - half_extent) < eps ||
-              std::abs(std::abs(z) - half_extent) < eps;
-          if (on_boundary) {
-            using S1 = dgr::simd<Real, 1>;
-            const Real r = std::sqrt(x * x + y * y + z * z);
-            for (int v = 0; v < kNumVars; ++v) {
-              const Real du = (x * fd::d1_point<S1>(in[v], p, 0, inv_h)[0] +
-                               y * fd::d1_point<S1>(in[v], p, 1, inv_h)[0] +
-                               z * fd::d1_point<S1>(in[v], p, 2, inv_h)[0]) /
-                              r;
-              out[v][p] = -bssn::var_wave_speed(v) *
-                          (du + (in[v][p] - bssn::var_asymptotic(v)) / r);
-            }
-          }
-        }
       }
+  if (params.sommerfeld) bssn::bssn_sommerfeld(in, out, geom, half_extent);
 
   if (counts) {
     const std::uint64_t pts = kOct;
@@ -206,7 +114,7 @@ void bssn_rhs_patch_fused(const Real* const in[kNumVars],
     // On-chip traffic: the SoA blocks + inner sweeps + kernel spills (the
     // shared-memory analogue of the interp path's workspace arrays).
     counts->shared_bytes +=
-        (ws.in_soa.size() + ws.out_soa.size() + ws.inner_d1.size()) *
+        (ws.in_soa.size() + ws.out_soa.size() + ws.inner.d1.size()) *
         sizeof(Real);
     counts->shared_bytes += pts * (kernel.stats().spill_load_bytes +
                                    kernel.stats().spill_store_bytes);

@@ -1,25 +1,17 @@
 #pragma once
 /// \file fused_rhs.hpp
-/// \brief SIMD-vectorized, stencil-fused BSSN RHS (ROADMAP item 2): the
-/// derivative stencils are evaluated point-locally and written straight
-/// into a structure-of-arrays input block, which the scheduled register-
-/// machine program then consumes W points at a time through the explicit
-/// `dgr::simd<double, W>` packs.
-///
-/// Compared to `bssn_rhs_patch_interp` this eliminates almost all of the
-/// patch-sized intermediate arrays (72 gradients, 72 advective gradients,
-/// 33 of 66 Hessian components, 24 KO buffers — each 13^3 doubles) and the
-/// out-of-interior sweep work that produced them: centered sweeps fill
-/// 7x13x13 = 1183 points per axis where the algebra consumes only the 7^3 =
-/// 343 interior ones. The only intermediates kept are the 22 inner
-/// first-derivative sweeps feeding the mixed second derivatives, where the
-/// sweep's value reuse beats per-point recomputation.
+/// \brief The register-machine BSSN RHS over a structure-of-arrays block:
+/// the pack gather (bssn/gather_pack.hpp) writes every algebra input of the
+/// 343 interior points into an SoA input block, which the scheduled
+/// register-machine program then consumes W points at a time through the
+/// explicit `dgr::simd<double, W>` packs. It is the Table II / Fig. 11
+/// code-generation artefact at its cheapest; the solver runs the compiled
+/// kernels of bssn/rhs.hpp instead.
 ///
 /// Determinism contract: at every point the fused path is bitwise identical
 /// to the interpreter path with the same kernel (and to itself at any SIMD
-/// width and thread count). See stencils_point.hpp and
-/// CompiledKernel::run_block for the mechanism; tests/test_codegen.cpp and
-/// tests/test_determinism.cpp enforce it.
+/// width). See stencils_point.hpp and CompiledKernel::run_block for the
+/// mechanism; tests/test_codegen.cpp enforces it.
 
 #include "bssn/rhs.hpp"
 #include "codegen/machine.hpp"
@@ -30,23 +22,19 @@ namespace dgr::codegen {
 /// inner mixed-derivative sweeps and the kernel spill scratch. Allocate one
 /// per execution lane — not shareable across concurrent calls.
 struct FusedWorkspace {
-  std::vector<Real> inner_d1;  ///< [hvar][axis 0|1] * kPatchPts
+  bssn::MixedInnerSweeps inner;
   std::vector<Real> in_soa;    ///< [input_id] * 343 interior points
   std::vector<Real> out_soa;   ///< [var] * 343 interior points
   std::vector<Real> spill;     ///< kernel spill scratch (widest pack)
 
   FusedWorkspace();
-  Real* inner_of(int hvar, int axis) {
-    return inner_d1.data() + (hvar * 2 + axis) * mesh::kPatchPts;
-  }
 };
 
 /// Full RHS on one patch through the fused SIMD path. Semantics match
-/// `bssn_rhs_patch` evaluated with the kernel's scheduled algebra: the
-/// derivative and algebraic stages are fused, and the Sommerfeld boundary
-/// overwrite is applied when `params.sommerfeld` is set (unlike the interp
-/// path, this one is a production solver kernel). `width` selects the SIMD
-/// pack width (1 or 4; 0 = the active runtime width from DGR_SIMD).
+/// `bssn_rhs_patch` evaluated with the kernel's scheduled algebra,
+/// including the Sommerfeld boundary overwrite when `params.sommerfeld` is
+/// set. `width` selects the SIMD pack width (1 or 4; 0 = the active runtime
+/// width from DGR_SIMD; anything else throws dgr::Error).
 void bssn_rhs_patch_fused(const Real* const in[bssn::kNumVars],
                           Real* const out[bssn::kNumVars],
                           const mesh::PatchGeom& geom, Real half_extent,

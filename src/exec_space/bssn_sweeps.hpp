@@ -58,10 +58,11 @@ void sweep_octant_to_patch(const ExecSpace& es, const mesh::Mesh& mesh,
                            OctIndex end, Real* patches,
                            mesh::UnzipMethod method, OpCounts* counts);
 
-/// Which patch-RHS kernel sweep_rhs dispatches to, plus the per-lane
-/// scratch it indexes by TeamMember::lane(). `fused` == nullptr selects the
-/// staged compiled C++ kernel (bssn_rhs_patch); otherwise the fused SIMD
-/// path runs at the space's vector-policy width.
+/// The parameters of sweep_rhs's patch RHS plus the per-lane derivative
+/// workspaces it indexes by TeamMember::lane(). `fused` and `fws` are not
+/// read: the register-machine kernel is no longer a solver path, and
+/// sweep_rhs rejects a non-null `fused`. They stay only so that existing
+/// aggregate initializers keep compiling.
 struct RhsDispatch {
   const bssn::BssnParams* params = nullptr;
   const codegen::CompiledKernel* fused = nullptr;
@@ -70,7 +71,10 @@ struct RhsDispatch {
 };
 
 /// Patch RHS of octants [begin, end) from `patch_in` into `patch_out`,
-/// split by octant. Kernel "bssn-rhs", host label "rhs".
+/// split by octant. The body follows the space's resolved vector width:
+/// bssn_rhs_patch_packed at 4, the staged bssn_rhs_patch at 1 — bitwise
+/// identical results and OpCounts either way. Kernel "bssn-rhs", host label
+/// "rhs".
 void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
                const RhsDispatch& d, OctIndex begin, OctIndex end,
                const Real* patch_in, Real* patch_out, OpCounts* counts);

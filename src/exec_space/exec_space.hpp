@@ -114,11 +114,13 @@ struct LaunchSpec {
 };
 
 /// Inner-loop vector policy: the dgr::simd pack width kernel bodies
-/// dispatch on. 0 defers to the runtime DGR_SIMD width at the kernel-body
-/// level (simd_active_width), 1 forces scalar, 4 forces 4-wide packs.
+/// dispatch on. 0 defers to the runtime DGR_SIMD width (simd_active_width),
+/// 1 forces scalar, 4 forces 4-wide packs; no other width exists.
 /// Results are bitwise identical at every width.
 struct VectorPolicy {
   int width = 0;
+  /// The dispatch width, 1 or 4.
+  int resolved() const { return width == 0 ? simd_active_width() : width; }
 };
 
 /// Handle a team_for body receives: the executing lane (index for per-lane
@@ -130,7 +132,8 @@ class TeamMember {
   /// Executing lane in [0, ExecSpace::max_lanes()): stable for the whole
   /// team (chunk), distinct across concurrently running teams.
   int lane() const { return lane_; }
-  /// The space's inner-loop vector width (see VectorPolicy).
+  /// The space's resolved inner-loop vector width, 1 or 4 (see
+  /// VectorPolicy).
   int vector_width() const { return vector_width_; }
 
  private:
@@ -186,7 +189,14 @@ class ExecSpace {
   Layout layout() const { return layout_of(backend_); }
 
   VectorPolicy vector_policy() const { return vp_; }
-  void set_vector_policy(VectorPolicy vp) { vp_ = vp; }
+  /// Throws dgr::Error for a width other than 0, 1 or 4, so a bad config
+  /// fails where it is set instead of running some other width.
+  void set_vector_policy(VectorPolicy vp) {
+    DGR_CHECK_MSG(vp.width == 0 || vp.width == 1 || vp.width == 4,
+                  "simd_width must be 0 (DGR_SIMD), 1 or 4, got "
+                      << vp.width);
+    vp_ = vp;
+  }
 
   /// Sizing bound for per-lane scratch arrays indexed by TeamMember::lane.
   int max_lanes() const { return exec::lanes(); }
@@ -226,11 +236,11 @@ class ExecSpace {
 
   /// Hierarchical flavor: body(TeamMember&, chunk_begin, chunk_end,
   /// OpCounts&) — one team per chunk, with the executing lane and the
-  /// space's vector policy delivered through the member handle.
+  /// space's resolved vector width delivered through the member handle.
   template <class Body>
   void team_for(const LaunchSpec& spec, std::int64_t n, std::int64_t grain,
                 OpCounts* counts, Body&& body) const {
-    const int vw = vp_.width;
+    const int vw = vp_.resolved();
     range_for(spec, n, grain, counts,
               [&body, vw](std::int64_t b, std::int64_t e, OpCounts& c) {
                 TeamMember member(exec::this_lane(), vw);

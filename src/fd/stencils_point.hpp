@@ -8,9 +8,10 @@
 /// the W lanes are W consecutive x-points of a patch row, so every load is
 /// a stride-1 vector load of the underlying patch array.
 ///
-/// These are the DGR hot loops: the fused RHS path evaluates them once per
-/// interior point per input, with no intermediate patch-sized arrays
-/// (tools/vec_probe.cpp asserts the emitted code is vector code).
+/// These are the DGR hot loops: the pack gather (bssn/gather_pack.hpp)
+/// evaluates them once per interior point per input, with no intermediate
+/// patch-sized arrays (tools/check_vectorization.sh asserts the emitted
+/// code is vector code).
 
 #include "common/types.hpp"
 #include "fd/stencils.hpp"

@@ -1,9 +1,10 @@
 #pragma once
 /// \file simd.hpp
-/// \brief Thin explicit-SIMD wrapper `dgr::simd<double, W>` for the fused
-/// RHS kernels (ROADMAP item 2): a fixed-width pack of doubles with
-/// elementwise load/store/arithmetic whose per-lane results are bitwise
-/// identical to the scalar expressions they replace.
+/// \brief Thin explicit-SIMD wrapper `dgr::simd<double, W>` for the packed
+/// and fused RHS kernels: a fixed-width pack of doubles with elementwise
+/// load/store/arithmetic (mixed scalar–pack operands broadcast) whose
+/// per-lane results are bitwise identical to the scalar expressions they
+/// replace.
 ///
 /// Three instantiations coexist:
 ///  - `simd<double, 1>`  — the scalar reference, always available;
@@ -246,6 +247,43 @@ struct simd<double, 4> {
   }
 };
 #endif  // DGR_SIMD_HAS_AVX2
+
+/// Mixed scalar–pack arithmetic: the scalar is broadcast to every lane, so
+/// each lane computes exactly the scalar expression. This is what lets code
+/// written once over a scalar type S (bssn_algebra_point, whose constants
+/// are plain doubles: `2.0 * q.a`, `x / 3.0`) instantiate at a pack.
+template <int W>
+inline simd<double, W> operator+(double a, const simd<double, W>& b) {
+  return simd<double, W>::broadcast(a) + b;
+}
+template <int W>
+inline simd<double, W> operator+(const simd<double, W>& a, double b) {
+  return a + simd<double, W>::broadcast(b);
+}
+template <int W>
+inline simd<double, W> operator-(double a, const simd<double, W>& b) {
+  return simd<double, W>::broadcast(a) - b;
+}
+template <int W>
+inline simd<double, W> operator-(const simd<double, W>& a, double b) {
+  return a - simd<double, W>::broadcast(b);
+}
+template <int W>
+inline simd<double, W> operator*(double a, const simd<double, W>& b) {
+  return simd<double, W>::broadcast(a) * b;
+}
+template <int W>
+inline simd<double, W> operator*(const simd<double, W>& a, double b) {
+  return a * simd<double, W>::broadcast(b);
+}
+template <int W>
+inline simd<double, W> operator/(double a, const simd<double, W>& b) {
+  return simd<double, W>::broadcast(a) / b;
+}
+template <int W>
+inline simd<double, W> operator/(const simd<double, W>& a, double b) {
+  return a / simd<double, W>::broadcast(b);
+}
 
 /// Widest backend the build compiled real vector instructions for.
 inline constexpr int kSimdNativeWidth = DGR_SIMD_HAS_AVX2 ? 4 : 1;

@@ -26,8 +26,6 @@ solver::SolverConfig pipeline_config(const GpuSolverConfig& c) {
   s.cfl = c.cfl;
   s.chunk_octants = c.chunk_octants;
   s.unzip_method = mesh::UnzipMethod::kLoopOverOctants;
-  s.rhs_kernel = c.fused_simd_rhs ? solver::RhsKernel::kStagedFusedSimd
-                                  : solver::RhsKernel::kCompiled;
   s.simd_width = c.simd_width;
   return s;
 }

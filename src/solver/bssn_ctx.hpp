@@ -12,7 +12,6 @@
 #include "bssn/constraints.hpp"
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "common/counters.hpp"
 #include "common/timer.hpp"
 #include "exec_space/exec_space.hpp"
@@ -21,12 +20,6 @@
 
 namespace dgr::solver {
 
-/// Which patch-RHS kernel the pipeline runs.
-enum class RhsKernel {
-  kCompiled,         ///< bssn_rhs_patch: staged compiled C++ (default)
-  kStagedFusedSimd,  ///< fused SIMD path over the staged+CSE program
-};
-
 struct SolverConfig {
   bssn::BssnParams bssn;
   Real cfl = 0.25;  ///< Courant factor lambda (paper §III-A)
@@ -34,10 +27,10 @@ struct SolverConfig {
   /// GPU analogue launches one block per octant).
   int chunk_octants = 64;
   mesh::UnzipMethod unzip_method = mesh::UnzipMethod::kLoopOverOctants;
-  RhsKernel rhs_kernel = RhsKernel::kCompiled;
-  /// SIMD pack width for the fused kernel: 0 = the runtime width selected
-  /// by DGR_SIMD (see simd_active_width), else 1 or 4. Results are bitwise
-  /// identical at every width and thread count.
+  /// SIMD pack width of the patch RHS: 0 = the runtime width selected by
+  /// DGR_SIMD (see simd_active_width), 1 = the staged scalar kernel, 4 =
+  /// the packed kernel; RhsPipeline rejects any other value. Results are
+  /// bitwise identical at every width and thread count.
   int simd_width = 0;
 };
 
@@ -96,10 +89,6 @@ class RhsPipeline {
   /// One derivative workspace per execution lane: the RHS sweep body
   /// indexes this by TeamMember::lane().
   std::vector<bssn::DerivWorkspace> ws_;
-  /// Fused-kernel state (only populated for RhsKernel::kStagedFusedSimd):
-  /// the compiled staged+CSE program and one SoA workspace per pool lane.
-  std::unique_ptr<codegen::CompiledKernel> fused_kernel_;
-  std::vector<codegen::FusedWorkspace> fws_;
   std::vector<Real> patch_in_, patch_out_;
 };
 

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "bssn/constraints.hpp"
 #include "bssn/initial_data.hpp"
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
+#include "common/rng.hpp"
 #include "solver/bssn_ctx.hpp"
 
 namespace dgr::bssn {
@@ -118,6 +121,78 @@ TEST(BssnRhs, ConstantShiftAdvectsLinearLapse) {
     }
     // chi advected: d_t chi = beta dx chi + 2/3 chi (0 - div beta) = 0.
     EXPECT_NEAR(rhs.field(kChi)[d], 0.0, 1e-10);
+  }
+}
+
+TEST(BssnRhs, PackedKernelIsBitwiseEqualToStagedKernel) {
+  // The packed kernel (4-wide packs, 3-lane partial pack per row) against
+  // the staged scalar kernel on every point of the output patches, on
+  // random data whose shift has both signs (both upwind sides) and whose
+  // chi straddles the floor. Cases add an octant on the outer boundary
+  // (Sommerfeld on three faces) and non-default ko_sigma / eta. OpCounts
+  // must match too: the simgpu kernel records price them.
+  const auto m = uniform_mesh(1, 2.0);
+  struct Case {
+    const char* name;
+    bool boundary;
+    Real ko_sigma, eta;
+  };
+  for (const Case& cs : {Case{"interior", false, 0.1, 2.0},
+                         Case{"boundary", true, 0.1, 2.0},
+                         Case{"ko+eta", true, 0.37, 0.8}}) {
+    SCOPED_TRACE(cs.name);
+    std::vector<Real> in(std::size_t(kNumVars) * mesh::kPatchPts);
+    Rng rng(41);
+    for (int v = 0; v < kNumVars; ++v)
+      for (int p = 0; p < mesh::kPatchPts; ++p)
+        in[v * mesh::kPatchPts + p] =
+            var_asymptotic(v) +
+            (v >= kBeta0 && v < kBeta0 + 3 ? 0.3 : 0.01) * rng.uniform(-1, 1);
+    std::vector<Real> out_s(in.size(), 12345.0), out_p(in.size(), 12345.0);
+    const Real* pi[kNumVars];
+    Real* ps[kNumVars];
+    Real* pp[kNumVars];
+    for (int v = 0; v < kNumVars; ++v) {
+      pi[v] = &in[v * mesh::kPatchPts];
+      ps[v] = &out_s[v * mesh::kPatchPts];
+      pp[v] = &out_p[v * mesh::kPatchPts];
+    }
+    BssnParams prm;
+    prm.chi_floor = 1.0;  // chi = 1 +- 0.01: about half the points floored
+    prm.ko_sigma = cs.ko_sigma;
+    prm.eta = cs.eta;
+    const mesh::PatchGeom geom =
+        cs.boundary ? m->patch_geom(0) : mesh::PatchGeom{{0.3, -0.2, 0.1}, 0.1};
+    const Real half = cs.boundary ? m->domain().half_extent : 1e9;
+
+    int floored = 0, beta_neg = 0, beta_pos = 0, on_boundary = 0;
+    for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
+      for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj)
+        for (int ii = mesh::kPad; ii < mesh::kPad + mesh::kR; ++ii) {
+          const int p = mesh::patch_idx(ii, jj, kk);
+          floored += pi[kChi][p] < prm.chi_floor;
+          (pi[kBeta0][p] < 0 ? beta_neg : beta_pos) += 1;
+          on_boundary += std::abs(std::abs(geom.origin[0] + ii * geom.h) -
+                                  half) < 1e-9 * half;
+        }
+    EXPECT_GT(floored, 0);
+    EXPECT_GT(beta_neg, 0);
+    EXPECT_GT(beta_pos, 0);
+    EXPECT_EQ(on_boundary > 0, cs.boundary);
+
+    DerivWorkspace ws_s, ws_p;
+    OpCounts c_s, c_p;
+    bssn_rhs_patch(pi, ps, geom, half, prm, ws_s, &c_s);
+    bssn_rhs_patch_packed(pi, pp, geom, half, prm, ws_p, &c_p);
+    // Whole patches, padding included: the packed kernel writes exactly the
+    // interior points, with the same bits.
+    ASSERT_EQ(std::memcmp(out_p.data(), out_s.data(),
+                          out_s.size() * sizeof(Real)),
+              0);
+    EXPECT_EQ(c_p.flops, c_s.flops);
+    EXPECT_EQ(c_p.bytes_read, c_s.bytes_read);
+    EXPECT_EQ(c_p.bytes_written, c_s.bytes_written);
+    EXPECT_EQ(c_p.shared_bytes, c_s.shared_bytes);
   }
 }
 

@@ -93,6 +93,29 @@ TEST(ExecSpaceBasics, BackendFromEnvIsStrict) {
   EXPECT_EQ(host.runtime() != nullptr, host.backend() == Backend::kSimGpu);
 }
 
+TEST(ExecSpaceBasics, SimdWidthIsStrict) {
+  // Only 0 (the DGR_SIMD width), 1 and 4 exist. Any other width used to run
+  // some other width silently; RhsPipeline — and so BssnCtx, the dist ranks
+  // and GpuBssnSolver — now rejects it at construction.
+  auto m = std::make_shared<Mesh>(oct::Octree::uniform(1), oct::Domain{4.0});
+  for (int w : {0, 1, 4}) {
+    solver::SolverConfig scfg;
+    scfg.simd_width = w;
+    EXPECT_NO_THROW({ solver::RhsPipeline p(m, scfg); }) << w;
+  }
+  for (int w : {-1, 2, 3, 5, 8}) {
+    solver::SolverConfig scfg;
+    scfg.simd_width = w;
+    EXPECT_THROW({ solver::RhsPipeline p(m, scfg); }, Error) << w;
+    EXPECT_THROW({ solver::BssnCtx c(m, scfg); }, Error) << w;
+    simgpu::GpuSolverConfig gcfg;
+    gcfg.simd_width = w;
+    EXPECT_THROW({ simgpu::GpuBssnSolver g(m, gcfg); }, Error) << w;
+    ExecSpace es;
+    EXPECT_THROW(es.set_vector_policy({w}), Error) << w;
+  }
+}
+
 TEST(ExecSpaceBasics, LayoutTraitsShareTheHostPatchLayout) {
   EXPECT_FALSE(exec_space::layout_of(Backend::kSerial).prefers_soa);
   EXPECT_FALSE(exec_space::layout_of(Backend::kPool).prefers_soa);
@@ -251,14 +274,13 @@ void init_puncture(const Mesh& m, BssnState& s) {
                       s);
 }
 
-/// Two RK4 steps of the fused-SIMD pipeline on backend `b` at the given
-/// thread count and SIMD width.
+/// Two RK4 steps on backend `b` at the given thread count and SIMD width
+/// (width 1: the staged scalar RHS; width 4: the packed RHS).
 BssnState run_rk4(Backend b, int threads, int width) {
   exec::ThreadPool::set_global_threads(threads);
   auto m = puncture_mesh();
   solver::SolverConfig scfg;
   scfg.bssn.ko_sigma = 0.3;
-  scfg.rhs_kernel = solver::RhsKernel::kStagedFusedSimd;
   scfg.simd_width = width;
   simgpu::GpuRuntime rt;
   solver::BssnCtx ctx(m, scfg, make_space(b, rt));

@@ -55,12 +55,21 @@ TEST(Simd, ArithmeticIsLanewiseBitwiseEqualToScalar) {
       b[i] = rng.uniform(0.1, 10);  // nonzero divisor
     }
     const P4 pa = P4::load(a), pb = P4::load(b);
+    const double s = b[0];  // mixed scalar–pack operand, broadcast
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ((pa + pb)[i], a[i] + b[i]);
       EXPECT_EQ((pa - pb)[i], a[i] - b[i]);
       EXPECT_EQ((pa * pb)[i], a[i] * b[i]);
       EXPECT_EQ((pa / pb)[i], a[i] / b[i]);
       EXPECT_EQ((-pa)[i], -a[i]);
+      EXPECT_EQ((s + pa)[i], s + a[i]);
+      EXPECT_EQ((pa + s)[i], a[i] + s);
+      EXPECT_EQ((s - pa)[i], s - a[i]);
+      EXPECT_EQ((pa - s)[i], a[i] - s);
+      EXPECT_EQ((s * pa)[i], s * a[i]);
+      EXPECT_EQ((pa * s)[i], a[i] * s);
+      EXPECT_EQ((s / pb)[i], s / b[i]);
+      EXPECT_EQ((pa / s)[i], a[i] / s);
     }
   }
 }

@@ -238,7 +238,6 @@ BssnState run_subcycled(int threads, int width) {
   exec::ThreadPool::set_global_threads(threads);
   auto m = puncture_mesh();
   solver::SolverConfig scfg = solver_config();
-  scfg.rhs_kernel = solver::RhsKernel::kStagedFusedSimd;
   scfg.simd_width = width;
   solver::BssnCtx ctx(m, scfg);
   init_puncture(*m, ctx.state());
