@@ -30,11 +30,8 @@ void sym_inverse(const Real g[6], Real inv[6]) {
 }  // namespace
 
 void bssn_constraints_patch(const Real* const in[kNumVars],
-                            const mesh::PatchGeom& geom,
-                            const BssnParams& prm, DerivWorkspace& ws,
-                            Real* ham, Real* mom, bool run_derivs) {
-  if (run_derivs) bssn_deriv_stage(in, geom.h, ws, nullptr);
-
+                            const BssnParams& prm, const MetricDerivs& d,
+                            Real* ham, Real* mom) {
   for (int kk = kPad; kk < kPad + kR; ++kk)
     for (int jj = kPad; jj < kPad + kR; ++jj)
       for (int ii = kPad; ii < kPad + kR; ++ii) {
@@ -53,25 +50,24 @@ void bssn_constraints_patch(const Real* const in[kNumVars],
 
         Real d_ch[3], d_K[3], Gt[3];
         for (int a = 0; a < 3; ++a) {
-          d_ch[a] = ws.grad_of(kChi, a)[p];
-          d_K[a] = ws.grad_of(kK, a)[p];
+          d_ch[a] = d.grad_of(kChi, a)[p];
+          d_K[a] = d.grad_of(kK, a)[p];
           Gt[a] = in[kGt0 + a][p];
         }
         auto DGT = [&](int i, int j, int k) {
-          return ws.grad_of(kGtxx + sym_idx(i, j), k)[p];
+          return d.grad_of(kGtxx + sym_idx(i, j), k)[p];
         };
         auto DAT = [&](int i, int j, int k) {
-          return ws.grad_of(kAtxx + sym_idx(i, j), k)[p];
+          return d.grad_of(kAtxx + sym_idx(i, j), k)[p];
         };
         auto DDCH = [&](int i, int j) {
-          return ws.hess_of(hess_slot(kChi), sym_idx(i, j))[p];
+          return d.hess_of(kChi, sym_idx(i, j))[p];
         };
         auto DDGT = [&](int i, int j, int l, int m) {
-          return ws.hess_of(hess_slot(kGtxx + sym_idx(i, j)),
-                            sym_idx(l, m))[p];
+          return d.hess_of(kGtxx + sym_idx(i, j), sym_idx(l, m))[p];
         };
         auto DGTV = [&](int i, int j) {  // d Gt^i / dx^j
-          return ws.grad_of(kGt0 + i, j)[p];
+          return d.grad_of(kGt0 + i, j)[p];
         };
 
         auto C1LOW = [&](int i, int j, int k) {
@@ -191,21 +187,26 @@ ConstraintNorms compute_constraint_norms(
     const mesh::Mesh& mesh, const BssnState& state, const BssnParams& params,
     const std::vector<std::array<Real, 3>>& excise_centers,
     Real excise_radius) {
-  const auto in = state.cptrs();
+  constexpr int nv = static_cast<int>(kMetricVars.size());
+  const Real* fields[nv];
+  for (int s = 0; s < nv; ++s) fields[s] = state.field(kMetricVars[s]);
   const std::size_t noct = mesh.num_octants();
-  std::vector<Real> patches(kNumVars * kPatchPts);
+  std::vector<Real> patches(nv * kPatchPts);
+  const Real* pin[kNumVars];
+  metric_patch_inputs(patches.data(), pin);
   std::vector<Real> ham(kPatchPts), mom(3 * kPatchPts);
-  DerivWorkspace ws;
+  MetricDerivWorkspace ws;
   ConstraintNorms norms;
   Real ham_sq = 0, mom_sq = 0;
   std::size_t npts = 0;
 
+  // Serial, octant-order accumulation: the norms' bits depend on it.
   for (OctIndex e = 0; e < static_cast<OctIndex>(noct); ++e) {
-    mesh.unzip(in.data(), kNumVars, e, e + 1, patches.data());
-    const Real* pin[kNumVars];
-    for (int v = 0; v < kNumVars; ++v) pin[v] = &patches[v * kPatchPts];
+    mesh.unzip(fields, nv, e, e + 1, patches.data());
     const mesh::PatchGeom geom = mesh.patch_geom(e);
-    bssn_constraints_patch(pin, geom, params, ws, ham.data(), mom.data());
+    bssn_metric_deriv_stage(pin, geom.h, ws);
+    bssn_constraints_patch(pin, params, MetricDerivs(ws), ham.data(),
+                           mom.data());
     for (int kk = kPad; kk < kPad + kR; ++kk)
       for (int jj = kPad; jj < kPad + kR; ++jj)
         for (int ii = kPad; ii < kPad + kR; ++ii) {

@@ -14,14 +14,12 @@ namespace dgr::bssn {
 ///   H   = R + (2/3) K^2 - At_ij At^ij                  (Hamiltonian)
 ///   M^i = dj At^ij + Gammat^i_jk At^jk
 ///         - (3/(2chi)) At^ij dj chi - (2/3) gtu^ij dj K (momentum)
-/// Outputs are 13^3 buffers with the interior 7^3 region written; `ws` must
-/// already hold the derivative stage of the same input patch (or pass
-/// `run_derivs = true` to compute it here).
+/// Outputs are 13^3 buffers with the interior 7^3 region written; `d` is
+/// the metric derivative set of the same input patch (MetricDerivs). Reads
+/// only the kMetricVars entries of `in`.
 void bssn_constraints_patch(const Real* const in[kNumVars],
-                            const mesh::PatchGeom& geom,
-                            const BssnParams& params, DerivWorkspace& ws,
-                            Real* ham, Real* mom /*3 x kPatchPts*/,
-                            bool run_derivs = true);
+                            const BssnParams& params, const MetricDerivs& d,
+                            Real* ham, Real* mom /*3 x kPatchPts*/);
 
 /// Constraint norms over a whole mesh/state (L2 and Linf of H), optionally
 /// excluding balls of radius `excise_radius` around given centers (the

@@ -44,6 +44,25 @@ int hess_slot(int var) {
 
 namespace {
 
+/// MetricDerivWorkspace layout: gradient of kMetricVars slot s along
+/// `axis`, and Hessian block (6 patches, sym_idx order) of kMetricHessVars
+/// slot s.
+std::size_t metric_grad_off(std::size_t s, int axis) {
+  return (s * 3 + static_cast<std::size_t>(axis)) * kPatchPts;
+}
+std::size_t metric_hess_off(std::size_t s) { return s * 6 * kPatchPts; }
+
+/// The six Hessian components of u into out + sym * kPatchPts (sym_idx
+/// order) — the one Hessian body both derivative stages call.
+void hessian(const Real* u, Real h, Real* scratch, Real* out) {
+  fd::d2(u, out + sym_idx(0, 0) * kPatchPts, 0, h);
+  fd::d2(u, out + sym_idx(1, 1) * kPatchPts, 1, h);
+  fd::d2(u, out + sym_idx(2, 2) * kPatchPts, 2, h);
+  fd::d2_mixed(u, scratch, out + sym_idx(0, 1) * kPatchPts, 0, 1, h);
+  fd::d2_mixed(u, scratch, out + sym_idx(0, 2) * kPatchPts, 0, 2, h);
+  fd::d2_mixed(u, scratch, out + sym_idx(1, 2) * kPatchPts, 1, 2, h);
+}
+
 /// OpCounts of the derivative stage (both RHS bodies charge these, so the
 /// simgpu kernel records and the modeled times do not depend on the width).
 void charge_deriv_stage(OpCounts& c) {
@@ -94,6 +113,34 @@ void sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
 
 }  // namespace
 
+MetricDerivWorkspace::MetricDerivWorkspace()
+    : grad(kMetricVars.size() * 3 * kPatchPts),
+      hess(kMetricHessVars.size() * 6 * kPatchPts),
+      scratch(kPatchPts) {}
+
+MetricDerivs::MetricDerivs(const DerivWorkspace& ws) {
+  for (int v : kMetricVars)
+    for (int axis = 0; axis < 3; ++axis) grad[v][axis] = ws.grad_of(v, axis);
+  for (int v : kMetricHessVars)
+    for (int s = 0; s < 6; ++s) hess[v][s] = ws.hess_of(hess_slot(v), s);
+}
+
+MetricDerivs::MetricDerivs(const MetricDerivWorkspace& ws) {
+  for (std::size_t s = 0; s < kMetricVars.size(); ++s)
+    for (int axis = 0; axis < 3; ++axis)
+      grad[kMetricVars[s]][axis] = ws.grad.data() + metric_grad_off(s, axis);
+  for (std::size_t s = 0; s < kMetricHessVars.size(); ++s)
+    for (int k = 0; k < 6; ++k)
+      hess[kMetricHessVars[s]][k] =
+          ws.hess.data() + metric_hess_off(s) + k * kPatchPts;
+}
+
+void metric_patch_inputs(const Real* block, const Real* in[kNumVars]) {
+  for (int v = 0; v < kNumVars; ++v) in[v] = nullptr;
+  for (std::size_t s = 0; s < kMetricVars.size(); ++s)
+    in[kMetricVars[s]] = block + s * kPatchPts;
+}
+
 void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
                       DerivWorkspace& ws, OpCounts* counts) {
   // First derivatives (72 evaluations) + upwind advective derivatives.
@@ -107,19 +154,21 @@ void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
     fd::ko_dissipation(in[v], ws.ko_of(v), 1.0, h);  // sigma applied in A
   }
   // Second derivatives (66 evaluations) for the 11 Hessian variables.
-  for (std::size_t s = 0; s < kSecondDerivVars.size(); ++s) {
-    const int v = kSecondDerivVars[s];
-    fd::d2(in[v], ws.hess_of(s, sym_idx(0, 0)), 0, h);
-    fd::d2(in[v], ws.hess_of(s, sym_idx(1, 1)), 1, h);
-    fd::d2(in[v], ws.hess_of(s, sym_idx(2, 2)), 2, h);
-    fd::d2_mixed(in[v], ws.scratch.data(), ws.hess_of(s, sym_idx(0, 1)), 0, 1,
-                 h);
-    fd::d2_mixed(in[v], ws.scratch.data(), ws.hess_of(s, sym_idx(0, 2)), 0, 2,
-                 h);
-    fd::d2_mixed(in[v], ws.scratch.data(), ws.hess_of(s, sym_idx(1, 2)), 1, 2,
-                 h);
-  }
+  for (std::size_t s = 0; s < kSecondDerivVars.size(); ++s)
+    hessian(in[kSecondDerivVars[s]], h, ws.scratch.data(),
+            ws.hess_of(static_cast<int>(s), 0));
   if (counts) charge_deriv_stage(*counts);
+}
+
+void bssn_metric_deriv_stage(const Real* const in[kNumVars], Real h,
+                             MetricDerivWorkspace& ws) {
+  for (std::size_t s = 0; s < kMetricVars.size(); ++s)
+    for (int axis = 0; axis < 3; ++axis)
+      fd::d1(in[kMetricVars[s]], ws.grad.data() + metric_grad_off(s, axis),
+             axis, h);
+  for (std::size_t s = 0; s < kMetricHessVars.size(); ++s)
+    hessian(in[kMetricHessVars[s]], h, ws.scratch.data(),
+            ws.hess.data() + metric_hess_off(s));
 }
 
 /// Gather the point-local inputs of the algebraic stage from the workspace

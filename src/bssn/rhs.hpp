@@ -61,10 +61,16 @@ struct DerivWorkspace {
   Real* grad_of(int var, int axis) {
     return grad.data() + (var * 3 + axis) * mesh::kPatchPts;
   }
+  const Real* grad_of(int var, int axis) const {
+    return grad.data() + (var * 3 + axis) * mesh::kPatchPts;
+  }
   Real* agrad_of(int var, int axis) {
     return agrad.data() + (var * 3 + axis) * mesh::kPatchPts;
   }
   Real* hess_of(int hvar, int s) {
+    return hess.data() + (hvar * 6 + s) * mesh::kPatchPts;
+  }
+  const Real* hess_of(int hvar, int s) const {
     return hess.data() + (hvar * 6 + s) * mesh::kPatchPts;
   }
   Real* ko_of(int var) { return ko.data() + var * mesh::kPatchPts; }
@@ -72,6 +78,42 @@ struct DerivWorkspace {
 
 /// Position of variable v within kSecondDerivVars, or -1.
 int hess_slot(int var);
+
+/// Scratch for bssn_metric_deriv_stage: 51 gradient and 42 Hessian patches
+/// plus one mixed-derivative scratch patch (1.65 MB, against DerivWorkspace's
+/// 4.5 MB). Allocate once per lane, reuse across patches.
+struct MetricDerivWorkspace {
+  std::vector<Real> grad;     ///< [kMetricVars slot][axis] * kPatchPts
+  std::vector<Real> hess;     ///< [kMetricHessVars slot][sym6] * kPatchPts
+  std::vector<Real> scratch;  ///< one patch, for mixed-derivative sweeps
+
+  MetricDerivWorkspace();
+};
+
+/// Read-only view of the derivative set the 3-metric diagnostics (Psi4,
+/// the constraints) read, addressed by BSSN variable index: the centered
+/// gradients of the kMetricVars and the Hessians (symmetric storage, see
+/// sym_idx) of the kMetricHessVars. Entries of other variables are null.
+/// The diagnostics' point bodies read derivatives only through this view,
+/// so they run on either stage with the same bits.
+struct MetricDerivs {
+  const Real* grad[kNumVars][3] = {};
+  const Real* hess[kNumVars][6] = {};
+
+  /// The metric set inside a full derivative stage (bssn_deriv_stage).
+  explicit MetricDerivs(const DerivWorkspace& ws);
+  /// The compact stage's arrays (bssn_metric_deriv_stage).
+  explicit MetricDerivs(const MetricDerivWorkspace& ws);
+
+  const Real* grad_of(int var, int axis) const { return grad[var][axis]; }
+  const Real* hess_of(int var, int s) const { return hess[var][s]; }
+};
+
+/// Field pointers of a compact kMetricVars patch block (the layout a
+/// kMetricVars.size()-variable unzip writes: variable slot s at
+/// block + s * kPatchPts): in[v] for the metric variables, null for the
+/// gauge variables the diagnostics never read.
+void metric_patch_inputs(const Real* block, const Real* in[kNumVars]);
 
 template <class S>
 struct AlgebraInputs;
@@ -88,6 +130,14 @@ void bssn_gather_point(const Real* const in[kNumVars], DerivWorkspace& ws,
 /// upwind derivatives used for the advection terms.
 void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
                       DerivWorkspace& ws, OpCounts* counts = nullptr);
+
+/// Derivative stage of the 3-metric diagnostics: only the derivative set
+/// MetricDerivs exposes — 93 of bssn_deriv_stage's 234 stencil sweeps (no
+/// upwind or KO terms, no alpha, beta or B derivatives). Reads only the
+/// kMetricVars entries of `in`. Every array is bitwise equal to the same
+/// array of bssn_deriv_stage: the two stages share their stencil calls.
+void bssn_metric_deriv_stage(const Real* const in[kNumVars], Real h,
+                             MetricDerivWorkspace& ws);
 
 /// Algebraic stage A + KO + (optionally) Sommerfeld boundary overwrite.
 /// Writes rhs values on the interior 7^3 region of each output patch.

@@ -53,6 +53,17 @@ inline constexpr std::array<int, 11> kSecondDerivVars = {
     kAlpha, kBeta0, kBeta1, kBeta2, kChi, kGtxx,
     kGtxy,  kGtxz,  kGtyy,  kGtyz,  kGtzz};
 
+/// The 17 variables the 3-metric diagnostics (Psi4 and the constraints)
+/// read: chi, K, Gt^i, gt_ij and At_ij — everything but the gauge (alpha,
+/// beta^i, B^i).
+inline constexpr std::array<int, 17> kMetricVars = {
+    kChi,  kK,    kGt0,  kGt1,  kGt2,  kGtxx, kGtxy, kGtxz, kGtyy,
+    kGtyz, kGtzz, kAtxx, kAtxy, kAtxz, kAtyy, kAtyz, kAtzz};
+
+/// The metric variables whose Hessians the diagnostics read: chi, gt_ij.
+inline constexpr std::array<int, 7> kMetricHessVars = {
+    kChi, kGtxx, kGtxy, kGtxz, kGtyy, kGtyz, kGtzz};
+
 /// Names for diagnostics and I/O.
 std::string_view var_name(int v);
 

@@ -16,9 +16,18 @@ void sweep_octant_to_patch(const ExecSpace& es, const mesh::Mesh& mesh,
                            mesh::UnzipMethod method, OpCounts* counts) {
   const LaunchSpec spec{"octant-to-patch", "unzip",
                         std::uint64_t(end - begin) * kNumVars, 0};
-  es.range_for(spec, kNumVars, /*grain=*/4, counts,
+  sweep_octant_to_patch(es, spec, mesh, fields, kNumVars, begin, end, patches,
+                        method, counts);
+}
+
+void sweep_octant_to_patch(const ExecSpace& es, const LaunchSpec& spec,
+                           const mesh::Mesh& mesh, const Real* const* fields,
+                           int nvar, OctIndex begin, OctIndex end,
+                           Real* patches, mesh::UnzipMethod method,
+                           OpCounts* counts) {
+  es.range_for(spec, nvar, /*grain=*/4, counts,
                [&](std::int64_t vb, std::int64_t ve, OpCounts& c) {
-                 mesh.unzip_slice(fields, kNumVars, static_cast<int>(vb),
+                 mesh.unzip_slice(fields, nvar, static_cast<int>(vb),
                                   static_cast<int>(ve), begin, end, patches,
                                   method, &c);
                });

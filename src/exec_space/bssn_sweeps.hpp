@@ -58,6 +58,16 @@ void sweep_octant_to_patch(const ExecSpace& es, const mesh::Mesh& mesh,
                            OctIndex end, Real* patches,
                            mesh::UnzipMethod method, OpCounts* counts);
 
+/// The same gather over `nvar` fields (fields[0..nvar), any subset of the
+/// state) into patches of stride nvar, launched as `spec` — the entry for
+/// sweeps that unzip fewer than the 24 BSSN variables under their own
+/// kernel name (gw::compute_psi4_field).
+void sweep_octant_to_patch(const ExecSpace& es, const LaunchSpec& spec,
+                           const mesh::Mesh& mesh, const Real* const* fields,
+                           int nvar, OctIndex begin, OctIndex end,
+                           Real* patches, mesh::UnzipMethod method,
+                           OpCounts* counts);
+
 /// The parameters of sweep_rhs's patch RHS plus the per-lane derivative
 /// workspaces it indexes by TeamMember::lane(). `fused` and `fws` are not
 /// read: the register-machine kernel is no longer a solver path, and

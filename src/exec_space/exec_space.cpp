@@ -73,8 +73,8 @@ ExecSpace ExecSpace::host() {
   const Backend b = default_backend();
   if (b != Backend::kSimGpu) return ExecSpace(b, nullptr);
   // Accounting-only simulated device, one per driver thread: ensemble
-  // runners and dist ranks drive solvers concurrently from pool workers,
-  // and kernel-record bookkeeping is a single-driver operation.
+  // runners drive solvers concurrently from pool workers, and
+  // kernel-record bookkeeping is a single-driver operation.
   thread_local dgr::simgpu::GpuRuntime t_runtime;
   return ExecSpace(Backend::kSimGpu, &t_runtime);
 }

@@ -179,8 +179,9 @@ class ExecSpace {
   /// The process-default host space, honoring the DGR_EXEC_SPACE override.
   /// Under DGR_EXEC_SPACE=simgpu each driver thread gets its own
   /// accounting GpuRuntime (launch bookkeeping is single-driver, and
-  /// concurrent drivers — ensemble runners, dist ranks — must not share
-  /// kernel records).
+  /// concurrent drivers such as ensemble runners must not share kernel
+  /// records). An object built on one thread and driven from others
+  /// (a dist::RankCtx) must bring its own runtime instead.
   static ExecSpace host();
 
   Backend backend() const { return backend_; }

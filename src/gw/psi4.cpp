@@ -1,8 +1,10 @@
 #include "gw/psi4.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "common/error.hpp"
+#include "exec_space/bssn_sweeps.hpp"
 
 namespace dgr::gw {
 
@@ -34,10 +36,8 @@ constexpr Real eps_sym(int i, int j, int k) {
 }  // namespace
 
 void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
-                const BssnParams& prm, DerivWorkspace& ws, Real* out_re,
-                Real* out_im, bool run_derivs, Real r_min) {
-  if (run_derivs) bssn_deriv_stage(in, geom.h, ws, nullptr);
-
+                const BssnParams& prm, const MetricDerivs& d, Real* out_re,
+                Real* out_im, Real r_min) {
   for (int kk = kPad; kk < kPad + kR; ++kk)
     for (int jj = kPad; jj < kPad + kR; ++jj)
       for (int ii = kPad; ii < kPad + kR; ++ii) {
@@ -67,22 +67,22 @@ void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
 
         Real d_ch[3], d_K[3];
         for (int a = 0; a < 3; ++a) {
-          d_ch[a] = ws.grad_of(kChi, a)[p];
-          d_K[a] = ws.grad_of(kK, a)[p];
+          d_ch[a] = d.grad_of(kChi, a)[p];
+          d_K[a] = d.grad_of(kK, a)[p];
         }
         auto DGT = [&](int i, int j, int k) {
-          return ws.grad_of(kGtxx + sym_idx(i, j), k)[p];
+          return d.grad_of(kGtxx + sym_idx(i, j), k)[p];
         };
         auto DAT = [&](int i, int j, int k) {
-          return ws.grad_of(kAtxx + sym_idx(i, j), k)[p];
+          return d.grad_of(kAtxx + sym_idx(i, j), k)[p];
         };
         auto DDCH = [&](int i, int j) {
-          return ws.hess_of(4, sym_idx(i, j))[p];
+          return d.hess_of(kChi, sym_idx(i, j))[p];
         };
         auto DDGT = [&](int i, int j, int l, int m) {
-          return ws.hess_of(5 + sym_idx(i, j), sym_idx(l, m))[p];
+          return d.hess_of(kGtxx + sym_idx(i, j), sym_idx(l, m))[p];
         };
-        auto DGTV = [&](int i, int j) { return ws.grad_of(kGt0 + i, j)[p]; };
+        auto DGTV = [&](int i, int j) { return d.grad_of(kGt0 + i, j)[p]; };
 
         Real C1low[3][6];
         for (int i = 0; i < 3; ++i)
@@ -289,20 +289,48 @@ void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
 }
 
 void compute_psi4_field(const mesh::Mesh& mesh, const BssnState& state,
-                        const BssnParams& params, Real* re, Real* im) {
-  const auto in = state.cptrs();
-  std::vector<Real> patches(std::size_t(kNumVars) * kPatchPts);
-  std::vector<Real> pre(kPatchPts), pim(kPatchPts);
-  DerivWorkspace ws;
-  for (OctIndex e = 0; e < static_cast<OctIndex>(mesh.num_octants()); ++e) {
-    mesh.unzip(in.data(), kNumVars, e, e + 1, patches.data());
-    const Real* pin[kNumVars];
-    for (int v = 0; v < kNumVars; ++v) pin[v] = &patches[v * kPatchPts];
-    psi4_patch(pin, mesh.patch_geom(e), params, ws, pre.data(), pim.data());
-    Real* outs_re[1] = {re};
-    Real* outs_im[1] = {im};
-    mesh.zip(pre.data(), 1, e, e + 1, outs_re);
-    mesh.zip(pim.data(), 1, e, e + 1, outs_im);
+                        const BssnParams& params, Real* re, Real* im,
+                        exec_space::ExecSpace space) {
+  constexpr int nv = static_cast<int>(kMetricVars.size());
+  const Real* fields[nv];
+  for (int s = 0; s < nv; ++s) fields[s] = state.field(kMetricVars[s]);
+  Real* const outs[2] = {re, im};
+  // Per-lane scratch: the metric derivative stage and one Re/Im patch pair.
+  struct Lane {
+    MetricDerivWorkspace ws;
+    std::vector<Real> out = std::vector<Real>(2 * kPatchPts);
+  };
+  std::vector<Lane> lanes(static_cast<std::size_t>(space.max_lanes()));
+  std::vector<Real> patches(std::size_t(kPsi4ChunkOctants) * nv * kPatchPts);
+
+  const auto noct = static_cast<OctIndex>(mesh.num_octants());
+  for (OctIndex begin = 0; begin < noct; begin += kPsi4ChunkOctants) {
+    const OctIndex end = std::min(begin + kPsi4ChunkOctants, noct);
+    const auto n = static_cast<std::uint64_t>(end - begin);
+    exec_space::sweep_octant_to_patch(
+        space, {"psi4-unzip", "psi4-unzip", n * nv, 0}, mesh, fields, nv,
+        begin, end, patches.data(), mesh::UnzipMethod::kLoopOverOctants,
+        nullptr);
+    // Split by octant: owner write sets are disjoint, so each octant zips
+    // its own Re/Im right after computing them.
+    space.team_for(
+        {"psi4", "psi4", n, 0}, end - begin, /*grain=*/1, nullptr,
+        [&](const exec_space::TeamMember& tm, std::int64_t ob,
+            std::int64_t oe, OpCounts& c) {
+          Lane& lane = lanes[static_cast<std::size_t>(tm.lane())];
+          for (std::int64_t o = ob; o < oe; ++o) {
+            const Real* pin[kNumVars];
+            metric_patch_inputs(
+                patches.data() + exec_space::patch_offset(o, 0, nv, kPatchPts),
+                pin);
+            const OctIndex e = begin + static_cast<OctIndex>(o);
+            const mesh::PatchGeom geom = mesh.patch_geom(e);
+            bssn_metric_deriv_stage(pin, geom.h, lane.ws);
+            psi4_patch(pin, geom, params, MetricDerivs(lane.ws),
+                       lane.out.data(), lane.out.data() + kPatchPts);
+            mesh.zip(lane.out.data(), 2, e, e + 1, outs, &c);
+          }
+        });
   }
 }
 

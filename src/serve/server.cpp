@@ -223,14 +223,34 @@ void Server::handle_connection(int fd) {
     double t_submit_us = 0;
   };
 
+  const auto count_error = [this] {
+    {
+      std::lock_guard<std::mutex> lk(stats_m_);
+      ++stats_.errors;
+    }
+    obs::count("serve.errors");
+  };
+
+  // buf[head, size) is unconsumed input; buf[head, scan) holds no newline.
   std::string buf;
+  std::size_t head = 0, scan = 0;
   bool open = true;
   while (open && !stopped_.load()) {
     // Only read from the socket while no complete line is buffered: a
     // pipelined burst larger than max_batch is answered batch by batch
     // from buf without ever blocking in recv() on a client that is
     // waiting for those very responses.
-    while (buf.find('\n') == std::string::npos) {
+    std::size_t nl;
+    bool overlong = false;
+    while ((nl = buf.find('\n', scan)) == std::string::npos) {
+      scan = buf.size();
+      if (scan - head > kMaxRequestLineBytes) {
+        overlong = true;
+        break;
+      }
+      buf.erase(0, head);  // consumed lines leave once per refill
+      scan -= head;
+      head = 0;
       char chunk[8192];
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -253,12 +273,17 @@ void Server::handle_connection(int fd) {
     // processed on the next iteration before any further recv().
     std::vector<std::string> lines;
     const int max_batch = cfg_.max_batch < 1 ? 1 : cfg_.max_batch;
-    std::size_t nl;
-    while (static_cast<int>(lines.size()) < max_batch &&
-           (nl = buf.find('\n')) != std::string::npos) {
-      lines.push_back(buf.substr(0, nl));
-      buf.erase(0, nl + 1);
+    while (!overlong && nl != std::string::npos &&
+           static_cast<int>(lines.size()) < max_batch) {
+      if (nl - head > kMaxRequestLineBytes) {
+        overlong = true;
+        break;
+      }
+      lines.emplace_back(buf, head, nl - head);
+      head = nl + 1;
+      nl = buf.find('\n', head);
     }
+    scan = nl == std::string::npos ? buf.size() : nl;
 
     std::vector<Pending> batch;
     batch.reserve(lines.size());
@@ -270,11 +295,7 @@ void Server::handle_connection(int fd) {
         req = parse_request(line, cfg_.defaults);
       } catch (const Error& e) {
         p.text = std::string("ERR ") + e.what();
-        {
-          std::lock_guard<std::mutex> lk(stats_m_);
-          ++stats_.errors;
-        }
-        obs::count("serve.errors");
+        count_error();
         batch.push_back(std::move(p));
         continue;
       }
@@ -336,6 +357,14 @@ void Server::handle_connection(int fd) {
       if (!open) break;
       batch.push_back(std::move(p));
     }
+    if (overlong && open) {
+      // Answered after the lines before it, then the connection closes.
+      Pending p;
+      p.text = "ERR line too long";
+      count_error();
+      batch.push_back(std::move(p));
+      open = false;
+    }
     if (evolves_submitted > 0) obs::observe("serve.batch", evolves_submitted);
 
     std::string out;
@@ -390,11 +419,7 @@ void Server::handle_connection(int fd) {
         }
       } catch (const std::exception& e) {
         resp = std::string("ERR evolve failed: ") + e.what();
-        {
-          std::lock_guard<std::mutex> lk(stats_m_);
-          ++stats_.errors;
-        }
-        obs::count("serve.errors");
+        count_error();
       }
       pending_.fetch_sub(1);
       out += resp + "\n";

@@ -27,6 +27,13 @@
 /// drain the flight recorder is dumped (flightrec_on_drain), so a
 /// gracefully stopped daemon leaves its last-moments timeline next to a
 /// crashed one's.
+///
+/// Bounded input. A request line longer than kMaxRequestLineBytes (with or
+/// without its newline yet) is answered `ERR line too long`, counted in
+/// serve.errors, and the connection is closed, so a client that never
+/// sends a newline holds at most that much server memory. Lines are
+/// consumed through an offset cursor and each received byte is scanned for
+/// a newline once, so a pipelined burst costs linear time.
 
 #include <atomic>
 #include <condition_variable>
@@ -41,6 +48,10 @@
 #include "serve/protocol.hpp"
 
 namespace dgr::serve {
+
+/// Longest request line the server accepts (an EVOLVEX request with every
+/// key is about 270 bytes).
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 struct ServeConfig {
   std::string socket_path = "/tmp/dgr_serve.sock";

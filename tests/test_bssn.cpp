@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -263,6 +264,71 @@ TEST(BssnConstraints, BowenYorkMomentumSmallAndConverging) {
   }
   EXPECT_LT(l2[1], l2[0]);
   EXPECT_GT(l2[0] / l2[1], 8.0);
+}
+
+TEST(BssnConstraints, NormsAreBitwiseEqualToFullDerivativeStageReference) {
+  // Two-level mesh, Bowen-York data evolved two RK4 steps so that every
+  // metric derivative the constraints read is non-trivial.
+  Domain dom{8.0};
+  const PunctureData bh{0.5, {0.11, 0.06, 0.042}, {0.2, 0.1, 0.0}, {0, 0, 0.1}};
+  auto m = std::make_shared<Mesh>(
+      oct::build_puncture_octree(dom, {{bh.pos, 3}}, 2, 0.75), dom);
+  BssnCtx ctx(m, quiet_config(true, 0.1));
+  set_punctures(*m, {bh}, ctx.state());
+  ctx.rk4_step();
+  ctx.rk4_step();
+  const BssnState& s = ctx.state();
+
+  // Reference: per octant a 24-variable unzip, the full RHS derivative
+  // stage, the constraint point body on its metric derivatives, and the
+  // serial octant-order accumulation. Per patch, the metric stage must
+  // give the same constraint bits.
+  const auto in = s.cptrs();
+  std::vector<Real> patches(kNumVars * mesh::kPatchPts);
+  std::vector<Real> ham(mesh::kPatchPts), mom(3 * mesh::kPatchPts);
+  std::vector<Real> ham_m(mesh::kPatchPts), mom_m(3 * mesh::kPatchPts);
+  const Real* pin[kNumVars];
+  for (int v = 0; v < kNumVars; ++v) pin[v] = &patches[v * mesh::kPatchPts];
+  DerivWorkspace ws;
+  MetricDerivWorkspace mws;
+  Real ham_sq = 0, mom_sq = 0, ham_linf = 0, mom_linf = 0;
+  std::size_t npts = 0;
+  for (OctIndex e = 0; e < static_cast<OctIndex>(m->num_octants()); ++e) {
+    m->unzip(in.data(), kNumVars, e, e + 1, patches.data());
+    bssn_deriv_stage(pin, m->patch_geom(e).h, ws);
+    bssn_constraints_patch(pin, BssnParams{}, MetricDerivs(ws), ham.data(),
+                           mom.data());
+    bssn_metric_deriv_stage(pin, m->patch_geom(e).h, mws);
+    bssn_constraints_patch(pin, BssnParams{}, MetricDerivs(mws),
+                           ham_m.data(), mom_m.data());
+    ASSERT_EQ(std::memcmp(ham.data(), ham_m.data(), ham.size() * sizeof(Real)),
+              0)
+        << "octant " << e;
+    ASSERT_EQ(std::memcmp(mom.data(), mom_m.data(), mom.size() * sizeof(Real)),
+              0)
+        << "octant " << e;
+    for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
+      for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj)
+        for (int ii = mesh::kPad; ii < mesh::kPad + mesh::kR; ++ii) {
+          const int p = mesh::patch_idx(ii, jj, kk);
+          Real m2 = 0;
+          for (int i = 0; i < 3; ++i)
+            m2 += mom[i * mesh::kPatchPts + p] * mom[i * mesh::kPatchPts + p];
+          ham_sq += ham[p] * ham[p];
+          mom_sq += m2;
+          ham_linf = std::max(ham_linf, std::abs(ham[p]));
+          mom_linf = std::max(mom_linf, std::sqrt(m2));
+          ++npts;
+        }
+  }
+
+  const auto norms = compute_constraint_norms(*m, s, BssnParams{});
+  ASSERT_GT(norms.ham_l2, 0.0);
+  ASSERT_GT(norms.mom_l2, 0.0);
+  EXPECT_EQ(norms.ham_l2, std::sqrt(ham_sq / npts));
+  EXPECT_EQ(norms.mom_l2, std::sqrt(mom_sq / npts));
+  EXPECT_EQ(norms.ham_linf, ham_linf);
+  EXPECT_EQ(norms.mom_linf, mom_linf);
 }
 
 TEST(BssnInitialData, MakeBinaryProperties) {

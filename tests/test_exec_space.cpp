@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "exec/pool.hpp"
 #include "exec_space/bssn_sweeps.hpp"
 #include "exec_space/exec_space.hpp"
+#include "gw/psi4.hpp"
 #include "simgpu/gpu_bssn.hpp"
 #include "solver/evolution.hpp"
 
@@ -359,6 +361,42 @@ TEST(ExecSpaceMatrix, SubcycleCycleIsBitwiseIdenticalAcrossBackends) {
       if (b == Backend::kSerial && threads == 1) continue;
       const BssnState run = run_subcycle(b, threads);
       EXPECT_EQ(run.max_abs_diff(ref), 0.0)
+          << exec_space::backend_name(b) << " threads " << threads;
+    }
+  exec::ThreadPool::set_global_threads(1);
+}
+
+/// compute_psi4_field's chunked sweeps on backend `b` (puncture initial
+/// data): Re then Im, concatenated.
+std::vector<Real> run_psi4(Backend b, int threads) {
+  exec::ThreadPool::set_global_threads(threads);
+  auto m = puncture_mesh();
+  BssnState s;
+  init_puncture(*m, s);
+  const std::size_t n = m->num_dofs();
+  std::vector<Real> out(2 * n);
+  simgpu::GpuRuntime rt;
+  gw::compute_psi4_field(*m, s, bssn::BssnParams{}, out.data(),
+                         out.data() + n, make_space(b, rt));
+  if (b == Backend::kSimGpu) {
+    // Psi4 launches under its own kernel names, so the pinned unzip and
+    // zip records of the RHS pipeline never see extraction.
+    EXPECT_TRUE(rt.has_kernel("psi4-unzip"));
+    EXPECT_TRUE(rt.has_kernel("psi4"));
+    EXPECT_FALSE(rt.has_kernel("octant-to-patch"));
+    EXPECT_FALSE(rt.has_kernel("patch-to-octant"));
+  }
+  return out;
+}
+
+TEST(ExecSpaceMatrix, Psi4FieldIsBitwiseIdenticalAcrossBackends) {
+  const std::vector<Real> ref = run_psi4(Backend::kSerial, 1);
+  for (Backend b : kBackends)
+    for (int threads : {1, 4}) {
+      if (b == Backend::kSerial && threads == 1) continue;
+      const std::vector<Real> run = run_psi4(b, threads);
+      EXPECT_EQ(std::memcmp(run.data(), ref.data(), ref.size() * sizeof(Real)),
+                0)
           << exec_space::backend_name(b) << " threads " << threads;
     }
   exec::ThreadPool::set_global_threads(1);

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -324,6 +329,58 @@ TEST(Server, BurstLargerThanMaxBatchIsFullyAnswered) {
   for (int i = 0; i < kPings; ++i)
     EXPECT_EQ(c.recv_line(), "PONG") << "response " << i;
   EXPECT_EQ(fields(c.recv_line()).at(""), "OK");
+
+  server.request_shutdown();
+  server.wait();
+}
+
+TEST(Server, OverlongRequestLineIsRejectedAndClosed) {
+  ServeConfig cfg;
+  cfg.socket_path = test_socket("overlong");
+  cfg.defaults = tiny_scenario();
+  Server server(cfg);
+  server.start();
+
+  // A raw client streams 1 MiB that never contains a newline.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                cfg.socket_path.c_str());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const timeval timeout{10, 0};  // a server that keeps reading fails here
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  static_assert(kMaxRequestLineBytes < (1u << 20));
+  const std::string junk(std::size_t(1) << 20, 'x');
+  std::size_t sent = 0;
+  while (sent < junk.size()) {
+    const ssize_t n = ::send(fd, junk.data() + sent, junk.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server has closed the connection
+    sent += static_cast<std::size_t>(n);
+  }
+  // The error line, then end of stream. Closing with the client's bytes
+  // unread makes a Unix socket report ECONNRESET after the queued reply
+  // instead of a plain EOF; both mean the server hung up.
+  std::string reply;
+  char buf[256];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
+    reply.append(buf, static_cast<std::size_t>(n));
+  EXPECT_TRUE(n == 0 || errno == ECONNRESET) << std::strerror(errno);
+  ::close(fd);
+  EXPECT_EQ(reply, "ERR line too long\n");
+  EXPECT_EQ(server.stats().errors, 1u);
+
+  // Other connections are unaffected.
+  Client c;
+  c.connect(cfg.socket_path);
+  EXPECT_EQ(c.request("PING"), "PONG");
 
   server.request_shutdown();
   server.wait();
