@@ -17,6 +17,7 @@
 #include "bssn/initial_data.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/parse.hpp"
 #include "common/timer.hpp"
 #include "exec/pool.hpp"
 #include "mesh/mesh.hpp"
@@ -73,8 +74,8 @@ class Reporter {
           std::exit(2);
         }
         try {
-          exec::ThreadPool::set_global_threads(
-              exec::parse_thread_count(argv[i + 1], "--threads"));
+          exec::ThreadPool::set_global_threads(static_cast<int>(
+              dgr::parse_count(argv[i + 1], "--threads", 1, exec::kMaxThreads)));
         } catch (const Error& e) {
           std::fprintf(stderr, "error: %s\n", e.what());
           std::exit(2);

@@ -21,7 +21,7 @@
 #include "bench_common.hpp"
 #include "bssn/initial_data.hpp"
 #include "dist/engine.hpp"
-#include "serve/protocol.hpp"
+#include "common/parse.hpp"
 
 namespace {
 
@@ -31,7 +31,7 @@ int parse_int_flag(const char* flag, const char* value, int lo, int hi) {
     std::exit(2);
   }
   try {
-    return static_cast<int>(dgr::serve::parse_count(value, flag, lo, hi));
+    return static_cast<int>(dgr::parse_count(value, flag, lo, hi));
   } catch (const dgr::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);

@@ -31,6 +31,7 @@
 
 #include "bench_common.hpp"
 #include "common/clock.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "ensemble/scenario.hpp"
 #include "serve/protocol.hpp"
@@ -91,15 +92,15 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (a == "--requests")
-        opt.requests = serve::parse_count(value("--requests"), "--requests",
+        opt.requests = dgr::parse_count(value("--requests"), "--requests",
                                           1, 10'000'000);
       else if (a == "--dup")
-        opt.dup_pct = serve::parse_count(value("--dup"), "--dup", 0, 95);
+        opt.dup_pct = dgr::parse_count(value("--dup"), "--dup", 0, 95);
       else if (a == "--clients")
-        opt.clients = serve::parse_count(value("--clients"), "--clients", 1,
+        opt.clients = dgr::parse_count(value("--clients"), "--clients", 1,
                                          256);
       else if (a == "--steps")
-        opt.steps = serve::parse_count(value("--steps"), "--steps", 1, 1000);
+        opt.steps = dgr::parse_count(value("--steps"), "--steps", 1, 1000);
       else if (a == "--socket")
         opt.socket = value("--socket");
       else if (a == "--shutdown")

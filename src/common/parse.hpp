@@ -2,14 +2,12 @@
 /// \file parse.hpp
 /// \brief Strict parsers for CLI flags and DGR_* environment knobs.
 ///
-/// Every knob in the tree routes through these (the discipline started by
-/// exec::parse_thread_count and generalized by the serve protocol): digits
+/// Every knob in the tree routes through these: CLI flags, serve protocol
+/// fields, DGR_THREADS and the other DGR_* environment variables. Digits
 /// are consumed in full, bounds are enforced, and anything else throws
 /// dgr::Error naming the offending knob — a typo'd DGR_* variable fails
 /// loudly at first use instead of being silently ignored, truncated, or
-/// read as zero. serve::parse_count / parse_real / env_count and
-/// exec::parse_thread_count are thin forwards to this family, so the error
-/// text is uniform across CLI flags, protocol fields, and environment.
+/// read as zero, with the same error text everywhere.
 
 #include <initializer_list>
 

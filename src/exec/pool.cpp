@@ -1,16 +1,11 @@
 #include "exec/pool.hpp"
 
 #include <cerrno>
-#include <cstdlib>
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
 
 namespace dgr::exec {
-
-int parse_thread_count(const char* s, const char* what) {
-  return static_cast<int>(dgr::parse_count(s, what, 1, 4096));
-}
 
 namespace {
 thread_local int tl_lane = 0;
@@ -117,10 +112,9 @@ void ThreadPool::set_global_threads(int threads) {
 }
 
 int ThreadPool::configured_threads() {
-  if (const char* e = std::getenv("DGR_THREADS"))
-    return parse_thread_count(e, "DGR_THREADS");
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw ? static_cast<int>(hw) : 1;
+  return static_cast<int>(
+      dgr::env_count("DGR_THREADS", hw ? hw : 1, 1, kMaxThreads));
 }
 
 }  // namespace dgr::exec

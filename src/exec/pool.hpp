@@ -68,8 +68,9 @@ class ThreadPool {
   /// Replace the global pool with one of `threads` lanes. Must not be
   /// called while a parallel region is open.
   static void set_global_threads(int threads);
-  /// DGR_THREADS if set (validated via parse_thread_count — garbage or
-  /// non-positive values throw), else hardware_concurrency (>= 1).
+  /// DGR_THREADS if set (strictly parsed into [1, kMaxThreads] — garbage,
+  /// non-positive or oversized values throw a dgr::Error naming the knob),
+  /// else hardware_concurrency (>= 1).
   static int configured_threads();
 
  private:
@@ -94,11 +95,8 @@ class ThreadPool {
 /// Lanes of the global pool — the size for per-lane workspace arrays.
 inline int lanes() { return ThreadPool::global().threads(); }
 
-/// Strict thread-count parse shared by the DGR_THREADS env var and the
-/// benches' --threads flag: digits only, value in [1, 4096]. Anything else
-/// ("garbage", "-3", "0", "4x", empty) throws dgr::Error with a message
-/// naming `what` — a silent std::atoi fallback to 0 lanes is exactly the
-/// bug this replaces.
-int parse_thread_count(const char* s, const char* what);
+/// Upper bound of every thread-count knob (DGR_THREADS, --threads); the
+/// lower bound is 1.
+inline constexpr int kMaxThreads = 4096;
 
 }  // namespace dgr::exec

@@ -38,15 +38,16 @@ std::vector<SphereModes> WaveExtractor::extract(const mesh::Mesh& mesh,
                                                 const Real* psi4_re,
                                                 const Real* psi4_im) const {
   mesh::PointSampler sampler(mesh);
+  const Real* const fields[2] = {psi4_re, psi4_im};
   std::vector<SphereModes> out;
   out.reserve(radii_.size());
   std::vector<Complex> samples(quad_.size());
   for (Real r : radii_) {
     for (std::size_t i = 0; i < quad_.size(); ++i) {
       const auto& n = quad_.points[i];
-      const Real re = sampler.evaluate(psi4_re, r * n[0], r * n[1], r * n[2]);
-      const Real im = sampler.evaluate(psi4_im, r * n[0], r * n[1], r * n[2]);
-      samples[i] = {re, im};
+      Real v[2];
+      sampler.evaluate_many(fields, 2, r * n[0], r * n[1], r * n[2], v);
+      samples[i] = {v[0], v[1]};
     }
     out.push_back(decompose(samples, r));
   }

@@ -28,13 +28,16 @@ const Prolongation& Prolongation::get() {
   return p;
 }
 
-void prolong_octant(const Real* coarse, Real* fine, OpCounts* counts) {
+void prolong_region(const Real* coarse, const FineBox& box, Real* fine) {
   const Prolongation& P = Prolongation::get();
-  // Sweep 1 (x): [7,7,7] -> [13,7,7], stored x-fastest.
+  const auto [a0, b0, c0] = box.lo;
+  const auto [a1, b1, c1] = box.hi;
+  // Sweep 1 (x): [7,7,7] -> [13,7,7], stored x-fastest; every coarse (j, k)
+  // row feeds the later sweeps.
   Real t1[kFine * kR * kR];
   for (int k = 0; k < kR; ++k)
     for (int j = 0; j < kR; ++j)
-      for (int a = 0; a < kFine; ++a) {
+      for (int a = a0; a < a1; ++a) {
         const auto& w = P.row(a);
         Real s = 0;
         for (int i = 0; i < kR; ++i) s += w[i] * coarse[oct_idx(i, j, k)];
@@ -43,30 +46,29 @@ void prolong_octant(const Real* coarse, Real* fine, OpCounts* counts) {
   // Sweep 2 (y): [13,7,7] -> [13,13,7].
   Real t2[kFine * kFine * kR];
   for (int k = 0; k < kR; ++k)
-    for (int b = 0; b < kFine; ++b) {
+    for (int b = b0; b < b1; ++b) {
       const auto& w = P.row(b);
-      for (int a = 0; a < kFine; ++a) {
+      for (int a = a0; a < a1; ++a) {
         Real s = 0;
         for (int j = 0; j < kR; ++j) s += w[j] * t1[(k * kR + j) * kFine + a];
         t2[(k * kFine + b) * kFine + a] = s;
       }
     }
   // Sweep 3 (z): [13,13,7] -> [13,13,13].
-  for (int c = 0; c < kFine; ++c) {
+  for (int c = c0; c < c1; ++c) {
     const auto& w = P.row(c);
-    for (int b = 0; b < kFine; ++b)
-      for (int a = 0; a < kFine; ++a) {
+    for (int b = b0; b < b1; ++b)
+      for (int a = a0; a < a1; ++a) {
         Real s = 0;
         for (int k = 0; k < kR; ++k) s += w[k] * t2[(k * kFine + b) * kFine + a];
         fine[(c * kFine + b) * kFine + a] = s;
       }
   }
-  if (counts) {
-    // 2 flops (mul+add) per inner term per output point of each sweep.
-    counts->flops += 2ull * kR *
-                     (kFine * kR * kR + kFine * kFine * kR +
-                      kFine * kFine * kFine);
-  }
+}
+
+void prolong_octant(const Real* coarse, Real* fine, OpCounts* counts) {
+  prolong_region(coarse, FineBox{}, fine);
+  if (counts) counts->flops += kProlongOctantFlops;
 }
 
 Real prolong_point_cached(const Real* coarse, int a, int b, int c,

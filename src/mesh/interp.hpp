@@ -31,9 +31,29 @@ class Prolongation {
   std::array<std::array<Real, kR>, kFine> rows_;
 };
 
+/// A box of the 13^3 fine covering: per-axis half-open index ranges
+/// [lo, hi). The default box is the whole covering.
+struct FineBox {
+  std::array<int, 3> lo{0, 0, 0};
+  std::array<int, 3> hi{kFine, kFine, kFine};
+};
+
+/// Flops of one whole-octant prolongation: 2 (mul+add) per inner term per
+/// output point of each of the three sweeps.
+inline constexpr std::uint64_t kProlongOctantFlops =
+    2ull * kR * (kFine * kR * kR + kFine * kFine * kR + kFine * kFine * kFine);
+
+/// Tensor-product prolongation of a 7^3 octant block restricted to `box` of
+/// its 13^3 fine covering: three 1-D sweeps (x, then y, then z), each
+/// evaluated only where the box needs it. Every point inside the box gets
+/// exactly prolong_octant's value (same 7-term sums in the same order);
+/// points outside it are left untouched. Charges no counts.
+void prolong_region(const Real* coarse /*343*/, const FineBox& box,
+                    Real* fine /*2197*/);
+
 /// Tensor-product prolongation of a 7^3 octant block to its 13^3 fine
-/// covering (half spacing, same volume). Three 1-D sweeps (x, then y, then
-/// z), as in the GPU kernel. Adds ~3(2r-1)r^3-scale flops to \p counts.
+/// covering (half spacing, same volume), as in the GPU kernel: the
+/// whole-box prolong_region. Adds kProlongOctantFlops to \p counts.
 void prolong_octant(const Real* coarse /*343*/, Real* fine /*2197*/,
                     OpCounts* counts = nullptr);
 

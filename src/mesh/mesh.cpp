@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "mesh/interp.hpp"
@@ -12,6 +13,7 @@ namespace dgr::mesh {
 namespace {
 
 using PointRecord = detail::PointRecord;
+using ScatterBox = detail::ScatterBox;
 using PointMap = std::unordered_map<std::uint64_t, PointRecord>;
 
 /// All leaf octants whose closure contains point p (point units): probe the
@@ -51,6 +53,43 @@ bool representable_at_level(const std::array<Pu, 3>& p, int level) {
   return p[0] % s == 0 && p[1] % s == 0 && p[2] % s == 0;
 }
 
+/// Copy an N x ny x nz box of source values into a patch, stepping ST
+/// along each axis of the source (row length L). N and ST are compile-time
+/// so each row is a few moves rather than a library call.
+template <int N, int ST>
+void copy_rows(const Real* src, int L, int ny, int nz, Real* dst) {
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j) {
+      const Real* s = src + (k * L + j) * L * ST;
+      Real* d = dst + (k * kPatch + j) * kPatch;
+      for (int i = 0; i < N; ++i) d[i] = s[ST * i];
+    }
+}
+
+using CopyRows = void (*)(const Real*, int, int, int, Real*);
+
+template <int ST, std::size_t... N>
+constexpr std::array<CopyRows, sizeof...(N)> copy_rows_table(
+    std::index_sequence<N...>) {
+  return {&copy_rows<int(N), ST>...};
+}
+
+/// copy_rows by row length 0..13, for source steps 1 and 2.
+constexpr auto kCopyStep1 =
+    copy_rows_table<1>(std::make_index_sequence<kPatch + 1>{});
+constexpr auto kCopyStep2 =
+    copy_rows_table<2>(std::make_index_sequence<kPatch + 1>{});
+
+/// Copy one planned box of source values (a 7^3 block or a 13^3 fine
+/// covering) into a patch.
+void copy_box(const ScatterBox& bx, const Real* src, Real* patch) {
+  const int L = bx.fine ? kFine : kR;
+  const auto& copy = bx.stride == 1 ? kCopyStep1 : kCopyStep2;
+  copy[bx.n[0]](src + (bx.from[2] * L + bx.from[1]) * L + bx.from[0], L,
+                bx.n[1], bx.n[2],
+                patch + patch_idx(bx.dst[0], bx.dst[1], bx.dst[2]));
+}
+
 }  // namespace
 
 Mesh::Mesh(oct::Octree tree, oct::Domain domain)
@@ -60,6 +99,7 @@ Mesh::Mesh(oct::Octree tree, oct::Domain domain)
   build_adjacency();
   build_points();
   build_hanging_rules();
+  build_scatter_plan();
 }
 
 void Mesh::build_adjacency() {
@@ -298,56 +338,56 @@ void Mesh::load_octant(const Real* field, OctIndex e, Real* out) const {
   }
 }
 
-void Mesh::scatter_into_patch(OctIndex b, OctIndex e, const Real* u_e,
-                              const Real* fine_e, Real* patch,
-                              OpCounts* counts) const {
+ScatterBox Mesh::plan_box(OctIndex b, OctIndex e) const {
   const oct::TreeNode& tb = tree_.leaf(b);
   const oct::TreeNode& te = tree_.leaf(e);
   const auto Ab = anchor_pu(tb);
   const auto Ae = anchor_pu(te);
   const Pu Sb = spacing_pu(tb.level);
   const Pu Se = spacing_pu(te.level);
-
-  // Per-axis lists of patch indices m whose coordinate lies in e's closed
-  // box, together with the source index along that axis.
-  int ms[3][kPatch], src[3][kPatch], cnt[3] = {0, 0, 0};
+  ScatterBox box{};
+  box.src = e;
+  box.fine = te.level < tb.level;
+  box.stride = te.level > tb.level ? 2 : 1;
+  // Patch indices m whose coordinate lies in e's closed box, with the source
+  // index along that axis; along each axis they form a run of consecutive m
+  // whose source index advances by the stride.
   for (int a = 0; a < 3; ++a) {
-    const std::int64_t A_b = (a == 0 ? Ab[0] : a == 1 ? Ab[1] : Ab[2]);
-    const std::int64_t A_e = (a == 0 ? Ae[0] : a == 1 ? Ae[1] : Ae[2]);
+    int cnt = 0;
     for (int m = 0; m < kPatch; ++m) {
-      const std::int64_t p = A_b + std::int64_t(m - kPad) * Sb;
-      if (p < A_e || p > A_e + std::int64_t(kR - 1) * Se) continue;
+      const std::int64_t p = Ab[a] + std::int64_t(m - kPad) * Sb;
+      if (p < Ae[a] || p > Ae[a] + std::int64_t(kR - 1) * Se) continue;
       std::int64_t s;
       if (te.level == tb.level) {
-        s = (p - A_e) / Se;                 // direct copy index (0..6)
+        s = (p - Ae[a]) / Se;        // direct copy index (0..6)
       } else if (te.level < tb.level) {
-        s = (p - A_e) / (Se / 2);           // fine-covering index (0..12)
+        s = (p - Ae[a]) / (Se / 2);  // fine-covering index (0..12)
       } else {
-        if ((p - A_e) % Se != 0) continue;  // cannot happen; keep safe
-        s = (p - A_e) / Se;                 // injection index (0..6)
+        DGR_CHECK((p - Ae[a]) % Se == 0);
+        s = (p - Ae[a]) / Se;        // injection index (0..6)
       }
-      ms[a][cnt[a]] = m;
-      src[a][cnt[a]] = static_cast<int>(s);
-      ++cnt[a];
+      if (cnt == 0) {
+        box.dst[a] = static_cast<std::int8_t>(m);
+        box.from[a] = static_cast<std::int8_t>(s);
+      }
+      DGR_CHECK(m == box.dst[a] + cnt && s == box.from[a] + cnt * box.stride);
+      ++cnt;
     }
+    DGR_CHECK_MSG(cnt > 0, "neighbor octant does not reach the patch");
+    box.n[a] = static_cast<std::int8_t>(cnt);
   }
-  if (cnt[0] == 0 || cnt[1] == 0 || cnt[2] == 0) return;
+  return box;
+}
 
-  const bool use_fine = te.level < tb.level;
-  std::uint64_t written = 0;
-  for (int kk = 0; kk < cnt[2]; ++kk)
-    for (int jj = 0; jj < cnt[1]; ++jj)
-      for (int ii = 0; ii < cnt[0]; ++ii) {
-        const int m = patch_idx(ms[0][ii], ms[1][jj], ms[2][kk]);
-        if (use_fine) {
-          patch[m] = fine_e[(src[2][kk] * kFine + src[1][jj]) * kFine +
-                            src[0][ii]];
-        } else {
-          patch[m] = u_e[oct_idx(src[0][ii], src[1][jj], src[2][kk])];
-        }
-        ++written;
-      }
-  if (counts) counts->bytes_written += written * sizeof(Real);
+void Mesh::build_scatter_plan() {
+  const OctIndex n = static_cast<OctIndex>(tree_.size());
+  plan_.clear();
+  plan_begin_.assign(1, 0);
+  for (OctIndex b = 0; b < n; ++b) {
+    plan_.push_back(plan_box(b, b));
+    for (OctIndex e : adjacency_[b]) plan_.push_back(plan_box(b, e));
+    plan_begin_.push_back(plan_.size());
+  }
 }
 
 void Mesh::fill_domain_boundary(OctIndex b, Real* patch,
@@ -430,67 +470,73 @@ void Mesh::unzip_slice(const Real* const* fields, int nvar, int vbegin,
     return;
   }
 
-  // loop-over-octants: build the source set (chunk targets + their halo),
-  // load and prolong each source exactly once per variable, then scatter.
+  // loop-over-octants: the chunk's sources are its targets and their
+  // neighbors, each loaded once per variable. A coarser source is prolonged
+  // only over the bounding box of the fine points its chunk targets read.
+  const ScatterBox* boxes = plan_.data() + plan_begin_[begin];
+  const std::size_t nbox = plan_begin_[end] - plan_begin_[begin];
   std::vector<OctIndex> sources;
-  std::vector<char> needs_fine_flag;
-  {
-    std::unordered_map<OctIndex, std::size_t> slot;
-    auto add = [&](OctIndex e) {
-      if (slot.emplace(e, sources.size()).second) {
-        sources.push_back(e);
-        needs_fine_flag.push_back(0);
-      }
-    };
-    for (OctIndex b = begin; b < end; ++b) {
-      add(b);
-      for (OctIndex e : adjacency_[b]) add(e);
-    }
-    // A source must be prolonged if any chunk target adjacent to it is finer.
-    for (OctIndex b = begin; b < end; ++b) {
-      const int lb = tree_.leaf(b).level;
-      for (OctIndex e : adjacency_[b])
-        if (tree_.leaf(e).level < lb) needs_fine_flag[slot.at(e)] = 1;
-    }
-  }
+  sources.reserve(nbox);
+  for (std::size_t i = 0; i < nbox; ++i) sources.push_back(boxes[i].src);
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
 
-  std::vector<Real> u_src(sources.size() * kOctPts);
-  std::vector<Real> fine_src;
-  std::vector<std::int64_t> fine_slot(sources.size(), -1);
-  {
-    std::int64_t nf = 0;
-    for (std::size_t s = 0; s < sources.size(); ++s)
-      if (needs_fine_flag[s]) fine_slot[s] = nf++;
-    fine_src.resize(static_cast<std::size_t>(nf) * kFine * kFine * kFine);
+  std::vector<std::uint32_t> box_slot(nbox);
+  // Each source's region starts empty and grows to cover its fine boxes.
+  const FineBox empty{{kFine, kFine, kFine}, {0, 0, 0}};
+  std::vector<FineBox> region(sources.size(), empty);
+  std::uint64_t written = 0;
+  for (std::size_t i = 0; i < nbox; ++i) {
+    const ScatterBox& bx = boxes[i];
+    const std::size_t s =
+        std::lower_bound(sources.begin(), sources.end(), bx.src) -
+        sources.begin();
+    box_slot[i] = static_cast<std::uint32_t>(s);
+    written += std::uint64_t(bx.n[0]) * bx.n[1] * bx.n[2];
+    if (!bx.fine) continue;
+    for (int a = 0; a < 3; ++a) {
+      region[s].lo[a] = std::min<int>(region[s].lo[a], bx.from[a]);
+      region[s].hi[a] = std::max<int>(region[s].hi[a], bx.from[a] + bx.n[a]);
+    }
   }
-  std::unordered_map<OctIndex, std::size_t> src_of;
-  for (std::size_t s = 0; s < sources.size(); ++s) src_of[sources[s]] = s;
+  constexpr std::size_t kFinePts = std::size_t(kFine) * kFine * kFine;
+  std::vector<std::int64_t> fine_slot(sources.size(), -1);
+  std::int64_t nfine = 0;
+  std::uint64_t load_flops = 0;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    load_flops += hanging_flops_[sources[s]];
+    if (region[s].lo[0] < region[s].hi[0]) fine_slot[s] = nfine++;
+  }
+  std::vector<Real> u_src(sources.size() * kOctPts);
+  std::vector<Real> fine_src(static_cast<std::size_t>(nfine) * kFinePts);
 
   for (int v = vbegin; v < vend; ++v) {
     const Real* field = fields[v];
     for (std::size_t s = 0; s < sources.size(); ++s) {
       load_octant(field, sources[s], &u_src[s * kOctPts]);
-      if (counts) {
-        counts->bytes_read += kOctPts * sizeof(Real);
-        counts->flops += hanging_flops_[sources[s]];
-      }
-      if (needs_fine_flag[s])
-        prolong_octant(&u_src[s * kOctPts],
-                       &fine_src[fine_slot[s] * kFine * kFine * kFine],
-                       counts);
+      if (fine_slot[s] >= 0)
+        prolong_region(&u_src[s * kOctPts], region[s],
+                       &fine_src[fine_slot[s] * kFinePts]);
     }
+    // The counts model the whole-octant kernel: every loaded source, one
+    // full prolongation per source adjacent to a finer target, and every
+    // box write (shared faces included).
+    if (counts) {
+      counts->bytes_read += sources.size() * kOctPts * sizeof(Real);
+      counts->flops += load_flops + nfine * kProlongOctantFlops;
+      counts->bytes_written += written * sizeof(Real);
+    }
+    const ScatterBox* bx = boxes;
+    const std::uint32_t* slot = box_slot.data();
     for (OctIndex b = begin; b < end; ++b) {
       Real* patch = patches +
                     (static_cast<std::size_t>(b - begin) * nvar + v) *
                         kPatchPts;
-      const std::size_t sb = src_of.at(b);
-      scatter_into_patch(b, b, &u_src[sb * kOctPts], nullptr, patch, counts);
-      for (OctIndex e : adjacency_[b]) {
-        const std::size_t se = src_of.at(e);
-        const Real* fine = (fine_slot[se] >= 0)
-                               ? &fine_src[fine_slot[se] * kFine * kFine * kFine]
-                               : nullptr;
-        scatter_into_patch(b, e, &u_src[se * kOctPts], fine, patch, counts);
+      const ScatterBox* bx_end = plan_.data() + plan_begin_[b + 1];
+      for (; bx != bx_end; ++bx, ++slot) {
+        const Real* src = bx->fine ? &fine_src[fine_slot[*slot] * kFinePts]
+                                   : &u_src[*slot * kOctPts];
+        copy_box(*bx, src, patch);
       }
       fill_domain_boundary(b, patch, counts);
     }

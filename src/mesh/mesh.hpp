@@ -2,9 +2,10 @@
 /// \file mesh.hpp
 /// \brief The AMR grid layer (paper §III-C, §IV-A): deduplicated
 /// vertex-centered grid points over a balanced linear octree, hanging-point
-/// interpolation rules, the O2N / O2P maps, and the octant-to-patch /
-/// patch-to-octant operations in both the loop-over-patches (baseline) and
-/// loop-over-octants (proposed) variants.
+/// interpolation rules, the O2N map and the O2P scatter plan (both built
+/// once per mesh), and the octant-to-patch / patch-to-octant operations in
+/// both the loop-over-patches (baseline) and loop-over-octants (proposed)
+/// variants.
 ///
 /// Grid layout. Each leaf octant carries a 7^3 vertex-centered block whose
 /// boundary points are shared with neighbors ("duplicate points removed").
@@ -35,6 +36,21 @@ struct PointRecord {
   int owner_level = -1;    // finest octant level seeing this point
   OctIndex owner = kInvalidOct;
   oct::TreeNode host;      // coarse host octant (hanging points only)
+};
+
+/// One planned copy of source octant `src`'s values into a target's patch:
+/// an n[0] x n[1] x n[2] box starting at patch index `dst`, read from the
+/// source buffer at index `from` with step `stride` per axis. A same-level
+/// source is read from its 7^3 block (stride 1), a finer one from its 7^3
+/// block by injection (stride 2), a coarser one from its 13^3 fine covering
+/// (stride 1).
+struct ScatterBox {
+  OctIndex src;
+  std::array<std::int8_t, 3> dst;
+  std::array<std::int8_t, 3> n;
+  std::array<std::int8_t, 3> from;
+  std::int8_t stride;
+  bool fine;  ///< reads the source's fine covering (coarser source)
 };
 }  // namespace detail
 
@@ -146,13 +162,14 @@ class Mesh {
   void build_points();
   void build_hanging_rules();
   void build_adjacency();
-
-  /// Scatter source octant e into target b's patch (same / coarser / finer
-  /// geometry resolved by exact integer arithmetic). `u_e` holds e's 343
-  /// values; `fine_e` its 13^3 prolongation (nullptr if not needed).
-  void scatter_into_patch(OctIndex b, OctIndex e, const Real* u_e,
-                          const Real* fine_e, Real* patch,
-                          OpCounts* counts) const;
+  /// The O2P scatter plan: per target octant, one box per source octant —
+  /// the target itself first, then its neighbors in adjacency order. The
+  /// order is the write order, so points on shared faces keep the value of
+  /// their last writer.
+  void build_scatter_plan();
+  /// The box copying source e into target b's patch, derived point by point
+  /// with exact integer arithmetic.
+  detail::ScatterBox plan_box(OctIndex b, OctIndex e) const;
 
   /// Gather variant for one target patch (loop-over-patches baseline).
   void gather_patch(const Real* field, OctIndex b, Real* patch,
@@ -172,6 +189,9 @@ class Mesh {
   // Raw hanging info needed to build rules (host octant per hanging point).
   std::vector<oct::TreeNode> hanging_host_;
   std::vector<std::vector<OctIndex>> adjacency_;  // per octant
+  // Scatter plan: boxes of target b are plan_[plan_begin_[b], plan_begin_[b+1]).
+  std::vector<detail::ScatterBox> plan_;
+  std::vector<std::size_t> plan_begin_;
   // Per-octant write set for zip: (local 343 index, dof).
   std::vector<std::vector<std::pair<std::int32_t, DofIndex>>> write_set_;
   std::vector<std::uint64_t> hanging_flops_;  // per octant

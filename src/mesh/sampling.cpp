@@ -43,19 +43,24 @@ void PointSampler::evaluate_many(const Real* const* fields, int nvar, Real x,
   for (int a = 0; a < 3; ++a)
     for (int m = 0; m < kR; ++m)
       w[a][m] = Prolongation::lagrange(m, t[a]);
+  if (cached_oct_ != e ||
+      !std::equal(fields, fields + nvar, cached_fields_.begin(),
+                  cached_fields_.end())) {
+    cached_oct_ = e;
+    cached_fields_.assign(fields, fields + nvar);
+    cached_vals_.resize(static_cast<std::size_t>(nvar) * kOctPts);
+    for (int v = 0; v < nvar; ++v)
+      mesh_.load_octant(fields[v], e, &cached_vals_[v * kOctPts]);
+  }
   for (int v = 0; v < nvar; ++v) {
-    if (cached_oct_ != e || cached_field_ != fields[v]) {
-      mesh_.load_octant(fields[v], e, cached_vals_);
-      cached_oct_ = e;
-      cached_field_ = fields[v];
-    }
+    const Real* vals = &cached_vals_[v * kOctPts];
     Real s = 0;
     for (int k = 0; k < kR; ++k) {
       Real sk = 0;
       for (int j = 0; j < kR; ++j) {
         Real sj = 0;
         for (int i = 0; i < kR; ++i)
-          sj += w[0][i] * cached_vals_[oct_idx(i, j, k)];
+          sj += w[0][i] * vals[oct_idx(i, j, k)];
         sk += w[1][j] * sj;
       }
       s += w[2][k] * sk;

@@ -6,6 +6,7 @@
 /// gravitational-wave extraction spheres (paper §III-A, Fig. 4).
 
 #include <array>
+#include <vector>
 
 #include "common/types.hpp"
 #include "mesh/mesh.hpp"
@@ -13,7 +14,8 @@
 namespace dgr::mesh {
 
 /// Evaluates one or more zipped fields at arbitrary points, caching the
-/// most recently loaded octant (consecutive queries tend to cluster).
+/// values of the most recently loaded octant for every field of the last
+/// query (consecutive queries tend to cluster).
 class PointSampler {
  public:
   explicit PointSampler(const Mesh& mesh) : mesh_(mesh) {}
@@ -23,7 +25,10 @@ class PointSampler {
   /// its containing octant; degree-6 interpolation otherwise.
   Real evaluate(const Real* field, Real x, Real y, Real z);
 
-  /// Evaluate several fields at once (shares the octant lookup).
+  /// Evaluate several fields at once: one octant lookup, and each field's
+  /// octant values loaded once while queries stay in the same octant with
+  /// the same field list. Each out[v] is bitwise what evaluate(fields[v],
+  /// x, y, z) returns.
   void evaluate_many(const Real* const* fields, int nvar, Real x, Real y,
                      Real z, Real* out);
 
@@ -32,9 +37,10 @@ class PointSampler {
   OctIndex locate(Real x, Real y, Real z, std::array<Real, 3>& t) const;
 
   const Mesh& mesh_;
+  // Cache key (octant, field list) and the 343 values per cached field.
   OctIndex cached_oct_ = kInvalidOct;
-  const Real* cached_field_ = nullptr;
-  Real cached_vals_[kOctPts] = {};
+  std::vector<const Real*> cached_fields_;
+  std::vector<Real> cached_vals_;
 };
 
 }  // namespace dgr::mesh

@@ -17,20 +17,6 @@
 
 namespace dgr::serve {
 
-// Thin forwards: the strict-knob discipline that started here now lives in
-// common/parse.cpp, shared by every DGR_* knob and CLI flag in the tree.
-long parse_count(const char* s, const char* what, long lo, long hi) {
-  return dgr::parse_count(s, what, lo, hi);
-}
-
-double parse_real(const char* s, const char* what) {
-  return dgr::parse_real(s, what);
-}
-
-long env_count(const char* name, long fallback, long lo, long hi) {
-  return dgr::env_count(name, fallback, lo, hi);
-}
-
 std::string to_hex(const std::string& bytes) {
   static const char* digits = "0123456789abcdef";
   std::string out;

@@ -20,17 +20,19 @@
 ///   SHUTDOWN                  -> OK draining   (graceful drain begins)
 ///   QUIT                      -> connection closed
 ///
-/// Overload responses: BUSY depth=<n> (admission control shed) and
-/// DRAINING (server is shutting down). Malformed input gets ERR <msg>.
+/// Overload responses: BUSY depth=<n> (admission control shed), BUSY
+/// connections=<n> (connection cap; sent on accept, then the connection
+/// closes) and DRAINING (server is shutting down). Malformed input gets
+/// ERR <msg>.
 ///
 /// EVOLVE fields (all optional, server defaults apply): q, sep, s1x s1y
 /// s1z, s2x s2y s2z, half, base, finest, eps, steps, regrid, extract,
 /// radius, cfl, ko, full. Doubles are parsed with std::from_chars over the
 /// full token — shortest round-trip decimals (jsonu::num) reproduce the
 /// exact bits; EVOLVEX skips text entirely. Integers and every
-/// DGR_SERVE_* environment knob go through the strict parse_count /
-/// parse_real parsers below (the exec::parse_thread_count discipline —
-/// garbage never silently becomes zero).
+/// DGR_SERVE_* environment knob go through the strict dgr::parse_count /
+/// parse_real / env_count parsers of common/parse.hpp — garbage never
+/// silently becomes zero.
 
 #include <cstdint>
 #include <string>
@@ -38,22 +40,6 @@
 #include "ensemble/scenario.hpp"
 
 namespace dgr::serve {
-
-/// Strict bounded integer parse: digits (optional leading '-') only, full
-/// consume, value in [lo, hi]; anything else throws dgr::Error naming
-/// `what`. The generalization of exec::parse_thread_count to arbitrary
-/// bounds, shared by CLI flags and DGR_SERVE_* environment knobs.
-long parse_count(const char* s, const char* what, long lo, long hi);
-
-/// Strict double parse: std::from_chars over the whole token (no trailing
-/// junk, no empty string); throws dgr::Error naming `what`. Round-trips
-/// shortest-decimal output bit-for-bit.
-double parse_real(const char* s, const char* what);
-
-/// Environment knob helper: returns fallback when `name` is unset,
-/// otherwise the strictly parsed value (unset and invalid are different —
-/// invalid throws).
-long env_count(const char* name, long fallback, long lo, long hi);
 
 std::string to_hex(const std::string& bytes);
 std::string from_hex(const std::string& hex);  ///< throws on odd/non-hex

@@ -66,7 +66,7 @@ void Server::start() {
   DGR_CHECK_MSG(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
                        sizeof(addr)) == 0,
                 "bind(" << cfg_.socket_path << "): " << std::strerror(errno));
-  DGR_CHECK_MSG(::listen(listen_fd_, 64) == 0,
+  DGR_CHECK_MSG(::listen(listen_fd_, kMaxConnections) == 0,
                 "listen(): " << std::strerror(errno));
   acceptor_ = std::thread([this] { accept_loop(); });
 }
@@ -108,6 +108,19 @@ void Server::accept_loop() {
     if (r <= 0) continue;  // timeout or EINTR: re-check draining_
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Only this loop raises the count, so the cap is exact.
+    const int open = open_connections_.load();
+    if (open >= kMaxConnections) {
+      {
+        std::lock_guard<std::mutex> lk(stats_m_);
+        ++stats_.refused;
+      }
+      obs::count("serve.refused");
+      send_all(fd, "BUSY connections=" + std::to_string(open) + "\n");
+      ::close(fd);
+      continue;
+    }
+    open_connections_.fetch_add(1);
     // A receive timeout keeps handlers responsive to drain even when the
     // client holds the connection open without sending.
     timeval tv{0, 200 * 1000};
@@ -136,15 +149,17 @@ void Server::accept_loop() {
     finished_.clear();
   }
   stopped_.store(true);
+  obs::gauge_set("serve.drained", 1.0);
+  // A gracefully drained daemon leaves the same last-moments timeline a
+  // crashed one would (dump() no-ops when disabled or nothing recorded).
+  if (cfg_.flightrec_on_drain) obs::flightrec::dump(cfg_.flightrec_path);
+  // Last: wait() may return as soon as drain_done_ is set, and its caller
+  // may then swap the metrics registry.
   {
     std::lock_guard<std::mutex> lk(stats_m_);
     stats_.drained = true;
     drain_done_ = true;
   }
-  obs::gauge_set("serve.drained", 1.0);
-  // A gracefully drained daemon leaves the same last-moments timeline a
-  // crashed one would (dump() no-ops when disabled or nothing recorded).
-  if (cfg_.flightrec_on_drain) obs::flightrec::dump(cfg_.flightrec_path);
   drained_cv_.notify_all();
 }
 
@@ -161,6 +176,7 @@ std::string Server::stats_line() {
   s += " shed=" + std::to_string(ss.shed);
   s += " errors=" + std::to_string(ss.errors);
   s += " connections=" + std::to_string(ss.connections);
+  s += " refused=" + std::to_string(ss.refused);
   s += " pending=" + std::to_string(pending_.load());
   s += " evolutions=" + std::to_string(ds.evolutions);
   s += " coalesced=" + std::to_string(ds.coalesced);
@@ -427,6 +443,7 @@ void Server::handle_connection(int fd) {
     if (!out.empty()) send_all(fd, out);
   }
   ::close(fd);
+  open_connections_.fetch_sub(1);
   std::lock_guard<std::mutex> lk(conn_m_);
   finished_.push_back(std::this_thread::get_id());
 }

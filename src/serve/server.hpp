@@ -34,6 +34,11 @@
 /// sends a newline holds at most that much server memory. Lines are
 /// consumed through an offset cursor and each received byte is scanned for
 /// a newline once, so a pipelined burst costs linear time.
+///
+/// Bounded connections. At most kMaxConnections connections are open at
+/// once (each holds a handler thread). A connection accepted beyond that
+/// is answered `BUSY connections=<n>` and closed at once, counted in
+/// Stats::refused and serve.refused.
 
 #include <atomic>
 #include <condition_variable>
@@ -52,6 +57,9 @@ namespace dgr::serve {
 /// Longest request line the server accepts (an EVOLVEX request with every
 /// key is about 270 bytes).
 inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
+
+/// Most connections open at once; also the listen() backlog.
+inline constexpr int kMaxConnections = 64;
 
 struct ServeConfig {
   std::string socket_path = "/tmp/dgr_serve.sock";
@@ -76,6 +84,7 @@ class Server {
  public:
   struct Stats {
     std::uint64_t connections = 0;
+    std::uint64_t refused = 0;   ///< connections closed with BUSY at accept
     std::uint64_t requests = 0;  ///< EVOLVE requests admitted
     std::uint64_t shed = 0;      ///< EVOLVE requests rejected with BUSY
     std::uint64_t errors = 0;    ///< malformed request lines
@@ -121,6 +130,8 @@ class Server {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<int> pending_{0};  ///< admitted EVOLVEs not yet answered
+  /// Open connections: raised by the accept loop, lowered by handlers.
+  std::atomic<int> open_connections_{0};
   std::thread acceptor_;
   std::mutex conn_m_;
   std::vector<std::thread> handlers_;          ///< guarded by conn_m_

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <set>
@@ -255,24 +256,31 @@ TEST(Runtime, SteadyStateLaunchesDoNotAllocate) {
   exec::ThreadPool::set_global_threads(1);
 }
 
-/// The strict thread-count parse behind DGR_THREADS and --threads: the old
+/// The strict DGR_THREADS parse behind configured_threads(): the old
 /// std::atoi path silently turned garbage into 0 lanes.
 TEST(Pool, ParseThreadCountValidates) {
-  EXPECT_EQ(exec::parse_thread_count("1", "t"), 1);
-  EXPECT_EQ(exec::parse_thread_count("4", "t"), 4);
-  EXPECT_EQ(exec::parse_thread_count("4096", "t"), 4096);
+  const char* ambient = std::getenv("DGR_THREADS");
+  const std::string saved = ambient ? ambient : "";
+  for (const char* good : {"1", "4", "4096"}) {
+    ::setenv("DGR_THREADS", good, 1);
+    EXPECT_EQ(exec::ThreadPool::configured_threads(), std::stoi(good));
+  }
+  static_assert(exec::kMaxThreads == 4096);
   for (const char* bad :
        {"garbage", "-3", "0", "4x", "", " 4 ", "1e3", "4097", "99999999999"}) {
-    EXPECT_THROW(exec::parse_thread_count(bad, "t"), Error) << bad;
+    ::setenv("DGR_THREADS", bad, 1);
+    EXPECT_THROW(exec::ThreadPool::configured_threads(), Error) << bad;
   }
-  EXPECT_THROW(exec::parse_thread_count(nullptr, "t"), Error);
   // The error message names the offending knob.
+  ::setenv("DGR_THREADS", "nope", 1);
   try {
-    exec::parse_thread_count("nope", "DGR_THREADS");
-    FAIL() << "expected Error";
+    exec::ThreadPool::configured_threads();
+    ADD_FAILURE() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("DGR_THREADS"), std::string::npos);
   }
+  if (ambient) ::setenv("DGR_THREADS", saved.c_str(), 1);
+  else ::unsetenv("DGR_THREADS");
 }
 
 }  // namespace

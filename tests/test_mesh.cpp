@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "mesh/interp.hpp"
 #include "mesh/mesh.hpp"
+#include "mesh/sampling.hpp"
 
 namespace dgr::mesh {
 namespace {
@@ -41,6 +45,20 @@ Mesh make_adaptive_mesh(Real half = 1.0) {
                    : oct::Refine::kKeep;
       },
       4);
+  return Mesh(t.balanced(), Domain{half});
+}
+
+/// Level-2 mesh whose octants on the x = -1 face with y < 0 are split once
+/// more: the coarse-fine jump at y = 0 runs into the outer boundary.
+Mesh make_boundary_jump_mesh(Real half = 1.0) {
+  Octree t = Octree::build(
+      [](const TreeNode& n) {
+        const bool fine_zone = n.x == 0 && n.y < oct::kDomainSize / 2;
+        return n.level < 2 || (n.level < 3 && fine_zone)
+                   ? oct::Refine::kSplit
+                   : oct::Refine::kKeep;
+      },
+      3);
   return Mesh(t.balanced(), Domain{half});
 }
 
@@ -114,6 +132,63 @@ TEST(Prolongation, CountsFlopsForTensorApply) {
 }
 
 // ------------------------------------------------------------ mesh build --
+
+TEST(Prolongation, CoincidentPointsAreSevenTermSums) {
+  // Even rows are Kronecker deltas, but the sums still run over all seven
+  // terms, as in the GPU kernel: -0.0 comes back as +0.0, and an infinity
+  // turns the coincident points of its rows into NaN (0 * inf) in each of
+  // the three sweeps.
+  Rng rng(19);
+  Real coarse[kOctPts];
+  for (auto& c : coarse) c = rng.uniform(-1, 1);
+  coarse[oct_idx(1, 2, 3)] = -0.0;
+  std::vector<Real> fine(kFine * kFine * kFine);
+  const auto at = [&](int a, int b, int c) {
+    return fine[(c * kFine + b) * kFine + a];
+  };
+  prolong_octant(coarse, fine.data());
+  EXPECT_EQ(at(2, 4, 6), 0.0);
+  EXPECT_FALSE(std::signbit(at(2, 4, 6)));
+  coarse[oct_idx(0, 4, 5)] = std::numeric_limits<Real>::infinity();
+  prolong_octant(coarse, fine.data());
+  EXPECT_TRUE(std::isinf(at(0, 8, 10)));
+  EXPECT_TRUE(std::isnan(at(2, 8, 10)));  // x sweep
+  EXPECT_TRUE(std::isnan(at(0, 6, 10)));  // y sweep
+  EXPECT_TRUE(std::isnan(at(0, 8, 6)));   // z sweep
+}
+
+TEST(Prolongation, RegionIsBitwiseEqualToWholeOctantAndTouchesNothingElse) {
+  Rng rng(23);
+  Real coarse[kOctPts];
+  for (auto& c : coarse) c = rng.uniform(-1, 1);
+  coarse[oct_idx(1, 2, 3)] = -0.0;
+  coarse[oct_idx(6, 6, 6)] = -0.0;
+  std::vector<Real> full(kFine * kFine * kFine);
+  prolong_octant(coarse, full.data());
+  const Real sentinel = -12345.0;
+  for (int trial = 0; trial < 64; ++trial) {
+    FineBox box;
+    for (int a = 0; a < 3; ++a) {
+      const int x = int(rng.uniform_int(kFine + 1));
+      const int y = int(rng.uniform_int(kFine + 1));
+      box.lo[a] = std::min(x, y);
+      box.hi[a] = std::max(x, y);
+    }
+    std::vector<Real> fine(full.size(), sentinel);
+    prolong_region(coarse, box, fine.data());
+    for (int c = 0; c < kFine; ++c)
+      for (int b = 0; b < kFine; ++b)
+        for (int a = 0; a < kFine; ++a) {
+          const std::size_t i = (c * kFine + b) * kFine + a;
+          const bool inside = a >= box.lo[0] && a < box.hi[0] &&
+                              b >= box.lo[1] && b < box.hi[1] &&
+                              c >= box.lo[2] && c < box.hi[2];
+          const Real want = inside ? full[i] : sentinel;
+          EXPECT_EQ(std::memcmp(&fine[i], &want, sizeof(Real)), 0)
+              << "trial " << trial << " point " << a << "," << b << "," << c;
+        }
+  }
+}
 
 TEST(MeshBuild, UniformMeshDofCount) {
   // Level-2 uniform: 4 octants per axis, 6 intervals each, shared faces:
@@ -416,6 +491,200 @@ TEST(UnzipZip, MethodsAgreeOnPolynomialData) {
   m.unzip_all(&fp, 1, a.data(), UnzipMethod::kLoopOverOctants);
   m.unzip_all(&fp, 1, b.data(), UnzipMethod::kLoopOverPatches);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-8);
+}
+
+/// Octant-to-patch composed per (target, source) pair from public calls:
+/// load_octant, whole-octant prolong_octant, and each copy derived point by
+/// point with exact integer arithmetic, in self-then-adjacency order (the
+/// last writer of a shared face wins). Whole-mesh patches, [e * nvar + v].
+/// Out-of-domain points are left at zero.
+std::vector<Real> reference_unzip(const Mesh& m, const Real* const* fields,
+                                  int nvar) {
+  const OctIndex n = OctIndex(m.num_octants());
+  constexpr int kFinePts = kFine * kFine * kFine;
+  std::vector<Real> patches(std::size_t(n) * nvar * kPatchPts, 0.0);
+  std::vector<Real> u(std::size_t(n) * kOctPts), fine(std::size_t(n) * kFinePts);
+  for (int v = 0; v < nvar; ++v) {
+    for (OctIndex e = 0; e < n; ++e) {
+      m.load_octant(fields[v], e, &u[e * kOctPts]);
+      prolong_octant(&u[e * kOctPts], &fine[e * kFinePts]);
+    }
+    for (OctIndex b = 0; b < n; ++b) {
+      Real* patch = &patches[(std::size_t(b) * nvar + v) * kPatchPts];
+      std::vector<OctIndex> srcs{b};
+      srcs.insert(srcs.end(), m.adjacency(b).begin(), m.adjacency(b).end());
+      const TreeNode& tb = m.tree().leaf(b);
+      const auto Ab = anchor_pu(tb);
+      const std::int64_t Sb = spacing_pu(tb.level);
+      for (OctIndex e : srcs) {
+        const TreeNode& te = m.tree().leaf(e);
+        const auto Ae = anchor_pu(te);
+        const std::int64_t Se = spacing_pu(te.level);
+        for (int k = 0; k < kPatch; ++k)
+          for (int j = 0; j < kPatch; ++j)
+            for (int i = 0; i < kPatch; ++i) {
+              const int idx[3] = {i, j, k};
+              int s[3];
+              bool covered = true;
+              for (int a = 0; a < 3; ++a) {
+                const std::int64_t p = Ab[a] + (idx[a] - kPad) * Sb;
+                if (p < Ae[a] || p > Ae[a] + (kR - 1) * Se) covered = false;
+                const std::int64_t step = te.level < tb.level ? Se / 2 : Se;
+                s[a] = int((p - Ae[a]) / step);
+              }
+              if (!covered) continue;
+              patch[patch_idx(i, j, k)] =
+                  te.level < tb.level
+                      ? fine[e * kFinePts + (s[2] * kFine + s[1]) * kFine +
+                             s[0]]
+                      : u[e * kOctPts + oct_idx(s[0], s[1], s[2])];
+            }
+      }
+    }
+  }
+  return patches;
+}
+
+bool patch_point_in_domain(const Mesh& m, OctIndex b, int i, int j, int k) {
+  const TreeNode& t = m.tree().leaf(b);
+  const auto A = anchor_pu(t);
+  const std::int64_t S = spacing_pu(t.level);
+  const int idx[3] = {i, j, k};
+  for (int a = 0; a < 3; ++a) {
+    const std::int64_t p = A[a] + (idx[a] - kPad) * S;
+    if (p < 0 || p > kPuDomain) return false;
+  }
+  return true;
+}
+
+struct GoldenCounts {
+  const char* mesh;
+  int chunk;  ///< octants per unzip call; 0 = the whole mesh
+  int vbegin, vend;
+  std::uint64_t flops, bytes_read, bytes_written;
+};
+
+TEST(UnzipZip, PlannedScatterIsBitwiseEqualToPerPairReference) {
+  // Integer OpCounts of the octant-to-patch model (5 fields), recorded
+  // before the scatter plan existed: the plan must not change them.
+  const GoldenCounts golden[] = {
+      {"two_level", 1, 0, 5, 6919545, 2071720, 1040680},
+      {"two_level", 1, 1, 4, 4151727, 1243032, 624408},
+      {"two_level", 5, 0, 5, 4049265, 535080, 1040680},
+      {"two_level", 5, 1, 4, 2429559, 321048, 624408},
+      {"two_level", 64, 0, 5, 2793045, 205800, 1040680},
+      {"two_level", 64, 1, 4, 1675827, 123480, 624408},
+      {"two_level", 0, 0, 5, 2793045, 205800, 1040680},
+      {"two_level", 0, 1, 4, 1675827, 123480, 624408},
+      {"adaptive", 1, 0, 5, 50595915, 14584360, 6617320},
+      {"adaptive", 1, 1, 4, 30357549, 8750616, 3970392},
+      {"adaptive", 5, 0, 5, 31451685, 5940760, 6617320},
+      {"adaptive", 5, 1, 4, 18871011, 3564456, 3970392},
+      {"adaptive", 64, 0, 5, 13176225, 1358280, 6617320},
+      {"adaptive", 64, 1, 4, 7905735, 814968, 3970392},
+      {"adaptive", 0, 0, 5, 12235215, 974120, 6617320},
+      {"adaptive", 0, 1, 4, 7341129, 584472, 3970392},
+      {"boundary_jump", 1, 0, 5, 43462560, 27055840, 11400640},
+      {"boundary_jump", 1, 1, 4, 26077536, 16233504, 6840384},
+      {"boundary_jump", 5, 0, 5, 29570220, 10564400, 11400640},
+      {"boundary_jump", 5, 1, 4, 17742132, 6338640, 6840384},
+      {"boundary_jump", 64, 0, 5, 10415490, 2318680, 11400640},
+      {"boundary_jump", 64, 1, 4, 6249294, 1391208, 6840384},
+      {"boundary_jump", 0, 0, 5, 8075040, 1646400, 11400640},
+      {"boundary_jump", 0, 1, 4, 4845024, 987840, 6840384},
+  };
+  constexpr int kVars = 5;
+  const std::pair<const char*, Mesh> meshes[] = {
+      {"two_level", make_two_level_mesh()},
+      {"adaptive", make_adaptive_mesh()},
+      {"boundary_jump", make_boundary_jump_mesh()},
+  };
+  for (const auto& [name, m] : meshes) {
+    Rng rng(29);
+    const OctIndex n = OctIndex(m.num_octants());
+    std::vector<Real> data(std::size_t(kVars) * m.num_dofs());
+    for (auto& x : data) x = rng.uniform(-1, 1);
+    for (std::size_t d = 0; d < data.size(); d += 7) data[d] = -0.0;
+    std::vector<const Real*> fp(kVars);
+    for (int v = 0; v < kVars; ++v) fp[v] = &data[v * m.num_dofs()];
+    const std::vector<Real> ref = reference_unzip(m, fp.data(), kVars);
+
+    for (const GoldenCounts& g : golden) {
+      if (std::string(g.mesh) != name) continue;
+      const OctIndex chunk = g.chunk ? OctIndex(g.chunk) : n;
+      OpCounts total;
+      std::vector<Real> patches(std::size_t(chunk) * kVars * kPatchPts);
+      for (OctIndex b0 = 0; b0 < n; b0 += chunk) {
+        const OctIndex b1 = std::min<OctIndex>(b0 + chunk, n);
+        m.unzip_slice(fp.data(), kVars, g.vbegin, g.vend, b0, b1,
+                      patches.data(), UnzipMethod::kLoopOverOctants, &total);
+        for (OctIndex b = b0; b < b1; ++b)
+          for (int v = g.vbegin; v < g.vend; ++v) {
+            const Real* got =
+                &patches[(std::size_t(b - b0) * kVars + v) * kPatchPts];
+            const Real* want = &ref[(std::size_t(b) * kVars + v) * kPatchPts];
+            for (int k = 0; k < kPatch; ++k)
+              for (int j = 0; j < kPatch; ++j)
+                for (int i = 0; i < kPatch; ++i) {
+                  if (!patch_point_in_domain(m, b, i, j, k)) continue;
+                  const int p = patch_idx(i, j, k);
+                  ASSERT_EQ(std::memcmp(&got[p], &want[p], sizeof(Real)), 0)
+                      << name << " chunk " << g.chunk << " octant " << b
+                      << " var " << v << " point " << i << "," << j << ","
+                      << k;
+                }
+          }
+      }
+      EXPECT_EQ(total.flops, g.flops) << name << " chunk " << g.chunk
+                                      << " vars " << g.vbegin << ".." << g.vend;
+      EXPECT_EQ(total.bytes_read, g.bytes_read)
+          << name << " chunk " << g.chunk << " vars " << g.vbegin << ".."
+          << g.vend;
+      EXPECT_EQ(total.bytes_written, g.bytes_written)
+          << name << " chunk " << g.chunk << " vars " << g.vbegin << ".."
+          << g.vend;
+    }
+  }
+}
+
+// --------------------------------------------------------------- sampling --
+
+TEST(PointSampler, ManyFieldsIsBitwiseEqualToSingleFieldCalls) {
+  constexpr int kFields = 24;  // the BSSN variable count
+  Mesh m = make_two_level_mesh();
+  Rng rng(31);
+  std::vector<Real> data(std::size_t(kFields) * m.num_dofs());
+  for (auto& x : data) x = rng.uniform(-1, 1);
+  std::vector<const Real*> fp(kFields);
+  for (int v = 0; v < kFields; ++v) fp[v] = &data[v * m.num_dofs()];
+
+  // Coarse spacing 1/6, fine 1/12; the fine block is [-1, 0]^3.
+  std::vector<std::array<Real, 3>> pts;
+  for (int i = 0; i < 40; ++i)  // interiors, several per octant in a row
+    pts.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)});
+  pts.push_back({0.0, -0.3, 0.4});   // coarse-coarse face
+  pts.push_back({-0.5, -0.2, -0.7}); // fine-fine face
+  pts.push_back({0.0, -1 + 1.0 / 12, -1 + 3.0 / 12});  // hanging points on
+  pts.push_back({-1 + 5.0 / 12, 0.0, -0.5});          // the coarse-fine
+  pts.push_back({-0.25, -0.75, 0.0});                 // interface
+  pts.push_back({0.0, 0.0, 0.0});    // corner shared by all eight children
+  pts.push_back(pts[3]);             // back to an earlier octant
+  pts.push_back(pts[41]);
+
+  PointSampler many(m), single(m), mixed(m);
+  for (const auto& x : pts) {
+    Real got[kFields], mix[kFields];
+    many.evaluate_many(fp.data(), kFields, x[0], x[1], x[2], got);
+    mixed.evaluate_many(fp.data(), kFields, x[0], x[1], x[2], mix);
+    for (int v = 0; v < kFields; ++v) {
+      const Real want = single.evaluate(fp[v], x[0], x[1], x[2]);
+      const Real again = mixed.evaluate(fp[v], x[0], x[1], x[2]);
+      EXPECT_EQ(std::memcmp(&got[v], &want, sizeof(Real)), 0)
+          << "field " << v << " at " << x[0] << "," << x[1] << "," << x[2];
+      EXPECT_EQ(std::memcmp(&mix[v], &want, sizeof(Real)), 0);
+      EXPECT_EQ(std::memcmp(&again, &want, sizeof(Real)), 0);
+    }
+  }
 }
 
 }  // namespace

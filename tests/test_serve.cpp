@@ -1,6 +1,6 @@
 /// \file test_serve.cpp
 /// \brief Tests for the waveform-service front-end: strict protocol
-/// parsing (the exec::parse_thread_count discipline for every knob),
+/// parsing (the common/parse.hpp parsers behind every knob),
 /// bit-exact EVOLVE/EVOLVEX round trips, and the socket server end to end
 /// — hit/miss digest equality, request batching, admission-control load
 /// shedding with no lost responses, and graceful drain.
@@ -15,18 +15,21 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/json_read.hpp"
+#include "common/parse.hpp"
 #include "ensemble/scenario.hpp"
 #include "obs/obs.hpp"
 #include "serve/protocol.hpp"
@@ -430,6 +433,59 @@ TEST(Server, LoadSheddingLosesNoResponses) {
   server.request_shutdown();
   server.wait();
   EXPECT_TRUE(server.stats().drained);
+}
+
+TEST(Server, ConnectionsBeyondTheCapAreRefusedWithBusy) {
+  ServeConfig cfg;
+  cfg.socket_path = test_socket("conncap");
+  cfg.defaults = tiny_scenario();
+  Server server(cfg);
+  server.start();
+
+  std::vector<std::unique_ptr<Client>> idle;
+  for (int i = 0; i < kMaxConnections; ++i) {
+    idle.push_back(std::make_unique<Client>());
+    idle.back()->connect(cfg.socket_path);
+  }
+  // One past the cap: an explicit BUSY, then end of stream.
+  Client over;
+  over.connect(cfg.socket_path);
+  EXPECT_EQ(over.recv_line(),
+            "BUSY connections=" + std::to_string(kMaxConnections));
+  try {
+    over.recv_line();
+    ADD_FAILURE() << "expected end of stream";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("closed by server"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(server.stats().refused, 1u);
+  EXPECT_EQ(server.stats().connections,
+            static_cast<std::uint64_t>(kMaxConnections));
+
+  // Closing one idle connection frees its slot once its handler sees EOF.
+  idle.back()->close();
+  idle.pop_back();
+  std::string reply;
+  for (int attempt = 0; attempt < 500 && reply != "PONG"; ++attempt) {
+    Client c;
+    c.connect(cfg.socket_path);
+    try {
+      reply = c.request("PING");
+    } catch (const Error&) {
+      reply.clear();  // refused before the PING went out
+    }
+    if (reply != "PONG")
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(reply, "PONG");
+  // The held connections were never disturbed.
+  EXPECT_EQ(idle.front()->request("PING"), "PONG");
+
+  idle.clear();
+  server.request_shutdown();
+  server.wait();
 }
 
 TEST(Protocol, ParseMetricsAndDumpVerbs) {

@@ -4,9 +4,8 @@
 /// and the content-addressed waveform cache.
 ///
 /// Configuration precedence: built-in default < DGR_SERVE_* environment <
-/// command-line flag. Every numeric knob is strictly parsed (the
-/// exec::parse_thread_count discipline) — garbage is a startup error, not
-/// a silent zero:
+/// command-line flag. Every numeric knob is strictly parsed
+/// (common/parse.hpp) — garbage is a startup error, not a silent zero:
 ///
 ///   --socket PATH / DGR_SERVE_SOCKET        socket path
 ///   --concurrency N / DGR_SERVE_CONCURRENCY max concurrent small evolutions
@@ -34,6 +33,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "exec/pool.hpp"
 #include "obs/obs.hpp"
 #include "serve/server.hpp"
@@ -64,13 +64,13 @@ int main(int argc, char** argv) {
     if (const char* e = std::getenv("DGR_SERVE_SPILL_DIR"))
       cfg.ensemble.spill_dir = e;
     cfg.ensemble.concurrency = static_cast<int>(
-        serve::env_count("DGR_SERVE_CONCURRENCY", 0, 1, 4096));
+        dgr::env_count("DGR_SERVE_CONCURRENCY", 0, 1, 4096));
     cfg.ensemble.cache_bytes =
         static_cast<std::size_t>(
-            serve::env_count("DGR_SERVE_CACHE_MB", 64, 1, 1 << 20))
+            dgr::env_count("DGR_SERVE_CACHE_MB", 64, 1, 1 << 20))
         << 20;
     cfg.queue_max = static_cast<int>(
-        serve::env_count("DGR_SERVE_QUEUE_MAX", 64, 1, 1 << 20));
+        dgr::env_count("DGR_SERVE_QUEUE_MAX", 64, 1, 1 << 20));
 
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
@@ -79,22 +79,23 @@ int main(int argc, char** argv) {
       } else if (a == "--spill-dir") {
         cfg.ensemble.spill_dir = arg_value(argc, argv, i, "--spill-dir");
       } else if (a == "--concurrency") {
-        cfg.ensemble.concurrency = static_cast<int>(serve::parse_count(
+        cfg.ensemble.concurrency = static_cast<int>(dgr::parse_count(
             arg_value(argc, argv, i, "--concurrency"), "--concurrency", 1,
             4096));
       } else if (a == "--cache-mb") {
         cfg.ensemble.cache_bytes =
-            static_cast<std::size_t>(serve::parse_count(
+            static_cast<std::size_t>(dgr::parse_count(
                 arg_value(argc, argv, i, "--cache-mb"), "--cache-mb", 1,
                 1 << 20))
             << 20;
       } else if (a == "--queue-max") {
         cfg.queue_max = static_cast<int>(
-            serve::parse_count(arg_value(argc, argv, i, "--queue-max"),
+            dgr::parse_count(arg_value(argc, argv, i, "--queue-max"),
                                "--queue-max", 1, 1 << 20));
       } else if (a == "--threads") {
-        exec::ThreadPool::set_global_threads(exec::parse_thread_count(
-            arg_value(argc, argv, i, "--threads"), "--threads"));
+        exec::ThreadPool::set_global_threads(static_cast<int>(
+            dgr::parse_count(arg_value(argc, argv, i, "--threads"),
+                             "--threads", 1, exec::kMaxThreads)));
       } else if (a == "--json") {
         json_path = arg_value(argc, argv, i, "--json");
       } else if (a == "--flightrec") {
