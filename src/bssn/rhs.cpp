@@ -21,11 +21,17 @@ MixedInnerSweeps::MixedInnerSweeps()
     : d1(static_cast<std::size_t>(kSecondDerivVars.size()) * 2 * kPatchPts) {}
 
 void MixedInnerSweeps::compute(const Real* const in[kNumVars], Real h) {
+  constexpr int lo = kPad, hi = kPad + kR;
   for (std::size_t s = 0; s < kSecondDerivVars.size(); ++s) {
     const int v = kSecondDerivVars[s];
     Real* dx = d1.data() + (s * 2) * kPatchPts;
-    fd::d1(in[v], dx, 0, h);
-    fd::d1(in[v], dx + kPatchPts, 1, h);
+    // d/dx where y or z is interior: every y at interior z, then interior
+    // y at the z padding below and above.
+    fd::d1_rows(in[v], dx, 0, h, 0, kPatch, lo, hi);
+    fd::d1_rows(in[v], dx, 0, h, lo, hi, 0, lo);
+    fd::d1_rows(in[v], dx, 0, h, lo, hi, hi, kPatch);
+    // d/dy at interior x and y, every z.
+    fd::d1_rows(in[v], dx + kPatchPts, 1, h, lo, hi, 0, kPatch);
   }
 }
 
@@ -88,10 +94,12 @@ void charge_algebraic_stage(OpCounts& c) {
 /// evaluate the same stencil point-locally (the same bits).
 template <class Grad>
 void sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
-                const mesh::PatchGeom& geom, Real half_extent, Grad&& grad) {
+                const mesh::PatchGeom& geom, Real half_extent,
+                mesh::RowMask rows, Grad&& grad) {
   const Real eps = 1e-9 * half_extent;
   for (int kk = kPad; kk < kPad + kR; ++kk)
-    for (int jj = kPad; jj < kPad + kR; ++jj)
+    for (int jj = kPad; jj < kPad + kR; ++jj) {
+      if (!mesh::has_row(rows, jj - kPad, kk - kPad)) continue;
       for (int ii = kPad; ii < kPad + kR; ++ii) {
         const Real x = geom.origin[0] + ii * geom.h;
         const Real y = geom.origin[1] + jj * geom.h;
@@ -109,6 +117,7 @@ void sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
                       (du + (in[v][p] - var_asymptotic(v)) / r);
         }
       }
+    }
 }
 
 }  // namespace
@@ -220,20 +229,22 @@ void bssn_algebraic_stage(const Real* const in[kNumVars],
                           Real* const out[kNumVars],
                           const mesh::PatchGeom& geom, Real half_extent,
                           const BssnParams& prm, DerivWorkspace& ws,
-                          OpCounts* counts) {
+                          OpCounts* counts, mesh::RowMask rows) {
   AlgebraInputs<Real> q;
   const AlgebraParams<Real> aprm{prm.lambda_f0, prm.eta, prm.ko_sigma};
   Real rhs_pt[kNumVars];
   for (int kk = kPad; kk < kPad + kR; ++kk)
-    for (int jj = kPad; jj < kPad + kR; ++jj)
+    for (int jj = kPad; jj < kPad + kR; ++jj) {
+      if (!mesh::has_row(rows, jj - kPad, kk - kPad)) continue;
       for (int ii = kPad; ii < kPad + kR; ++ii) {
         const int p = patch_idx(ii, jj, kk);
         bssn_gather_point(in, ws, p, prm, q);
         bssn_algebra_point(q, aprm, rhs_pt);
         for (int v = 0; v < kNumVars; ++v) out[v][p] = rhs_pt[v];
       }
+    }
   if (prm.sommerfeld)
-    sommerfeld(in, out, geom, half_extent, [&](int v, int axis, int p) {
+    sommerfeld(in, out, geom, half_extent, rows, [&](int v, int axis, int p) {
       return ws.grad_of(v, axis)[p];
     });
   if (counts) charge_algebraic_stage(*counts);
@@ -242,16 +253,16 @@ void bssn_algebraic_stage(const Real* const in[kNumVars],
 void bssn_rhs_patch(const Real* const in[kNumVars], Real* const out[kNumVars],
                     const mesh::PatchGeom& geom, Real half_extent,
                     const BssnParams& params, DerivWorkspace& ws,
-                    OpCounts* counts) {
+                    OpCounts* counts, mesh::RowMask rows) {
   bssn_deriv_stage(in, geom.h, ws, counts);
-  bssn_algebraic_stage(in, out, geom, half_extent, params, ws, counts);
+  bssn_algebraic_stage(in, out, geom, half_extent, params, ws, counts, rows);
 }
 
 void bssn_rhs_patch_packed(const Real* const in[kNumVars],
                            Real* const out[kNumVars],
                            const mesh::PatchGeom& geom, Real half_extent,
                            const BssnParams& prm, DerivWorkspace& ws,
-                           OpCounts* counts) {
+                           OpCounts* counts, mesh::RowMask rows) {
   using P = simd<Real, 4>;
   ws.inner.compute(in, geom.h);
   const Real inv_h = 1.0 / geom.h;
@@ -262,7 +273,8 @@ void bssn_rhs_patch_packed(const Real* const in[kNumVars],
   AlgebraInputs<P> q;
   P rhs[kNumVars];
   for (int kk = kPad; kk < kPad + kR; ++kk)
-    for (int jj = kPad; jj < kPad + kR; ++jj)
+    for (int jj = kPad; jj < kPad + kR; ++jj) {
+      if (!mesh::has_row(rows, jj - kPad, kk - kPad)) continue;
       for (int i0 = 0; i0 < kR; i0 += P::width) {
         const int p = patch_idx(kPad + i0, jj, kk);
         const int live = std::min(P::width, kR - i0);
@@ -271,7 +283,8 @@ void bssn_rhs_patch_packed(const Real* const in[kNumVars],
         for (int v = 0; v < kNumVars; ++v)
           rhs[v].store_partial(out[v] + p, live);
       }
-  if (prm.sommerfeld) bssn_sommerfeld(in, out, geom, half_extent);
+    }
+  if (prm.sommerfeld) bssn_sommerfeld(in, out, geom, half_extent, rows);
   if (counts) {
     charge_deriv_stage(*counts);
     charge_algebraic_stage(*counts);
@@ -279,9 +292,10 @@ void bssn_rhs_patch_packed(const Real* const in[kNumVars],
 }
 
 void bssn_sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
-                     const mesh::PatchGeom& geom, Real half_extent) {
+                     const mesh::PatchGeom& geom, Real half_extent,
+                     mesh::RowMask rows) {
   const Real inv_h = 1.0 / geom.h;
-  sommerfeld(in, out, geom, half_extent, [&](int v, int axis, int p) {
+  sommerfeld(in, out, geom, half_extent, rows, [&](int v, int axis, int p) {
     return fd::d1_point<simd<Real, 1>>(in[v], p, axis, inv_h)[0];
   });
 }

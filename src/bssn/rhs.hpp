@@ -37,10 +37,12 @@ struct MixedInnerSweeps {
   const Real* of(int hvar, int axis) const {
     return d1.data() + (hvar * 2 + axis) * mesh::kPatchPts;
   }
-  /// Sweep d/dx and d/dy of every second-derivative variable (fd::d1: valid
-  /// at x resp. y = 3..9 and at every index of the other two axes). The
-  /// entries outside that region are never written and stay zero from
-  /// construction; only the discarded lane of a partial pack reads them.
+  /// Sweep d/dx and d/dy of every second-derivative variable (fd::d1_rows)
+  /// on exactly the entries the outer stencils of interior points read:
+  /// d/dx at x = 3..9 where y or z is 3..9 (931 points), d/dy at x and
+  /// y = 3..9 and every z (637 points). The other entries are never
+  /// written and stay zero from construction; only the discarded lanes of
+  /// a partial pack read them.
   void compute(const Real* const in[kNumVars], Real h);
 };
 
@@ -140,41 +142,48 @@ void bssn_metric_deriv_stage(const Real* const in[kNumVars], Real h,
                              MetricDerivWorkspace& ws);
 
 /// Algebraic stage A + KO + (optionally) Sommerfeld boundary overwrite.
-/// Writes rhs values on the interior 7^3 region of each output patch.
+/// Writes rhs values on the interior x-rows of each output patch that are
+/// in `rows` (mesh::RowMask); the other points are left untouched. The
+/// OpCounts model all 7^3 interior points whatever `rows` holds.
 /// `geom` gives the patch origin/spacing; `half_extent` the outer boundary.
 void bssn_algebraic_stage(const Real* const in[kNumVars],
                           Real* const out[kNumVars],
                           const mesh::PatchGeom& geom, Real half_extent,
                           const BssnParams& params, DerivWorkspace& ws,
-                          OpCounts* counts = nullptr);
+                          OpCounts* counts = nullptr,
+                          mesh::RowMask rows = mesh::kAllRows);
 
-/// Full RHS on one patch: derivative stage then algebraic stage. The scalar
-/// body of the production kernel, and the reference the packed kernel is
-/// pinned against bitwise.
+/// Full RHS on one patch: derivative stage then algebraic stage on `rows`.
+/// The scalar body of the production kernel, and the reference the packed
+/// kernel is pinned against bitwise.
 void bssn_rhs_patch(const Real* const in[kNumVars], Real* const out[kNumVars],
                     const mesh::PatchGeom& geom, Real half_extent,
                     const BssnParams& params, DerivWorkspace& ws,
-                    OpCounts* counts = nullptr);
+                    OpCounts* counts = nullptr,
+                    mesh::RowMask rows = mesh::kAllRows);
 
 /// Full RHS on one patch, 4 x-points at a time: each 7-point interior
-/// x-row is one full dgr::simd<double, 4> pack plus one 3-lane partial pack.
+/// x-row in `rows` is one full dgr::simd<double, 4> pack plus one 3-lane
+/// partial pack; rows outside `rows` are skipped and left untouched.
 /// The pack gather (gather_pack.hpp) evaluates every stencil point-locally
 /// and bssn_algebra_point runs on the packs. Uses only `ws.inner`. Bitwise
-/// identical to bssn_rhs_patch on every interior point (same stencil and
+/// identical to bssn_rhs_patch on every point it writes (same stencil and
 /// algebra expressions, lanewise), and charges the same OpCounts.
 void bssn_rhs_patch_packed(const Real* const in[kNumVars],
                            Real* const out[kNumVars],
                            const mesh::PatchGeom& geom, Real half_extent,
                            const BssnParams& params, DerivWorkspace& ws,
-                           OpCounts* counts = nullptr);
+                           OpCounts* counts = nullptr,
+                           mesh::RowMask rows = mesh::kAllRows);
 
 /// Sommerfeld radiative condition: overwrites the RHS at the interior
-/// points of the patch that lie on the outer boundary |x_i| = half_extent
-/// (standard moving-puncture practice). The radial derivative is the
-/// centered d1 stencil evaluated point-locally, bitwise equal to the
-/// derivative stage's gradient.
+/// points of the x-rows in `rows` that lie on the outer boundary
+/// |x_i| = half_extent (standard moving-puncture practice). The radial
+/// derivative is the centered d1 stencil evaluated point-locally, bitwise
+/// equal to the derivative stage's gradient.
 void bssn_sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
-                     const mesh::PatchGeom& geom, Real half_extent);
+                     const mesh::PatchGeom& geom, Real half_extent,
+                     mesh::RowMask rows = mesh::kAllRows);
 
 /// Approximate flop count of the algebraic stage per grid point, matching
 /// the paper's operation count O_A in Eq. (21b) (Q_A ~ 1.94 with m = 8 *

@@ -96,7 +96,8 @@ void bssn_rhs_patch_fused(const Real* const in[kNumVars],
   if (counts) {
     const std::uint64_t pts = kOct;
     const std::uint64_t nh = kSecondDerivVars.size();
-    // Inner mixed-derivative sweeps cover 7x13x13 points per axis.
+    // Inner mixed-derivative sweeps, charged over d1's whole valid region
+    // (7x13x13 points per axis).
     counts->flops += nh * 2 * std::uint64_t(kR * kPatch * kPatch) *
                      fd::kD1Flops;
     // Fused per-point stencil work: 63 first derivatives, 33 diagonal +

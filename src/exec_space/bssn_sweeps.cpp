@@ -59,7 +59,8 @@ void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
             pin[v] = patch_in + off;
             pout[v] = patch_out + off;
           }
-          kernel(pin, pout, mesh.patch_geom(e), half, *d.params, ws, &c);
+          kernel(pin, pout, mesh.patch_geom(e), half, *d.params, ws, &c,
+                 mesh.owned_rows(e));
         }
       });
 }

@@ -83,8 +83,12 @@ struct RhsDispatch {
 /// Patch RHS of octants [begin, end) from `patch_in` into `patch_out`,
 /// split by octant. The body follows the space's resolved vector width:
 /// bssn_rhs_patch_packed at 4, the staged bssn_rhs_patch at 1 — bitwise
-/// identical results and OpCounts either way. Kernel "bssn-rhs", host label
-/// "rhs".
+/// identical results and OpCounts either way. Each octant evaluates only
+/// its mesh.owned_rows(e): the x-rows holding a DOF it owns, the only
+/// ones sweep_patch_to_octant reads. The other interior points of
+/// `patch_out` are left unwritten and keep stale values; read patch_out
+/// through the zip only. The OpCounts still model all 7^3 points per
+/// octant (the paper's GPU kernel). Kernel "bssn-rhs", host label "rhs".
 void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
                const RhsDispatch& d, OctIndex begin, OctIndex end,
                const Real* patch_in, Real* patch_out, OpCounts* counts);

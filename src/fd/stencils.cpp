@@ -67,22 +67,17 @@ const StencilWeights& weights() { return stencil_weights(); }
 
 constexpr int stride_of(int axis) { return axis_stride(axis); }
 
-/// Compile-time-stride centered sweep: the fixed stride lets the compiler
-/// unroll and vectorize the 7-point contraction; the valid region is 3..9
-/// along the sweep axis and the full patch along the other two.
-template <int Axis>
-void centered_sweep(const Real* u, Real* out, const Real w[7], Real scale) {
+/// Compile-time-stride centered sweep over x in [X0, X1) of the patch rows
+/// y in [y0, y1), z in [z0, z1): the fixed stride and x range let the
+/// compiler unroll and vectorize the 7-point contraction.
+template <int Axis, int X0, int X1>
+void centered_rows(const Real* u, Real* out, const Real w[7], Real scale,
+                   int y0, int y1, int z0, int z1) {
   constexpr int S = stride_of(Axis);
-  constexpr int lo0 = Axis == 0 ? kPad : 0;
-  constexpr int hi0 = Axis == 0 ? kPad + kR : kPatch;
-  constexpr int lo1 = Axis == 1 ? kPad : 0;
-  constexpr int hi1 = Axis == 1 ? kPad + kR : kPatch;
-  constexpr int lo2 = Axis == 2 ? kPad : 0;
-  constexpr int hi2 = Axis == 2 ? kPad + kR : kPatch;
-  for (int k = lo2; k < hi2; ++k)
-    for (int j = lo1; j < hi1; ++j) {
+  for (int k = z0; k < z1; ++k)
+    for (int j = y0; j < y1; ++j) {
       const int row = (k * kPatch + j) * kPatch;
-      for (int i = lo0; i < hi0; ++i) {
+      for (int i = X0; i < X1; ++i) {
         const int p = row + i;
         const Real acc = w[0] * u[p - 3 * S] + w[1] * u[p - 2 * S] +
                          w[2] * u[p - S] + w[3] * u[p] + w[4] * u[p + S] +
@@ -90,6 +85,20 @@ void centered_sweep(const Real* u, Real* out, const Real w[7], Real scale) {
         out[p] = acc * scale;
       }
     }
+}
+
+/// The centered sweep over its whole valid region: 3..9 along the sweep
+/// axis and the full patch along the other two.
+template <int Axis>
+void centered_sweep(const Real* u, Real* out, const Real w[7], Real scale) {
+  constexpr int lo1 = Axis == 1 ? kPad : 0;
+  constexpr int hi1 = Axis == 1 ? kPad + kR : kPatch;
+  constexpr int lo2 = Axis == 2 ? kPad : 0;
+  constexpr int hi2 = Axis == 2 ? kPad + kR : kPatch;
+  if constexpr (Axis == 0)
+    centered_rows<Axis, kPad, kPad + kR>(u, out, w, scale, lo1, hi1, lo2, hi2);
+  else
+    centered_rows<Axis, 0, kPatch>(u, out, w, scale, lo1, hi1, lo2, hi2);
 }
 
 }  // namespace
@@ -102,6 +111,17 @@ void d1(const Real* u, Real* out, int axis, Real h) {
     case 1: centered_sweep<1>(u, out, W.w1, inv); break;
     default: centered_sweep<2>(u, out, W.w1, inv); break;
   }
+}
+
+void d1_rows(const Real* u, Real* out, int axis, Real h, int y0, int y1,
+             int z0, int z1) {
+  DGR_CHECK(axis == 0 || axis == 1);
+  const auto& W = weights();
+  const Real inv = 1.0 / h;
+  if (axis == 0)
+    centered_rows<0, kPad, kPad + kR>(u, out, W.w1, inv, y0, y1, z0, z1);
+  else
+    centered_rows<1, kPad, kPad + kR>(u, out, W.w1, inv, y0, y1, z0, z1);
 }
 
 void d2(const Real* u, Real* out, int axis, Real h) {

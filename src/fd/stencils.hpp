@@ -52,6 +52,12 @@ constexpr int axis_stride(int axis) {
 /// Centered O(h^6) first derivative along axis (0=x, 1=y, 2=z).
 void d1(const Real* u, Real* out, int axis, Real h);
 
+/// d1 along x or y (axis 0 or 1) on the interior x-range 3..9 of the patch
+/// rows y in [y0, y1), z in [z0, z1), which must lie in d1's valid region.
+/// Bitwise equal to d1 there; every other entry of `out` is left untouched.
+void d1_rows(const Real* u, Real* out, int axis, Real h, int y0, int y1,
+             int z0, int z1);
+
 /// Centered O(h^6) second derivative along a single axis.
 void d2(const Real* u, Real* out, int axis, Real h);
 

@@ -37,9 +37,10 @@ constexpr Real eps_sym(int i, int j, int k) {
 
 void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
                 const BssnParams& prm, const MetricDerivs& d, Real* out_re,
-                Real* out_im, Real r_min) {
+                Real* out_im, Real r_min, mesh::RowMask rows) {
   for (int kk = kPad; kk < kPad + kR; ++kk)
-    for (int jj = kPad; jj < kPad + kR; ++jj)
+    for (int jj = kPad; jj < kPad + kR; ++jj) {
+      if (!mesh::has_row(rows, jj - kPad, kk - kPad)) continue;
       for (int ii = kPad; ii < kPad + kR; ++ii) {
         const int p = patch_idx(ii, jj, kk);
         const Real px = geom.origin[0] + ii * geom.h;
@@ -286,6 +287,7 @@ void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
         out_re[p] = re;
         out_im[p] = im;
       }
+    }
 }
 
 void compute_psi4_field(const mesh::Mesh& mesh, const BssnState& state,
@@ -327,7 +329,8 @@ void compute_psi4_field(const mesh::Mesh& mesh, const BssnState& state,
             const mesh::PatchGeom geom = mesh.patch_geom(e);
             bssn_metric_deriv_stage(pin, geom.h, lane.ws);
             psi4_patch(pin, geom, params, MetricDerivs(lane.ws),
-                       lane.out.data(), lane.out.data() + kPatchPts);
+                       lane.out.data(), lane.out.data() + kPatchPts,
+                       kPsi4RMin, mesh.owned_rows(e));
             mesh.zip(lane.out.data(), 2, e, e + 1, outs, &c);
           }
         });

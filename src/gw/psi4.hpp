@@ -20,16 +20,20 @@ namespace dgr::gw {
 
 using Complex = std::complex<Real>;
 
-/// The Psi4 point algebra on the interior of one patch (outputs are 13^3
-/// buffers, interior region written), reading the metric derivative set
-/// `d` of `in` (bssn::MetricDerivs) and only the kMetricVars entries of
-/// `in`. Points too close to the coordinate origin (within `r_min`) are set
-/// to zero — the tetrad is radial and extraction happens on far spheres
-/// anyway.
+/// Default radius below which psi4_patch zeroes Psi4.
+inline constexpr Real kPsi4RMin = 1e-8;
+
+/// The Psi4 point algebra on the interior x-rows in `rows` of one patch
+/// (outputs are 13^3 buffers; the points of those rows are written, all
+/// others left untouched), reading the metric derivative set `d` of `in`
+/// (bssn::MetricDerivs) and only the kMetricVars entries of `in`. Points
+/// too close to the coordinate origin (within `r_min`) are set to zero —
+/// the tetrad is radial and extraction happens on far spheres anyway.
 void psi4_patch(const Real* const in[bssn::kNumVars],
                 const mesh::PatchGeom& geom, const bssn::BssnParams& params,
                 const bssn::MetricDerivs& d, Real* out_re, Real* out_im,
-                Real r_min = 1e-8);
+                Real r_min = kPsi4RMin,
+                mesh::RowMask rows = mesh::kAllRows);
 
 /// Octants per compute_psi4_field chunk: the chunk's 17-variable patch
 /// block is 2.4 MB, next to 1.65 MB of derivative scratch per lane.
@@ -39,10 +43,11 @@ inline constexpr OctIndex kPsi4ChunkOctants = 8;
 /// chunked sweeps on `space`. Per chunk of kPsi4ChunkOctants octants: one
 /// loop-over-octants unzip of the 17 kMetricVars (kernel "psi4-unzip"),
 /// then per octant, on per-lane scratch, bssn_metric_deriv_stage,
-/// psi4_patch, and a zip of Re and Im through the owner write sets (kernel
-/// "psi4"). Bitwise identical on every backend and thread count, and to a
-/// per-octant unzip + full bssn_deriv_stage + psi4_patch + zip. Safe to
-/// call from inside a sweep or a pool worker.
+/// psi4_patch on the octant's owned rows, and a zip of Re and Im through
+/// the owner write sets (kernel "psi4"). Bitwise identical on every
+/// backend and thread count, and to a per-octant unzip + full
+/// bssn_deriv_stage + psi4_patch + zip. Safe to call from inside a sweep
+/// or a pool worker.
 void compute_psi4_field(
     const mesh::Mesh& mesh, const bssn::BssnState& state,
     const bssn::BssnParams& params, Real* re, Real* im,

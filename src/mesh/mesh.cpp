@@ -123,7 +123,9 @@ void Mesh::build_adjacency() {
 void Mesh::build_points() {
   const std::size_t n = tree_.size();
   o2n_.assign(n * kOctPts, kInvalidDof);
-  write_set_.assign(n, {});
+  zip_runs_.clear();
+  zip_begin_.assign(1, 0);
+  owned_rows_.assign(n, 0);
 
   PointMap pmap;
   pmap.reserve(n * 64);
@@ -172,7 +174,7 @@ void Mesh::build_points() {
   }
 
   // Pass 2: deterministic numbering in octant-then-local order, o2n fill,
-  // and per-octant write sets.
+  // and per-octant write sets (runs and owned rows).
   dof_pu_.clear();
   dof_owner_.clear();
   hanging_pu_.clear();
@@ -195,8 +197,20 @@ void Mesh::build_points() {
               dof_owner_.push_back(rec.owner);
             }
             o2n_[e * kOctPts + local] = rec.dof;
-            if (rec.owner == e)
-              write_set_[e].emplace_back(local, rec.dof);
+            if (rec.owner == e) {
+              owned_rows_[e] |= RowMask(1) << (k * kR + j);
+              // Extend e's last run when this point continues it in both
+              // the patch (the same x-row) and the DOF numbering.
+              const int p = patch_idx(i + kPad, j + kPad, k + kPad);
+              detail::ZipRun* last = zip_runs_.size() > zip_begin_.back()
+                                         ? &zip_runs_.back()
+                                         : nullptr;
+              if (last && last->patch + last->n == p &&
+                  last->dof + last->n == rec.dof)
+                ++last->n;
+              else
+                zip_runs_.push_back({rec.dof, p, 1});
+            }
           } else {
             if (rec.hidx < 0) {
               rec.hidx = static_cast<std::int64_t>(hanging_pu_.size());
@@ -206,6 +220,7 @@ void Mesh::build_points() {
             o2n_[e * kOctPts + local] = -(rec.hidx + 1);
           }
         }
+    zip_begin_.push_back(zip_runs_.size());
   }
 
   // Stash the point map for hanging-rule resolution.
@@ -648,17 +663,18 @@ void Mesh::zip(const Real* patches, int nvar, OctIndex begin, OctIndex end,
             begin <= end);
   std::uint64_t moved = 0;
   for (OctIndex b = begin; b < end; ++b) {
+    const detail::ZipRun* r0 = zip_runs_.data() + zip_begin_[b];
+    const detail::ZipRun* r1 = zip_runs_.data() + zip_begin_[b + 1];
     for (int v = 0; v < nvar; ++v) {
       const Real* patch = patches +
                           (static_cast<std::size_t>(b - begin) * nvar + v) *
                               kPatchPts;
       Real* field = fields[v];
-      for (const auto& [local, dof] : write_set_[b]) {
-        const int i = local % kR;
-        const int j = (local / kR) % kR;
-        const int k = local / (kR * kR);
-        field[dof] = patch[patch_idx(i + kPad, j + kPad, k + kPad)];
-        ++moved;
+      for (const detail::ZipRun* r = r0; r != r1; ++r) {
+        const Real* s = patch + r->patch;
+        Real* d = field + r->dof;
+        for (int i = 0; i < r->n; ++i) d[i] = s[i];
+        moved += std::uint64_t(r->n);
       }
     }
   }

@@ -2,10 +2,10 @@
 /// \file mesh.hpp
 /// \brief The AMR grid layer (paper §III-C, §IV-A): deduplicated
 /// vertex-centered grid points over a balanced linear octree, hanging-point
-/// interpolation rules, the O2N map and the O2P scatter plan (both built
-/// once per mesh), and the octant-to-patch / patch-to-octant operations in
-/// both the loop-over-patches (baseline) and loop-over-octants (proposed)
-/// variants.
+/// interpolation rules, the O2N map, the O2P scatter plan and the zip runs
+/// with their owned-row masks (all built once per mesh), and the
+/// octant-to-patch / patch-to-octant operations in both the
+/// loop-over-patches (baseline) and loop-over-octants (proposed) variants.
 ///
 /// Grid layout. Each leaf octant carries a 7^3 vertex-centered block whose
 /// boundary points are shared with neighbors ("duplicate points removed").
@@ -51,6 +51,14 @@ struct ScatterBox {
   std::array<std::int8_t, 3> from;
   std::int8_t stride;
   bool fine;  ///< reads the source's fine covering (coarser source)
+};
+
+/// `n` owned DOFs dof, dof + 1, ... that an octant's zip copies from the
+/// consecutive patch indices patch, patch + 1, ... (one x-row at most).
+struct ZipRun {
+  DofIndex dof;
+  std::int32_t patch;
+  std::int32_t n;
 };
 }  // namespace detail
 
@@ -137,7 +145,9 @@ class Mesh {
   /// Patch-to-octant for octants [begin, end): copy interior (non-padding)
   /// points of each patch back to the zipped fields. Each DOF is written
   /// only by its owner octant (finest touching octant, SFC-first tie-break),
-  /// so the result is deterministic.
+  /// so the result is deterministic. The write set of an octant is stored
+  /// as runs of consecutive patch indices onto consecutive DOFs, and each
+  /// run is one copy; only points in owned_rows(b) are read.
   void zip(const Real* patches, int nvar, OctIndex begin, OctIndex end,
            Real* const* fields, OpCounts* counts = nullptr) const;
 
@@ -153,6 +163,11 @@ class Mesh {
 
   /// Owner octant of each DOF (exposed for partitioning / comm layers).
   OctIndex dof_owner(DofIndex d) const { return dof_owner_[d]; }
+
+  /// The interior x-rows of octant e that hold at least one DOF e owns:
+  /// the only patch rows zip(e) reads, so the only rows a patch kernel
+  /// whose output is zipped needs to evaluate.
+  RowMask owned_rows(OctIndex e) const { return owned_rows_[e]; }
 
   /// Flops spent resolving hanging points when loading octant e (2 per
   /// interpolation-rule term) — charged to the octant-to-patch counters.
@@ -192,8 +207,11 @@ class Mesh {
   // Scatter plan: boxes of target b are plan_[plan_begin_[b], plan_begin_[b+1]).
   std::vector<detail::ScatterBox> plan_;
   std::vector<std::size_t> plan_begin_;
-  // Per-octant write set for zip: (local 343 index, dof).
-  std::vector<std::vector<std::pair<std::int32_t, DofIndex>>> write_set_;
+  // Zip write sets as runs: octant e's are
+  // zip_runs_[zip_begin_[e], zip_begin_[e+1]), in local point order.
+  std::vector<detail::ZipRun> zip_runs_;
+  std::vector<std::size_t> zip_begin_;
+  std::vector<RowMask> owned_rows_;  // per octant
   std::vector<std::uint64_t> hanging_flops_;  // per octant
   // Transient point map, alive between build_points() and
   // build_hanging_rules() only.

@@ -30,6 +30,16 @@ constexpr int patch_idx(int ix, int iy, int iz) {
   return (iz * kPatch + iy) * kPatch + ix;
 }
 
+/// A set of interior x-rows of a patch: bit k * kR + j stands for the kR
+/// interior points at octant-local (y, z) = (j, k).
+using RowMask = std::uint64_t;
+inline constexpr RowMask kAllRows = (RowMask(1) << (kR * kR)) - 1;
+
+/// Whether interior row (j, k) (octant-local, 0..kR-1) is in `rows`.
+constexpr bool has_row(RowMask rows, int j, int k) {
+  return (rows >> (k * kR + j)) & 1;
+}
+
 /// Point-unit coordinate system: dyadic octree coordinates scaled by
 /// (kR - 1) = 6, so that every octant grid point has exact integer
 /// coordinates. An octant at level l has point spacing

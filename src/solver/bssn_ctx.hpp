@@ -190,8 +190,11 @@ class BssnCtx {
 };
 
 /// Transfer all 24 fields of `src` (on `src_mesh`) to a state on
-/// `dst_mesh`, by exact copy where points coincide and degree-6
-/// interpolation elsewhere.
+/// `dst_mesh` by degree-6 interpolation (mesh::PointSampler) at every
+/// destination DOF. The sampler locates a DOF through its physical
+/// coordinates, so where it coincides with a source point its local
+/// coordinate is integral only up to roundoff: the full 343-term sum then
+/// equals the source value to roundoff, not bit for bit.
 bssn::BssnState transfer_state(const mesh::Mesh& src_mesh,
                                const bssn::BssnState& src,
                                const mesh::Mesh& dst_mesh);

@@ -12,10 +12,12 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bssn/initial_data.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "exec/pool.hpp"
 #include "exec_space/bssn_sweeps.hpp"
 #include "exec_space/exec_space.hpp"
@@ -399,6 +401,139 @@ TEST(ExecSpaceMatrix, Psi4FieldIsBitwiseIdenticalAcrossBackends) {
                 0)
           << exec_space::backend_name(b) << " threads " << threads;
     }
+  exec::ThreadPool::set_global_threads(1);
+}
+
+/// sweep_rhs's launch with every octant evaluating all 7^3 interior points
+/// through the staged kernel: the unmasked reference of the owned-row
+/// sweep.
+void sweep_rhs_all_rows(const ExecSpace& es, const Mesh& m,
+                        const bssn::BssnParams& prm,
+                        std::vector<bssn::DerivWorkspace>& ws, OctIndex begin,
+                        OctIndex end, const Real* pin, Real* pout,
+                        OpCounts* counts) {
+  es.team_for(
+      LaunchSpec{"bssn-rhs", "rhs", std::uint64_t(end - begin), 0},
+      end - begin, /*grain=*/4, counts,
+      [&](const exec_space::TeamMember& tm, std::int64_t eb, std::int64_t ee,
+          OpCounts& c) {
+        for (std::int64_t o = eb; o < ee; ++o) {
+          const Real* in[bssn::kNumVars];
+          Real* out[bssn::kNumVars];
+          for (int v = 0; v < bssn::kNumVars; ++v) {
+            const std::size_t off = exec_space::patch_offset(
+                o, v, bssn::kNumVars, mesh::kPatchPts);
+            in[v] = pin + off;
+            out[v] = pout + off;
+          }
+          const OctIndex e = begin + static_cast<OctIndex>(o);
+          bssn::bssn_rhs_patch(in, out, m.patch_geom(e),
+                               m.domain().half_extent, prm,
+                               ws[static_cast<std::size_t>(tm.lane())], &c);
+        }
+      });
+}
+
+/// One RHS evaluation, chunked as RhsPipeline does: unzip, then `rhs`
+/// (owned rows through sweep_rhs, or all rows through the reference), then
+/// the zip. OpCounts of the RHS and zip sweeps land in rhs_c and zip_c.
+BssnState rhs_eval(const ExecSpace& es, const Mesh& m, const BssnState& u,
+                   int chunk, bool all_rows, OpCounts& rhs_c,
+                   OpCounts& zip_c) {
+  bssn::BssnParams prm;
+  prm.ko_sigma = 0.3;
+  std::vector<bssn::DerivWorkspace> ws(
+      static_cast<std::size_t>(es.max_lanes()));
+  const exec_space::RhsDispatch d{&prm, nullptr, &ws, nullptr};
+  const std::size_t block =
+      std::size_t(chunk) * bssn::kNumVars * mesh::kPatchPts;
+  // Unwritten patch points hold NaN until a chunk leaves stale values.
+  std::vector<Real> pin(block), pout(block, std::nan(""));
+  BssnState rhs;
+  rhs.resize(m.num_dofs());
+  const auto in = u.cptrs();
+  const auto out = rhs.ptrs();
+  const auto n = static_cast<OctIndex>(m.num_octants());
+  for (OctIndex b = 0; b < n; b += chunk) {
+    const OctIndex e = std::min<OctIndex>(b + chunk, n);
+    exec_space::sweep_octant_to_patch(es, m, in.data(), b, e, pin.data(),
+                                      mesh::UnzipMethod::kLoopOverOctants,
+                                      nullptr);
+    if (all_rows)
+      sweep_rhs_all_rows(es, m, prm, ws, b, e, pin.data(), pout.data(),
+                         &rhs_c);
+    else
+      exec_space::sweep_rhs(es, m, d, b, e, pin.data(), pout.data(), &rhs_c);
+    exec_space::sweep_patch_to_octant(es, m, pout.data(), b, e, out.data(),
+                                      &zip_c);
+  }
+  return rhs;
+}
+
+/// sweep_rhs evaluates only each octant's owned rows; after the zip the
+/// RHS must equal the all-rows kernel's bit for bit, with the same
+/// OpCounts and simgpu kernel records. The mesh has hanging points and
+/// outer-boundary octants (Sommerfeld rows); chunks of 10 octants leave a
+/// partial pipeline chunk and partial team chunks.
+TEST(ExecSpaceMatrix, OwnedRowRhsMatchesAllRowsAfterZip) {
+  exec::ThreadPool::set_global_threads(1);
+  auto m = puncture_mesh();
+  constexpr int kChunk = 10;
+  ASSERT_GT(m->num_hanging(), 0u);
+  ASSERT_NE(m->num_octants() % kChunk, 0u);
+  BssnState u;
+  init_puncture(*m, u);
+  // Perturb every field so the shift has both signs and no row is trivial.
+  Rng rng(43);
+  for (int v = 0; v < bssn::kNumVars; ++v)
+    for (std::size_t i = 0; i < u.num_dofs(); ++i)
+      u.field(v)[i] += rng.uniform(-1e-3, 1e-3);
+  std::size_t skipped = 0;
+  for (OctIndex e = 0; e < OctIndex(m->num_octants()); ++e)
+    skipped += m->owned_rows(e) != mesh::kAllRows;
+  ASSERT_GT(skipped, 0u);
+
+  simgpu::GpuRuntime rt_ref;
+  OpCounts rhs_ref, zip_ref;
+  const BssnState ref = rhs_eval(ExecSpace::simgpu(rt_ref), *m, u, kChunk,
+                                 /*all_rows=*/true, rhs_ref, zip_ref);
+  for (Backend b : kBackends)
+    for (int threads : {1, 2, 7})
+      for (int width : {1, 4}) {
+        exec::ThreadPool::set_global_threads(threads);
+        simgpu::GpuRuntime rt;
+        ExecSpace es = make_space(b, rt);
+        es.set_vector_policy({width});
+        OpCounts rhs_c, zip_c;
+        const BssnState got =
+            rhs_eval(es, *m, u, kChunk, /*all_rows=*/false, rhs_c, zip_c);
+        const std::string what = std::string(exec_space::backend_name(b)) +
+                                 " threads " + std::to_string(threads) +
+                                 " width " + std::to_string(width);
+        for (int v = 0; v < bssn::kNumVars; ++v)
+          ASSERT_EQ(std::memcmp(got.field(v), ref.field(v),
+                                u.num_dofs() * sizeof(Real)),
+                    0)
+              << what << " var " << v;
+        for (const auto& [c, r] :
+             {std::pair{rhs_c, rhs_ref}, std::pair{zip_c, zip_ref}}) {
+          EXPECT_EQ(c.flops, r.flops) << what;
+          EXPECT_EQ(c.bytes_read, r.bytes_read) << what;
+          EXPECT_EQ(c.bytes_written, r.bytes_written) << what;
+        }
+        if (b != Backend::kSimGpu) continue;
+        for (const char* k : {"bssn-rhs", "patch-to-octant"}) {
+          const auto& a = rt.record(k);
+          const auto& r = rt_ref.record(k);
+          EXPECT_EQ(a.launches, r.launches) << what << " " << k;
+          EXPECT_EQ(a.blocks, r.blocks) << what << " " << k;
+          EXPECT_EQ(a.counts.flops, r.counts.flops) << what << " " << k;
+          EXPECT_EQ(a.counts.bytes_read, r.counts.bytes_read)
+              << what << " " << k;
+          EXPECT_EQ(a.counts.bytes_written, r.counts.bytes_written)
+              << what << " " << k;
+        }
+      }
   exec::ThreadPool::set_global_threads(1);
 }
 

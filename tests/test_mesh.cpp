@@ -647,6 +647,95 @@ TEST(UnzipZip, PlannedScatterIsBitwiseEqualToPerPairReference) {
   }
 }
 
+TEST(Mesh, OwnedRowsMatchOwnerDofs) {
+  const std::pair<const char*, Mesh> meshes[] = {
+      {"two_level", make_two_level_mesh()},
+      {"adaptive", make_adaptive_mesh()},
+      {"boundary_jump", make_boundary_jump_mesh()},
+  };
+  for (const auto& [name, m] : meshes) {
+    std::size_t owned_rows = 0, rows = 0;
+    for (OctIndex e = 0; e < OctIndex(m.num_octants()); ++e) {
+      const std::int64_t* map = m.o2n(e);
+      const RowMask mask = m.owned_rows(e);
+      EXPECT_EQ(mask >> (kR * kR), 0u) << name << " octant " << e;
+      for (int k = 0; k < kR; ++k)
+        for (int j = 0; j < kR; ++j) {
+          bool owned = false;
+          for (int i = 0; i < kR; ++i) {
+            const std::int64_t d = map[oct_idx(i, j, k)];
+            owned = owned || (d >= 0 && m.dof_owner(d) == e);
+          }
+          EXPECT_EQ(((mask >> (k * 7 + j)) & 1) != 0, owned)
+              << name << " octant " << e << " row " << j << "," << k;
+          owned_rows += owned;
+          ++rows;
+        }
+    }
+    // Shared faces go to one owner, so some rows are not owned at all.
+    EXPECT_LT(owned_rows, rows) << name;
+  }
+}
+
+TEST(UnzipZip, RunZipIsBitwiseEqualToPerDofReference) {
+  const std::pair<const char*, Mesh> meshes[] = {
+      {"two_level", make_two_level_mesh()},
+      {"adaptive", make_adaptive_mesh()},
+      {"boundary_jump", make_boundary_jump_mesh()},
+  };
+  constexpr Real kUnwritten = 7.0;  // outside the patch values' range
+  for (const auto& [name, m] : meshes)
+    for (int nvar : {1, 2, 24}) {
+      const OctIndex n = OctIndex(m.num_octants());
+      const std::size_t nd = m.num_dofs();
+      Rng rng(37);
+      std::vector<Real> patches(std::size_t(n) * nvar * kPatchPts);
+      for (auto& x : patches) x = rng.uniform(-1, 1);
+      for (std::size_t p = 0; p < patches.size(); p += 11) patches[p] = -0.0;
+
+      // Reference: every DOF read from its owner's patch through o2n.
+      std::vector<Real> ref(std::size_t(nvar) * nd, kUnwritten);
+      std::uint64_t ref_moved = 0;
+      for (OctIndex e = 0; e < n; ++e) {
+        const std::int64_t* map = m.o2n(e);
+        for (int k = 0; k < kR; ++k)
+          for (int j = 0; j < kR; ++j)
+            for (int i = 0; i < kR; ++i) {
+              const std::int64_t d = map[oct_idx(i, j, k)];
+              if (d < 0 || m.dof_owner(d) != e) continue;
+              for (int v = 0; v < nvar; ++v) {
+                ref[v * nd + d] =
+                    patches[(std::size_t(e) * nvar + v) * kPatchPts +
+                            patch_idx(i + kPad, j + kPad, k + kPad)];
+                ++ref_moved;
+              }
+            }
+      }
+
+      // Run zip, in chunks of 5 octants (so `begin` offsets are exercised).
+      std::vector<Real> got(std::size_t(nvar) * nd, kUnwritten);
+      std::vector<Real*> fp(nvar);
+      for (int v = 0; v < nvar; ++v) fp[v] = &got[v * nd];
+      OpCounts c;
+      for (OctIndex b = 0; b < n; b += 5)
+        m.zip(&patches[std::size_t(b) * nvar * kPatchPts], nvar, b,
+              std::min<OctIndex>(b + 5, n), fp.data(), &c);
+
+      const std::string what = std::string(name) + " nvar " +
+                               std::to_string(nvar);
+      ASSERT_EQ(std::memcmp(got.data(), ref.data(), got.size() * sizeof(Real)),
+                0)
+          << what;
+      // Every DOF written, and exactly once: the counts see nvar * nd moves.
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_NE(got[i], kUnwritten) << what << " entry " << i;
+      EXPECT_EQ(ref_moved, std::uint64_t(nvar) * nd) << what;
+      EXPECT_EQ(c.bytes_read, ref_moved * sizeof(Real)) << what;
+      EXPECT_EQ(c.bytes_written, ref_moved * sizeof(Real)) << what;
+      EXPECT_EQ(c.flops, 0u) << what;
+    }
+}
+
 // --------------------------------------------------------------- sampling --
 
 TEST(PointSampler, ManyFieldsIsBitwiseEqualToSingleFieldCalls) {
