@@ -153,6 +153,7 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
                               const DistConfig& cfg) {
   DGR_CHECK(mesh != nullptr && cfg.ranks >= 1);
   DGR_CHECK(initial.num_dofs() == mesh->num_dofs());
+  solver::validate_regrid_config(cfg.regrid);
   DGR_CHECK_MSG(!(cfg.subcycle && cfg.execute),
                 "subcycle is schedule-only in the distributed engine "
                 "(execute-mode local timestepping runs through "

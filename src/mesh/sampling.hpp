@@ -2,8 +2,9 @@
 /// \file sampling.hpp
 /// \brief Evaluation of zipped fields at arbitrary physical points via
 /// degree-6 tensor-product Lagrange interpolation inside the containing
-/// octant. Used by the intergrid transfer after regridding and by the
-/// gravitational-wave extraction spheres (paper §III-A, Fig. 4).
+/// octant. Used by the gravitational-wave extraction spheres (paper §III-A,
+/// Fig. 4), the puncture tracker, and solver::transfer_state's fallback for
+/// octants with no octree relation to the source mesh.
 
 #include <array>
 #include <vector>

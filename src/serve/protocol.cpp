@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -100,6 +101,9 @@ void validate_scenario(const ensemble::ScenarioConfig& cfg) {
   in(cfg.steps, 1, 100000, "steps");
   in(cfg.regrid_every, 1, 1 << 20, "regrid");
   in(cfg.extract_every, 1, 1 << 20, "extract");
+  // The regrid tolerance rule of solver::validate_regrid_config.
+  DGR_CHECK_MSG(std::isfinite(cfg.eps) && cfg.eps >= 0,
+                "scenario field eps must be finite and >= 0, got " << cfg.eps);
 }
 
 Request parse_request(const std::string& line,

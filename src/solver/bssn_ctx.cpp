@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "exec_space/bssn_sweeps.hpp"
+#include "mesh/interp.hpp"
 #include "mesh/sampling.hpp"
 #include "obs/obs.hpp"
 
@@ -13,7 +14,10 @@ namespace dgr::solver {
 using bssn::BssnState;
 using bssn::kNumVars;
 using exec_space::ExecSpace;
+using mesh::kFine;
+using mesh::kOctPts;
 using mesh::kPatchPts;
+using mesh::kR;
 
 RhsPipeline::RhsPipeline(std::shared_ptr<const mesh::Mesh> mesh,
                          SolverConfig config, ExecSpace space)
@@ -174,26 +178,115 @@ void BssnCtx::remesh(std::shared_ptr<mesh::Mesh> new_mesh) {
   dense_ready_ = false;
 }
 
+namespace {
+
+/// (local point, DOF) pairs of the DOFs a destination octant owns.
+using OwnedDofs = std::vector<std::pair<int, DofIndex>>;
+
+/// Fill vals[v * kOctPts + local] with the values of every field at the 7^3
+/// points of destination octant t, by t's relation to the source tree. The
+/// fallback fills only the `owned` points.
+void fill_octant(const mesh::Mesh& src_mesh, const Real* const* in,
+                 const mesh::Mesh& dst_mesh, const oct::TreeNode& t,
+                 const OwnedDofs& owned, Real* vals) {
+  const oct::Octree& tree = src_mesh.tree();
+  // Kept: DOFs are copied; points hanging in the source take their rule
+  // values.
+  if (const OctIndex s = tree.find(t); s != kInvalidOct) {
+    for (int v = 0; v < kNumVars; ++v)
+      src_mesh.load_octant(in[v], s, vals + v * kOctPts);
+    return;
+  }
+  // Refined: t's 7^3 box of the parent's 13^3 fine covering. The
+  // prolongation's even rows are deltas, so the parent's points are copied.
+  if (t.level > 0) {
+    if (const OctIndex s = tree.find(t.parent()); s != kInvalidOct) {
+      const int c = t.child_id();
+      mesh::FineBox box;
+      for (int a = 0; a < 3; ++a) {
+        box.lo[a] = (kR - 1) * ((c >> a) & 1);
+        box.hi[a] = box.lo[a] + kR;
+      }
+      Real coarse[kOctPts], fine[kFine * kFine * kFine];
+      for (int v = 0; v < kNumVars; ++v) {
+        src_mesh.load_octant(in[v], s, coarse);
+        mesh::prolong_region(coarse, box, fine);
+        for (int k = 0; k < kR; ++k)
+          for (int j = 0; j < kR; ++j)
+            for (int i = 0; i < kR; ++i)
+              vals[v * kOctPts + mesh::oct_idx(i, j, k)] =
+                  fine[((box.lo[2] + k) * kFine + box.lo[1] + j) * kFine +
+                       box.lo[0] + i];
+      }
+      return;
+    }
+  }
+  // Coarsened: injection. Point (i, j, k) is point (2i - 6cx, 2j - 6cy,
+  // 2k - 6cz) of child cx + 2cy + 4cz, with c = [2 index >= 6] per axis.
+  // Under 2:1 balance these points are never hanging: they are source DOFs.
+  std::array<OctIndex, 8> kids{};
+  bool coarsened = t.level < oct::kMaxDepth;
+  for (int c = 0; c < 8 && coarsened; ++c)
+    coarsened = (kids[c] = tree.find(t.child(c))) != kInvalidOct;
+  if (coarsened) {
+    for (int k = 0; k < kR; ++k)
+      for (int j = 0; j < kR; ++j)
+        for (int i = 0; i < kR; ++i) {
+          const int cx = 2 * i >= kR - 1, cy = 2 * j >= kR - 1,
+                    cz = 2 * k >= kR - 1;
+          const std::int64_t d = src_mesh.o2n(kids[cx + 2 * cy + 4 * cz])
+              [mesh::oct_idx(2 * i - (kR - 1) * cx, 2 * j - (kR - 1) * cy,
+                             2 * k - (kR - 1) * cz)];
+          DGR_CHECK(d >= 0);
+          for (int v = 0; v < kNumVars; ++v)
+            vals[v * kOctPts + mesh::oct_idx(i, j, k)] = in[v][d];
+        }
+    return;
+  }
+  // No relation (the meshes differ by more than one level here): degree-6
+  // interpolation at each owned DOF.
+  mesh::PointSampler sampler(src_mesh);
+  std::array<Real, kNumVars> at;
+  for (const auto& [i, d] : owned) {
+    const auto x = dst_mesh.dof_position(d);
+    sampler.evaluate_many(in, kNumVars, x[0], x[1], x[2], at.data());
+    for (int v = 0; v < kNumVars; ++v) vals[v * kOctPts + i] = at[v];
+  }
+}
+
+}  // namespace
+
 BssnState transfer_state(const mesh::Mesh& src_mesh, const BssnState& src,
                          const mesh::Mesh& dst_mesh) {
+  DGR_CHECK_MSG(src.num_dofs() == src_mesh.num_dofs(),
+                "transfer_state: the state has " << src.num_dofs()
+                                                 << " DOFs, its mesh "
+                                                 << src_mesh.num_dofs());
+  DGR_CHECK_MSG(
+      src_mesh.domain().half_extent == dst_mesh.domain().half_extent,
+      "transfer_state: the meshes cover different domains");
   BssnState out(dst_mesh.num_dofs());
   const auto in = src.cptrs();
-  // Parallel over destination DOFs; every DOF is evaluated independently,
-  // so chunking changes nothing but wall time. The sampler caches the last
-  // loaded octant (stateful), so each chunk carries its own instance.
-  const std::int64_t nd = static_cast<std::int64_t>(dst_mesh.num_dofs());
+  const auto dst = out.ptrs();
+  // Parallel over destination octants. Each writes only the DOFs it owns,
+  // so every DOF is written once, whatever the chunking.
+  const std::int64_t n = static_cast<std::int64_t>(dst_mesh.num_octants());
   ExecSpace::host().range_for(
-      {"transfer", "transfer", static_cast<std::uint64_t>(nd), 0}, nd,
-      /*grain=*/512, nullptr,
-      [&](std::int64_t db, std::int64_t de, OpCounts&) {
-        mesh::PointSampler sampler(src_mesh);
-        std::array<Real, kNumVars> vals;
-        for (DofIndex d = static_cast<DofIndex>(db);
-             d < static_cast<DofIndex>(de); ++d) {
-          const auto x = dst_mesh.dof_position(d);
-          sampler.evaluate_many(in.data(), kNumVars, x[0], x[1], x[2],
-                                vals.data());
-          for (int v = 0; v < kNumVars; ++v) out.field(v)[d] = vals[v];
+      {"transfer", "transfer", static_cast<std::uint64_t>(n), 0}, n,
+      /*grain=*/4, nullptr, [&](std::int64_t eb, std::int64_t ee, OpCounts&) {
+        std::vector<Real> vals(std::size_t(kNumVars) * kOctPts);
+        OwnedDofs owned;
+        for (OctIndex e = static_cast<OctIndex>(eb);
+             e < static_cast<OctIndex>(ee); ++e) {
+          owned.clear();
+          const std::int64_t* map = dst_mesh.o2n(e);
+          for (int i = 0; i < kOctPts; ++i)
+            if (map[i] >= 0 && dst_mesh.dof_owner(map[i]) == e)
+              owned.emplace_back(i, map[i]);
+          fill_octant(src_mesh, in.data(), dst_mesh, dst_mesh.tree().leaf(e),
+                      owned, vals.data());
+          for (int v = 0; v < kNumVars; ++v)
+            for (const auto& [i, d] : owned) dst[v][d] = vals[v * kOctPts + i];
         }
       });
   return out;

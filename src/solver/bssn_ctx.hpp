@@ -148,8 +148,8 @@ class BssnCtx {
     counts_ = OpCounts{};
   }
 
-  /// Replace the mesh (after a regrid): transfers the current state onto
-  /// the new mesh by degree-6 interpolation.
+  /// Replace the mesh (after a regrid): moves the current state onto the
+  /// new mesh with transfer_state.
   void remesh(std::shared_ptr<mesh::Mesh> new_mesh);
 
   /// Restart support: overwrite the clock and step counter when resuming
@@ -190,11 +190,18 @@ class BssnCtx {
 };
 
 /// Transfer all 24 fields of `src` (on `src_mesh`) to a state on
-/// `dst_mesh` by degree-6 interpolation (mesh::PointSampler) at every
-/// destination DOF. The sampler locates a DOF through its physical
-/// coordinates, so where it coincides with a source point its local
-/// coordinate is integral only up to roundoff: the full 343-term sum then
-/// equals the source value to roundoff, not bit for bit.
+/// `dst_mesh` by octree relation, per destination octant: a leaf of the
+/// source tree (kept) copies its values; a child of a source leaf
+/// (refined) takes its box of the parent's prolongation (mesh::
+/// prolong_region); the parent of eight source leaves (coarsened) injects
+/// their even-index points. Every destination DOF that was a source DOF
+/// keeps its value (refined ones up to the sign of a zero), so a same-mesh
+/// transfer is the identity. An octant with none of these relations, which
+/// regrid_mesh never produces, falls back to degree-6 interpolation
+/// (mesh::PointSampler) at its DOFs. Each DOF is written once, by its
+/// owner, so the result is the same at any thread count and backend.
+/// Throws dgr::Error unless `src` has src_mesh's DOF count and both meshes
+/// cover the same domain.
 bssn::BssnState transfer_state(const mesh::Mesh& src_mesh,
                                const bssn::BssnState& src,
                                const mesh::Mesh& dst_mesh);

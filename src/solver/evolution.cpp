@@ -31,6 +31,7 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
                        PunctureTracker* tracker,
                        const std::function<void(const BssnCtx&)>& on_step) {
   DGR_CHECK(config.regrid_every > 0 && config.extract_every > 0);
+  validate_regrid_config(config.regrid);
   obs::ScopedSpan top("solver::evolve", "solver");
   EvolutionResult result;
 

@@ -32,6 +32,23 @@ void skeleton_weights(Real t, Real w[4]) {
 
 }  // namespace
 
+void validate_regrid_config(const RegridConfig& cfg) {
+  for (int v : cfg.vars)
+    DGR_CHECK_MSG(v >= 0 && v < bssn::kNumVars,
+                  "regrid: var " << v << " is not a BSSN field index");
+  const auto finite_nonneg = [](Real x) { return std::isfinite(x) && x >= 0; };
+  DGR_CHECK_MSG(finite_nonneg(cfg.eps),
+                "regrid: eps must be finite and >= 0, got " << cfg.eps);
+  DGR_CHECK_MSG(finite_nonneg(cfg.coarsen_factor),
+                "regrid: coarsen_factor must be finite and >= 0, got "
+                    << cfg.coarsen_factor);
+  DGR_CHECK_MSG(0 <= cfg.min_level && cfg.min_level <= cfg.max_level &&
+                    cfg.max_level <= oct::kMaxDepth,
+                "regrid: levels must satisfy 0 <= min_level <= max_level <= "
+                    << oct::kMaxDepth << ", got " << cfg.min_level << " and "
+                    << cfg.max_level);
+}
+
 Real octant_detail(const Real* u) {
   // Precompute the 7x4 prolongation rows once.
   static const auto rows = [] {
@@ -98,6 +115,7 @@ std::vector<oct::RemeshFlag> flags_from_errors(const mesh::Mesh& mesh,
 std::shared_ptr<mesh::Mesh> regrid_mesh(const mesh::Mesh& mesh,
                                         const bssn::BssnState& state,
                                         const RegridConfig& cfg) {
+  validate_regrid_config(cfg);
   obs::ScopedSpan span("regrid_mesh", "solver");
   const auto err = compute_octant_errors(mesh, state, cfg);
   const auto flags = flags_from_errors(mesh, err, cfg);

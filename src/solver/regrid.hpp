@@ -27,6 +27,12 @@ struct RegridConfig {
   std::vector<int> vars = {bssn::kChi, bssn::kAlpha};
 };
 
+/// Throws dgr::Error unless every entry of `vars` names a BSSN field,
+/// `eps` and `coarsen_factor` are finite and >= 0, and 0 <= min_level <=
+/// max_level <= oct::kMaxDepth. regrid_mesh, solver::evolve and
+/// dist::evolve_distributed check their config with it before any work.
+void validate_regrid_config(const RegridConfig& cfg);
+
 /// Wavelet-style detail magnitude of one octant for one field: restrict the
 /// 7^3 block to its even-index 4^3 coarse skeleton, prolong back with cubic
 /// tensor interpolation, and return the max abs difference at odd points.

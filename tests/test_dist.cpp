@@ -12,6 +12,7 @@
 #include <set>
 
 #include "bssn/initial_data.hpp"
+#include "common/error.hpp"
 #include "dist/engine.hpp"
 #include "solver/evolution.hpp"
 
@@ -195,6 +196,18 @@ TEST(DistEvolve, SingleRankDegeneratesGracefully) {
   EXPECT_EQ(dist.steps, 1);
   EXPECT_EQ(dist.messages, 0u);  // one rank, no peers
   EXPECT_EQ(dist.state.max_abs_diff(ctx.state()), 0.0);
+}
+
+TEST(DistEvolve, InvalidRegridConfigIsRejectedUpFront) {
+  // Checked before the first step, not at the first regrid mid-run.
+  auto m = puncture_mesh(3, 2);
+  BssnState initial;
+  init_puncture(*m, initial);
+  DistConfig dcfg;
+  dcfg.ranks = 2;
+  dcfg.regrid.vars = {bssn::kNumVars};
+  EXPECT_THROW(evolve_distributed(m, initial, solver::SolverConfig{}, dcfg),
+               Error);
 }
 
 TEST(DistEvolve, ScheduleOnlyModeExecutesExchanges) {

@@ -179,6 +179,19 @@ TEST(Protocol, ParseRequestRejectsMalformedLines) {
   EXPECT_THROW(parse_request("EVOLVEX ab full=2", d), Error);
 }
 
+TEST(Protocol, EvolveRejectsNonFiniteOrNegativeEps) {
+  // The regrid tolerance is checked at parse, before admission, rather
+  // than by solver::evolve once the job runs.
+  const ensemble::ScenarioConfig d = tiny_scenario();
+  EXPECT_THROW(parse_request("EVOLVE eps=nan", d), Error);
+  EXPECT_THROW(parse_request("EVOLVE eps=inf", d), Error);
+  EXPECT_THROW(parse_request("EVOLVE eps=-1", d), Error);
+  ensemble::ScenarioConfig bad = d;
+  bad.eps = -1e-3;
+  EXPECT_THROW(parse_request(format_evolvex(bad), d), Error);
+  EXPECT_EQ(parse_request("EVOLVE eps=0", d).cfg.eps, 0.0);
+}
+
 TEST(Protocol, EvolvexRejectsOutOfBoundsConfigs) {
   const ensemble::ScenarioConfig defaults = tiny_scenario();
   // A hex config must clear the same admission bounds as EVOLVE fields —
