@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       "host 1-core (ms)\n");
   for (int fam = 1; fam <= 3; ++fam) {
     auto m = bench::adaptivity_mesh(fam);
-    simgpu::GpuBssnSolver gpu(m, simgpu::GpuSolverConfig{});
+    simgpu::GpuBssnSolver gpu(m, solver::SolverConfig{});
     bssn::BssnState s;
     bssn::set_minkowski(*m, s);
     gpu.upload(s);

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     bssn::BssnState final_state[2];
     double a100_s = 0, epyc_s = 0;
     for (int w = 0; w < 2; ++w) {
-      simgpu::GpuSolverConfig gcfg;
+      solver::SolverConfig gcfg;
       gcfg.simd_width = w == 0 ? 1 : wact;
       simgpu::GpuBssnSolver gpu(m, gcfg);
       gpu.upload(s);

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   rep.metric("grid_unknowns", double(m->num_dofs()) * 24);
 
   // Per-octant cost per RHS evaluation from one measured pipeline pass.
-  simgpu::GpuBssnSolver gpu(m, simgpu::GpuSolverConfig{});
+  simgpu::GpuBssnSolver gpu(m, solver::SolverConfig{});
   bssn::BssnState s;
   bench::init_bbh_state(*m, 2.0, 2.0, s);
   gpu.upload(s);

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   // Per-octant per-RHS-eval op counts by phase, measured once.
   auto m0 = bench::bbh_mesh(1.0, 16.0, 2.0, 2, 4);
-  simgpu::GpuBssnSolver gpu(m0, simgpu::GpuSolverConfig{});
+  simgpu::GpuBssnSolver gpu(m0, solver::SolverConfig{});
   bssn::BssnState s;
   bench::init_bbh_state(*m0, 1.0, 2.0, s);
   gpu.upload(s);

@@ -27,12 +27,10 @@ int main(int argc, char** argv) {
     auto m = bench::bbh_mesh(q, half, sep, 2, 4);
     solver::SolverConfig ccfg;
     ccfg.bssn.ko_sigma = 0.3;
-    simgpu::GpuSolverConfig gcfg;
-    gcfg.bssn = ccfg.bssn;
 
     solver::BssnCtx cpu(m, ccfg);
     bench::init_bbh_state(*m, q, sep, cpu.state());
-    simgpu::GpuBssnSolver gpu(m, gcfg);
+    simgpu::GpuBssnSolver gpu(m, ccfg);
     gpu.upload(cpu.state());
 
     std::printf("\n  q = %.0f (%zu octants): t, Re r*psi4_22 (GPU), (CPU), "

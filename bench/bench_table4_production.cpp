@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   // Calibrate per-octant-stage modeled cost on a small real pipeline run.
   auto m = bench::bbh_mesh(1.0, 16.0, 2.0, 2, 4);
-  simgpu::GpuBssnSolver gpu(m, simgpu::GpuSolverConfig{});
+  simgpu::GpuBssnSolver gpu(m, solver::SolverConfig{});
   bssn::BssnState s;
   bench::init_bbh_state(*m, 1.0, 2.0, s);
   gpu.upload(s);

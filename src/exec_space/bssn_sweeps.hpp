@@ -2,10 +2,9 @@
 /// \file bssn_sweeps.hpp
 /// \brief The BSSN sweep kernels, written once against dgr::exec_space.
 ///
-/// Each of the sweep families that used to exist twice — once as a host
-/// pool sweep in solver/bssn_ctx.cpp + solver/subcycle.cpp and once as a
-/// simgpu launch in simgpu/gpu_bssn.cpp — has exactly one kernel body
-/// here, parameterized on the ExecSpace it runs in:
+/// Each sweep family of the BSSN step has exactly one kernel body here,
+/// parameterized on the ExecSpace it runs in (solver::BssnCtx runs them on
+/// the host backends and, for simgpu::GpuBssnSolver, on a simgpu space):
 ///
 ///   octant-to-patch (unzip)   sweep_octant_to_patch
 ///   patch RHS dispatch        sweep_rhs
@@ -123,7 +122,7 @@ void sweep_dense_save_all(const ExecSpace& es, const bssn::BssnState& u,
                           bssn::BssnState& dense_u0, OpCounts* counts);
 
 /// Everything one depth-local sub-cycled RK4 step reads and writes; the
-/// caller (solver::BssnCtx or simgpu::GpuBssnSolver) owns the storage.
+/// caller (solver::BssnCtx) owns the storage.
 struct SubcycleState {
   bssn::BssnState* state = nullptr;     ///< the evolved solution u
   bssn::BssnState* stage = nullptr;     ///< RK stage input buffer
@@ -136,15 +135,14 @@ struct SubcycleState {
 
 /// RHS evaluation callback: rhs(u, out, runs) evaluates the BSSN RHS of
 /// `u` into `out` restricted to the octant runs — solver::RhsPipeline on
-/// every backend (the simgpu caller's wrapper also records its
-/// halo-exchange kernel first).
+/// every backend.
 using SubcycleRhsFn = std::function<void(
     const bssn::BssnState&, bssn::BssnState&, const std::vector<OctRange>&)>;
 
 /// Full RK4 step of depth `depth` against dense-output ghost data,
-/// advancing only depth-owned DOFs — the single body behind both
-/// solver::BssnCtx::subcycle_step_depth and the simgpu mirror (bitwise
-/// identical state evolution; see solver/subcycle.cpp for the scheme).
+/// advancing only depth-owned DOFs — the body behind
+/// solver::BssnCtx::subcycle_step_depth on every backend (see
+/// solver/subcycle.cpp for the scheme).
 /// Runs the "subcycle-fill" / "subcycle-save" / "subcycle-update" sweeps
 /// (host label "update") on `es` with the pinned OpCounts charges, calling
 /// `rhs` once per stage. `update_begin` / `update_end` (nullable) bracket

@@ -31,15 +31,6 @@ Backend default_backend() {
   return cached;
 }
 
-Layout layout_of(Backend b) {
-  switch (b) {
-    case Backend::kSerial: return {layout_traits<Backend::kSerial>::prefers_soa};
-    case Backend::kPool: return {layout_traits<Backend::kPool>::prefers_soa};
-    case Backend::kSimGpu: return {layout_traits<Backend::kSimGpu>::prefers_soa};
-  }
-  return {};
-}
-
 namespace detail {
 namespace {
 

@@ -78,31 +78,6 @@ constexpr std::size_t patch_offset(std::int64_t o, int v, std::size_t nvar,
          npts;
 }
 
-/// Per-backend memory-layout traits. Kernel authors index patch blocks and
-/// state fields through these instead of hard-coding an order, so a future
-/// device backend can flip the layout without touching kernel bodies.
-template <Backend B>
-struct layout_traits {
-  /// Whether inner loops should prefer structure-of-arrays register
-  /// blocking (a real GPU wants coalesced SoA access; the host backends
-  /// stream AoS patch blocks cache-linearly). Advisory: the simulated
-  /// device executes on the host, so today every backend shares the host
-  /// layout and the trait only steers vectorization strategy.
-  static constexpr bool prefers_soa = (B == Backend::kSimGpu);
-  /// The backend's patch-block offset (today: the shared host layout).
-  static constexpr std::size_t patch_offset(std::int64_t o, int v,
-                                            std::size_t nvar,
-                                            std::size_t npts) {
-    return exec_space::patch_offset(o, v, nvar, npts);
-  }
-};
-
-/// Runtime mirror of layout_traits for code that holds a Backend value.
-struct Layout {
-  bool prefers_soa = false;
-};
-Layout layout_of(Backend b);
-
 /// Identity of one launch: the simgpu kernel-record name plus the host
 /// trace label (worker spans), with the block/stream accounting the device
 /// model prices. Host backends ignore blocks/stream.
@@ -187,7 +162,6 @@ class ExecSpace {
   Backend backend() const { return backend_; }
   /// The backing runtime (non-null iff backend() == kSimGpu).
   dgr::simgpu::GpuRuntime* runtime() const { return rt_; }
-  Layout layout() const { return layout_of(backend_); }
 
   VectorPolicy vector_policy() const { return vp_; }
   /// Throws dgr::Error for a width other than 0, 1 or 4, so a bad config

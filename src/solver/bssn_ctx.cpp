@@ -52,9 +52,15 @@ void RhsPipeline::compute(const BssnState& u, BssnState& rhs,
   const double t_rhs0 = phases ? phases->rhs.total_seconds() : 0.0;
   const double t_zip0 = phases ? phases->zip.total_seconds() : 0.0;
 
+  // Halo exchange (Algorithm 1 line 6): on a single simulated device the
+  // partition is whole, so only the (empty) kernel is recorded, ahead of
+  // the sweeps, to keep the device's launch sequence.
+  if (simgpu::GpuRuntime* rt = space_.runtime())
+    rt->launch("halo-exchange", 1, 0, [](OpCounts&) {});
+
   // Each phase of a chunk is one sweep on space_ (exec_space/bssn_sweeps:
-  // the single kernel bodies shared with the simgpu mirror; see there for
-  // the split-axis / determinism rationale).
+  // one kernel body per sweep for every backend; see there for the
+  // split-axis / determinism rationale).
   for (const auto& run : runs) {
     DGR_CHECK(run.first >= 0 &&
               run.second <= static_cast<OctIndex>(mesh_->num_octants()));
@@ -117,8 +123,8 @@ void BssnCtx::compute_rhs(const BssnState& u, BssnState& rhs) {
 void BssnCtx::rk4_step(Real dt) {
   // Classical RK4: k1 = F(u), k2 = F(u + dt/2 k1), k3 = F(u + dt/2 k2),
   // k4 = F(u + dt k3), u += dt/6 (k1 + 2 k2 + 2 k3 + k4). The AXPY sweeps
-  // pass counts == nullptr: the host context has never accumulated update
-  // flops into counts_ (the simgpu mirror records them per kernel).
+  // pass counts == nullptr: the context has never accumulated update flops
+  // into counts_ (a simgpu space still records them per kernel).
   compute_rhs(state_, k_[0]);
 
   phases_.update.start();

@@ -68,6 +68,8 @@ class RhsPipeline {
   /// `space` is where the unzip/RHS/zip sweeps execute (default: the
   /// process host space, honoring DGR_EXEC_SPACE). The pipeline arithmetic
   /// is bitwise identical on every backend; only instrumentation differs.
+  /// On a simgpu space each compute() first records the (empty)
+  /// "halo-exchange" kernel of Algorithm 1.
   RhsPipeline(std::shared_ptr<const mesh::Mesh> mesh, SolverConfig config,
               exec_space::ExecSpace space = exec_space::ExecSpace::host());
 
@@ -156,10 +158,13 @@ class BssnCtx {
   /// from a checkpoint (the state itself is restored through state(), on a
   /// context built over solver::checkpoint_mesh). Evolution resumed this
   /// way is bitwise identical to the uninterrupted run — the round-trip
-  /// determinism contract of the checkpoint tests.
+  /// determinism contract of the checkpoint tests. The retained dense
+  /// stages belong to the replaced history, so the next sub-cycled cycle
+  /// re-bootstraps.
   void restore(Real time, std::size_t steps) {
     time_ = time;
     steps_ = steps;
+    dense_ready_ = false;
   }
 
  private:

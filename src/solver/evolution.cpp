@@ -68,84 +68,53 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
     }
   }
 
-  if (!config.subcycle) {
-    while (ctx.time() < config.t_end - 1e-12) {
-      // One re-grid window of f_r steps (Algorithm 1 lines 5-10).
-      for (int i = 0; i < config.regrid_every && ctx.time() < config.t_end;
-           ++i) {
-        const Real dt =
-            std::min(ctx.suggested_dt(), config.t_end - ctx.time());
-        {
-          obs::ScopedSpan step_span("rk4_step", "solver");
-          ctx.rk4_step(dt);
-        }
-        ++result.steps;
-        record_step_metrics(ctx);
-        if (tracker) tracker->step(ctx.mesh(), ctx.state(), dt);
-        if (extractor && result.steps % config.extract_every == 0) {
-          obs::ScopedSpan extract_span("wave-extract", "solver");
-          const auto modes = extractor->extract_from_state(
-              ctx.mesh(), ctx.state(), ctx.config().bssn);
-          for (std::size_t r = 0; r < modes.size(); ++r)
-            result.waves22[r].append(ctx.time(), modes[r].mode(2, 2));
-        }
-        if (on_step) on_step(ctx);
-      }
-      // Re-grid (Algorithm 1 line 3): the host-side synchronization point.
-      if (ctx.time() < config.t_end - 1e-12) {
-        obs::ScopedSpan regrid_span("regrid", "solver");
-        auto next = regrid_mesh(ctx.mesh(), ctx.state(), config.regrid);
-        if (next) {
-          ctx.remesh(next);
-          ++result.regrids;
-          obs::count("solver.regrids");
-        }
-      }
-    }
-    if (tracker) result.final_punctures = tracker->positions();
-    return result;
-  }
-
-  // Sub-cycled evolution: advance in full cycles of 2^(dmax - dmin) fine
-  // substeps. Depths are only time-aligned at cycle boundaries, so the
-  // tracker, wave extraction and regrid fire there and nowhere else — a
-  // cadence that straddles a cycle would sample mid-cycle state and is
-  // rejected. The cycle length can change across a regrid, so cadences are
-  // re-validated per window.
+  // Advance in re-grid windows of f_r steps (Algorithm 1 lines 5-10). A
+  // sub-cycled run steps in full cycles of 2^(dmax - dmin) fine substeps.
+  // Depths are only time-aligned at cycle boundaries, so the tracker, wave
+  // extraction and regrid fire there and nowhere else — a cadence that
+  // straddles a cycle would sample mid-cycle state and is rejected. The
+  // cycle length can change across a regrid, so cadences are re-validated
+  // per window. A global-dt run is the cycle-1 case, stepping up to t_end
+  // exactly.
+  const Real window_tol = config.subcycle ? 1e-12 : 0.0;
   while (ctx.time() < config.t_end - 1e-12) {
-    const int cycle = ctx.subcycle_index().cycle();
-    DGR_CHECK_MSG(config.regrid_every % cycle == 0,
-                  "subcycle: regrid_every=" << config.regrid_every
-                                            << " must be a multiple of the "
-                                               "cycle length "
-                                            << cycle);
-    if (extractor)
-      DGR_CHECK_MSG(config.extract_every % cycle == 0,
-                    "subcycle: extract_every="
-                        << config.extract_every
-                        << " must be a multiple of the cycle length "
-                        << cycle << " (mid-cycle wave sampling)");
-    for (int i = 0;
-         i < config.regrid_every && ctx.time() < config.t_end - 1e-12;) {
+    int cycle = 1;
+    if (config.subcycle) {
+      cycle = ctx.subcycle_index().cycle();
+      DGR_CHECK_MSG(config.regrid_every % cycle == 0,
+                    "subcycle: regrid_every=" << config.regrid_every
+                                              << " must be a multiple of the "
+                                                 "cycle length "
+                                              << cycle);
+      if (extractor)
+        DGR_CHECK_MSG(config.extract_every % cycle == 0,
+                      "subcycle: extract_every="
+                          << config.extract_every
+                          << " must be a multiple of the cycle length "
+                          << cycle << " (mid-cycle wave sampling)");
+    }
+    for (int i = 0; i < config.regrid_every &&
+                    ctx.time() < config.t_end - window_tol;) {
       const Real dt = ctx.suggested_dt();
-      Real tracker_dt;
-      if (config.t_end - ctx.time() < cycle * dt - 1e-12) {
-        // Tail shorter than one full cycle: finish with clamped global-dt
-        // steps (every depth stays aligned through them).
-        tracker_dt = std::min(dt, config.t_end - ctx.time());
+      Real step_dt;
+      if (!config.subcycle ||
+          config.t_end - ctx.time() < cycle * dt - 1e-12) {
+        // A global-dt step; in a sub-cycled run, the tail shorter than one
+        // full cycle (every depth stays aligned through it).
+        step_dt = std::min(dt, config.t_end - ctx.time());
         obs::ScopedSpan step_span("rk4_step", "solver");
-        ctx.rk4_step(tracker_dt);
+        ctx.rk4_step(step_dt);
         ++result.steps;
         ++i;
       } else {
-        tracker_dt = cycle * dt;
+        step_dt = cycle * dt;
         obs::ScopedSpan cycle_span("subcycle", "solver");
         ctx.subcycle_cycle(dt);
         result.steps += cycle;
         i += cycle;
       }
       record_step_metrics(ctx);
-      if (tracker) tracker->step(ctx.mesh(), ctx.state(), tracker_dt);
+      if (tracker) tracker->step(ctx.mesh(), ctx.state(), step_dt);
       if (extractor && result.steps % config.extract_every == 0) {
         obs::ScopedSpan extract_span("wave-extract", "solver");
         const auto modes = extractor->extract_from_state(
@@ -155,6 +124,7 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
       }
       if (on_step) on_step(ctx);
     }
+    // Re-grid (Algorithm 1 line 3): the host-side synchronization point.
     if (ctx.time() < config.t_end - 1e-12) {
       obs::ScopedSpan regrid_span("regrid", "solver");
       auto next = regrid_mesh(ctx.mesh(), ctx.state(), config.regrid);

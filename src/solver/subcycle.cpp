@@ -11,10 +11,10 @@
 /// evaluate it at intermediate stage times to second order.
 ///
 /// The per-depth step itself — stage fill, restricted RHS, dense save,
-/// depth-restricted update — is the shared kernel body of
-/// exec_space/bssn_sweeps.cpp (one body for this context and the simgpu
-/// mirror). Determinism contract: every sweep is a fixed-grain run on the
-/// context's ExecSpace with disjoint writes and per-element arithmetic
+/// depth-restricted update — is the kernel body of
+/// exec_space/bssn_sweeps.cpp, run on the context's ExecSpace (a simgpu
+/// space prices each sweep as a kernel). Determinism contract: every sweep
+/// is a fixed-grain run with disjoint writes and per-element arithmetic
 /// independent of chunk boundaries — results are bitwise identical at any
 /// DGR_THREADS, any DGR_SIMD width, and any backend. On a uniform mesh
 /// (cycle() == 1) the stage fill reduces to the exact stage-AXPY

@@ -134,7 +134,7 @@ GpuRun run_gpu(int threads) {
   obs::MetricsRegistry reg;
   obs::install_metrics(&reg);
   auto m = puncture_mesh();
-  simgpu::GpuSolverConfig gcfg;
+  solver::SolverConfig gcfg;
   gcfg.bssn.ko_sigma = 0.3;
   simgpu::GpuBssnSolver gpu(m, gcfg);
   BssnState s;

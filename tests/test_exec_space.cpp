@@ -112,22 +112,10 @@ TEST(ExecSpaceBasics, SimdWidthIsStrict) {
     scfg.simd_width = w;
     EXPECT_THROW({ solver::RhsPipeline p(m, scfg); }, Error) << w;
     EXPECT_THROW({ solver::BssnCtx c(m, scfg); }, Error) << w;
-    simgpu::GpuSolverConfig gcfg;
-    gcfg.simd_width = w;
-    EXPECT_THROW({ simgpu::GpuBssnSolver g(m, gcfg); }, Error) << w;
+    EXPECT_THROW({ simgpu::GpuBssnSolver g(m, scfg); }, Error) << w;
     ExecSpace es;
     EXPECT_THROW(es.set_vector_policy({w}), Error) << w;
   }
-}
-
-TEST(ExecSpaceBasics, LayoutTraitsShareTheHostPatchLayout) {
-  EXPECT_FALSE(exec_space::layout_of(Backend::kSerial).prefers_soa);
-  EXPECT_FALSE(exec_space::layout_of(Backend::kPool).prefers_soa);
-  EXPECT_TRUE(exec_space::layout_of(Backend::kSimGpu).prefers_soa);
-  EXPECT_EQ(exec_space::patch_offset(2, 3, 24, 100), (2 * 24 + 3) * 100u);
-  EXPECT_EQ((exec_space::layout_traits<Backend::kSimGpu>::patch_offset(
-                2, 3, 24, 100)),
-            exec_space::patch_offset(2, 3, 24, 100));
 }
 
 TEST(ExecSpacePrimitives, RangeForCoversChunksIdenticallyOnEveryBackend) {
@@ -353,6 +341,12 @@ BssnState run_subcycle(Backend b, int threads) {
   init_puncture(*m, ctx.state());
   EXPECT_GT(ctx.subcycle_index().cycle(), 1);
   ctx.subcycle_cycle(ctx.suggested_dt());
+  if (b == Backend::kSimGpu) {
+    // The machine model prices the sub-cycled sweeps.
+    for (const char* k : {"subcycle-fill", "subcycle-save", "subcycle-update"})
+      EXPECT_TRUE(rt.has_kernel(k)) << k;
+    EXPECT_GT(rt.modeled_total_seconds(), 0.0);
+  }
   return ctx.state();
 }
 
@@ -535,43 +529,6 @@ TEST(ExecSpaceMatrix, OwnedRowRhsMatchesAllRowsAfterZip) {
         }
       }
   exec::ThreadPool::set_global_threads(1);
-}
-
-/// The simgpu space used from BssnCtx must record the same kernel launch
-/// sequence as the dedicated GpuBssnSolver for the same work — the sweeps
-/// are the same bodies.
-TEST(ExecSpaceMatrix, SimGpuSpaceMatchesGpuSolverKernelAccounting) {
-  exec::ThreadPool::set_global_threads(1);
-  auto m = puncture_mesh();
-
-  simgpu::GpuSolverConfig gcfg;
-  gcfg.bssn.ko_sigma = 0.3;
-  simgpu::GpuBssnSolver gpu(m, gcfg);
-  BssnState init;
-  init_puncture(*m, init);
-  gpu.upload(init);
-  gpu.rk4_step();
-
-  solver::SolverConfig scfg;
-  scfg.bssn.ko_sigma = 0.3;
-  simgpu::GpuRuntime rt;
-  solver::BssnCtx ctx(m, scfg, ExecSpace::simgpu(rt));
-  init_puncture(*m, ctx.state());
-  ctx.rk4_step(gpu.suggested_dt());
-
-  EXPECT_EQ(ctx.state().max_abs_diff(gpu.device_state()), 0.0);
-  for (const char* k :
-       {"octant-to-patch", "bssn-rhs", "patch-to-octant", "axpy"}) {
-    ASSERT_TRUE(rt.has_kernel(k)) << k;
-    ASSERT_TRUE(gpu.runtime().has_kernel(k)) << k;
-    const auto& a = rt.record(k);
-    const auto& b = gpu.runtime().record(k);
-    EXPECT_EQ(a.launches, b.launches) << k;
-    EXPECT_EQ(a.blocks, b.blocks) << k;
-    EXPECT_EQ(a.counts.flops, b.counts.flops) << k;
-    EXPECT_EQ(a.counts.bytes_read, b.counts.bytes_read) << k;
-    EXPECT_EQ(a.counts.bytes_written, b.counts.bytes_written) << k;
-  }
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST(GpuSolver, MatchesCpuSolverExactly) {
   // bit-identical to the host solver.
   auto m = puncture_mesh();
   solver::SolverConfig cpu_cfg;
-  GpuSolverConfig gpu_cfg;
+  solver::SolverConfig gpu_cfg;
   gpu_cfg.bssn = cpu_cfg.bssn;
   ASSERT_EQ(cpu_cfg.chunk_octants, gpu_cfg.chunk_octants);
 
@@ -117,7 +117,7 @@ TEST(GpuSolver, MatchesCpuSolverExactly) {
 
 TEST(GpuSolver, RecordsAlgorithmOnePipeline) {
   auto m = puncture_mesh();
-  GpuBssnSolver gpu(m, GpuSolverConfig{});
+  GpuBssnSolver gpu(m, solver::SolverConfig{});
   BssnState s;
   bssn::set_minkowski(*m, s);
   gpu.upload(s);
@@ -137,7 +137,7 @@ TEST(GpuSolver, OctantToPatchAiWithinPaperBound) {
   // §IV-A: the octant-to-patch arithmetic intensity is bounded by
   // Q_U <= 5.07 in the RAM model; measured values (Table III) are below.
   auto m = puncture_mesh();
-  GpuBssnSolver gpu(m, GpuSolverConfig{});
+  GpuBssnSolver gpu(m, solver::SolverConfig{});
   BssnState s;
   bssn::set_minkowski(*m, s);
   gpu.upload(s);
@@ -155,7 +155,7 @@ TEST(GpuSolver, OctantToPatchAiWithinPaperBound) {
 TEST(GpuSolver, AsyncWaveExtractionOffCriticalPath) {
   Domain dom{8.0};
   auto m = std::make_shared<Mesh>(Octree::uniform(2), dom);
-  GpuBssnSolver gpu(m, GpuSolverConfig{});
+  GpuBssnSolver gpu(m, solver::SolverConfig{});
   BssnState s;
   bssn::set_punctures(*m, {{1.0, {0.04, 0.02, 0.01}, {0, 0, 0}, {0, 0, 0}}},
                       s);
@@ -172,7 +172,7 @@ TEST(GpuSolver, AsyncWaveExtractionOffCriticalPath) {
 TEST(GpuSolver, FlatSpaceFixedPoint) {
   Domain dom{4.0};
   auto m = std::make_shared<Mesh>(Octree::uniform(1), dom);
-  GpuBssnSolver gpu(m, GpuSolverConfig{});
+  GpuBssnSolver gpu(m, solver::SolverConfig{});
   BssnState s;
   bssn::set_minkowski(*m, s);
   gpu.upload(s);
