@@ -6,13 +6,11 @@
 /// count EXECUTES the overlapped message schedule (post recvs / send
 /// boundary DOFs / compute interior / wait / compute boundary) through
 /// dist::SimComm, and t_total is the max over per-rank virtual clocks.
-/// The old alpha-beta scaling_point remains as a cross-check column.
 /// Paper efficiencies: GPU 97/89/64 % at 4/8/16; CPU 93/79/66 %.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "comm/partition.hpp"
 #include "dist/engine.hpp"
 #include "perf/machine_model.hpp"
 #include "simgpu/gpu_bssn.hpp"
@@ -66,13 +64,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\n  executed schedule (4 GPUs/node: NVLink intra, HDR-IB inter)\n");
   std::printf(
-      "  GPUs | t_total (s) | comm exp. | comm hid. | msgs  | eff (paper)"
-      "  | analytic\n");
+      "  GPUs | t_total (s) | comm exp. | comm hid. | msgs  | eff (paper)\n");
   for (const auto& p : paper) {
     const auto res = run(p.ranks, gpu_oct, perf::gpu_cluster(4));
-    const auto part = comm::partition_mesh(*m, p.ranks);
-    const auto pt =
-        comm::scaling_point(*m, part, gpu_oct, perf::nvlink(), t1_gpu / kEvals);
     const double eff = t1_gpu / (p.ranks * res.t_virtual);
     rep.pair("gpu_eff_" + std::to_string(p.ranks),
              p.gpu < 0 ? NAN : p.gpu, 100 * eff, "%");
@@ -82,11 +76,9 @@ int main(int argc, char** argv) {
     else
       std::snprintf(pg, sizeof pg, "%.0f%%", p.gpu);
     std::printf(
-        "  %-4d | %-11.4f | %-9.5f | %-9.5f | %-5llu | %5.1f%% (%-5s)"
-        " | %.4f\n",
+        "  %-4d | %-11.4f | %-9.5f | %-9.5f | %-5llu | %5.1f%% (%-5s)\n",
         p.ranks, res.t_virtual, res.t_comm_exposed_max, res.t_comm_hidden_max,
-        static_cast<unsigned long long>(res.messages), 100 * eff, pg,
-        kEvals * pt.t_total);
+        static_cast<unsigned long long>(res.messages), 100 * eff, pg);
   }
 
   std::printf("\n  CPU-node series (flat HDR-IB interconnect)\n");

@@ -4,12 +4,11 @@
 /// average parallel efficiency 83%, largest problem 560M unknowns). Since
 /// the src/dist engine, each point executes the overlapped message
 /// schedule on its own grid and reads t_step5 off the max per-rank virtual
-/// clock; the analytic alpha-beta estimate remains as a cross-check.
+/// clock.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "comm/partition.hpp"
 #include "dist/engine.hpp"
 #include "perf/machine_model.hpp"
 #include "simgpu/gpu_bssn.hpp"
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
   const int kEvals = 20;  // 5 RK4 steps
   std::printf(
       "  GPUs | octants | unknowns | oct/GPU | t_step5 (s) | comm hid. | "
-      "efficiency (paper avg 83%%) | analytic\n");
+      "efficiency (paper avg 83%%)\n");
   double t_ref = -1;
   for (const auto& sr : series) {
     auto m = bench::bbh_mesh(1.0, 16.0, 2.0, sr.base, sr.finest);
@@ -59,9 +58,6 @@ int main(int argc, char** argv) {
         dist::evolve_distributed(m, s, solver::SolverConfig{}, dcfg);
     const double t5 = res.t_virtual;
 
-    const auto part = comm::partition_mesh(*m, sr.ranks);
-    const auto pt = comm::scaling_point(*m, part, gpu_oct, perf::nvlink());
-
     const double per_rank = double(m->num_octants()) / sr.ranks;
     if (t_ref < 0) t_ref = t5 / per_rank;  // reference time per octant/rank
     const double weak_eff = t_ref * per_rank / t5;
@@ -69,10 +65,9 @@ int main(int argc, char** argv) {
              "%");
     rep.metric("t_step5_" + std::to_string(sr.ranks), t5);
     std::printf(
-        "  %-4d | %-7zu | %-7.1fM | %-7.0f | %-11.4f | %-9.5f | %5.1f%%"
-        "                     | %.4f\n",
+        "  %-4d | %-7zu | %-7.1fM | %-7.0f | %-11.4f | %-9.5f | %5.1f%%\n",
         sr.ranks, m->num_octants(), m->num_dofs() * 24 / 1e6, per_rank, t5,
-        res.t_comm_hidden_max, 100 * weak_eff, kEvals * pt.t_total);
+        res.t_comm_hidden_max, 100 * weak_eff);
   }
   // Sub-cycled halo cadence on the largest weak-scaling grid: the same
   // scheduled eval count walked per-depth with filtered payloads.

@@ -7,14 +7,12 @@
 /// largest rank count the measurement grid supports (~500K unknowns per
 /// rank, as in the paper); because the per-rank halo saturates
 /// (surface-to-volume), that executed per-step comm time carries to the
-/// extrapolated core counts. The old closed-form alpha-beta estimate is
-/// kept as a cross-check.
+/// extrapolated core counts.
 
 #include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "comm/partition.hpp"
 #include "dist/engine.hpp"
 #include "perf/machine_model.hpp"
 #include "simgpu/gpu_bssn.hpp"
@@ -100,22 +98,9 @@ int main(int argc, char** argv) {
         sched.t_comm_exposed_max);
   }
 
-  // Cross-check: closed-form alpha-beta on the same measured halo.
-  double ghost_per_rank = 0;
-  {
-    const auto part = comm::partition_mesh(*m0, ranks0);
-    double g = 0;
-    for (int r = 0; r < ranks0; ++r) g += double(part.ghost_octants[r]);
-    ghost_per_rank = g / ranks0;
-  }
-  const std::uint64_t halo_bytes =
-      std::uint64_t(ghost_per_rank) * mesh::kOctPts * 24 * sizeof(Real);
-  const perf::NetworkModel net = perf::infiniband();
-  const double comm_step_analytic = 4 * net.time(halo_bytes, 8);
-
   std::printf(
       "\n  cores   | unknowns | o2p (s)  | RHS (s)  | zip+update | comm (s) |"
-      " total/step | analytic comm\n");
+      " total/step\n");
   for (long cores : {56L, 448L, 3584L, 28672L, 114688L, 229376L}) {
     const double work_oct = oct_per_core;  // weak scaling: constant/core
     // One RK4 step = 4 evaluations; the halo per rank saturates
@@ -131,10 +116,9 @@ int main(int argc, char** argv) {
       rep.metric("total_per_step_228k_s", t_unzip + t_rhs + t_zip + t_comm);
     }
     std::printf(
-        "  %-7ld | %-7.2gB | %-8.3f | %-8.3f | %-10.3f | %-8.4f | %-10.3f |"
-        " %-8.4f\n",
+        "  %-7ld | %-7.2gB | %-8.3f | %-8.3f | %-10.3f | %-8.4f | %.3f\n",
         cores, unknowns / 1e9, t_unzip, t_rhs, t_zip, t_comm,
-        t_unzip + t_rhs + t_zip + t_comm, comm_step_analytic);
+        t_unzip + t_rhs + t_zip + t_comm);
   }
   bench::note("comm (s) is measured off the executed message schedule (max");
   bench::note("over per-rank virtual clocks, hidden + exposed); the per-rank");

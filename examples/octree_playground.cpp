@@ -52,14 +52,15 @@ int main() {
   std::printf("average O2P adjacency: %.1f neighbors per octant\n",
               double(adj) / mesh.num_octants());
 
-  // Space-filling-curve partition across 4 simulated ranks with real
-  // ghost-layer volumes.
+  // Space-filling-curve partition across 4 simulated ranks with the
+  // DOF-level ghost exchange each rank runs per RHS evaluation.
   const auto part = comm::partition_mesh(mesh, 4);
+  const auto maps = comm::build_exchange_maps(mesh, part);
   for (int r = 0; r < 4; ++r)
     std::printf(
-        "rank %d: %4.0f octants, ghost layer %3zu octants, halo %6.1f KB, "
-        "%d peer(s)\n",
-        r, part.work[r], part.ghost_octants[r], part.send_bytes[r] / 1024.0,
-        part.neighbor_ranks[r]);
+        "rank %d: %4.0f octants, ghost layer %3zu octants, sends %6zu DOFs "
+        "to %zu peer(s)\n",
+        r, part.work[r], maps[r].ghost_octants.size(), maps[r].send_dofs(),
+        maps[r].peers.size());
   return 0;
 }

@@ -14,87 +14,17 @@ int RankPartition::rank_of(OctIndex e) const {
   return static_cast<int>(it - splits.begin()) - 1;
 }
 
-RankPartition partition_mesh(const mesh::Mesh& mesh, int ranks,
-                             int bytes_per_point) {
+RankPartition partition_mesh(const mesh::Mesh& mesh, int ranks) {
   DGR_CHECK(ranks >= 1);
   RankPartition part;
   part.ranks = ranks;
   std::vector<double> weights(mesh.num_octants(), 1.0);
   part.splits = oct::sfc_partition(weights, ranks);
-
   part.work.assign(ranks, 0.0);
-  part.send_bytes.assign(ranks, 0);
-  part.neighbor_ranks.assign(ranks, 0);
-  part.ghost_octants.assign(ranks, 0);
-
-  for (int r = 0; r < ranks; ++r) {
+  for (int r = 0; r < ranks; ++r)
     part.work[r] =
         static_cast<double>(part.splits[r + 1] - part.splits[r]);
-    // Ghost layer: remote octants adjacent to this rank's range. Each ghost
-    // octant's 7^3 block is received once per exchange; symmetrically its
-    // owner sends it (send_bytes counts the receive volume, which equals
-    // the aggregate send volume across ranks).
-    std::set<OctIndex> ghosts;
-    std::set<int> peers;
-    for (std::size_t e = part.splits[r]; e < part.splits[r + 1]; ++e) {
-      for (OctIndex nb : mesh.adjacency(static_cast<OctIndex>(e))) {
-        const int owner = part.rank_of(nb);
-        if (owner != r) {
-          ghosts.insert(nb);
-          peers.insert(owner);
-        }
-      }
-    }
-    part.ghost_octants[r] = ghosts.size();
-    part.send_bytes[r] = static_cast<std::uint64_t>(ghosts.size()) *
-                         mesh::kOctPts * bytes_per_point;
-    part.neighbor_ranks[r] = static_cast<int>(peers.size());
-  }
   return part;
-}
-
-ScalingPoint scaling_point(const mesh::Mesh& mesh, const RankPartition& part,
-                           double sec_per_octant,
-                           const perf::NetworkModel& net, double t1) {
-  ScalingPoint pt;
-  pt.ranks = part.ranks;
-  double max_work = 0, max_comm = 0;
-  for (int r = 0; r < part.ranks; ++r) {
-    max_work = std::max(max_work, part.work[r] * sec_per_octant);
-    max_comm = std::max(
-        max_comm, net.time(part.send_bytes[r],
-                           std::max(1, part.neighbor_ranks[r])));
-  }
-  pt.t_compute = max_work;
-  pt.t_comm = part.ranks > 1 ? max_comm : 0.0;
-  pt.t_total = pt.t_compute + pt.t_comm;
-  const double ref =
-      t1 > 0 ? t1
-             : static_cast<double>(mesh.num_octants()) * sec_per_octant;
-  pt.efficiency = ref / (part.ranks * pt.t_total);
-  return pt;
-}
-
-std::uint64_t halo_exchange_field(const mesh::Mesh& mesh,
-                                  const RankPartition& part,
-                                  const Real* field,
-                                  std::vector<std::vector<Real>>* ghosts) {
-  std::uint64_t bytes = 0;
-  if (ghosts) ghosts->assign(part.ranks, {});
-  for (int r = 0; r < part.ranks; ++r) {
-    std::set<OctIndex> ghost_set;
-    for (std::size_t e = part.splits[r]; e < part.splits[r + 1]; ++e)
-      for (OctIndex nb : mesh.adjacency(static_cast<OctIndex>(e)))
-        if (part.rank_of(nb) != r) ghost_set.insert(nb);
-    for (OctIndex g : ghost_set) {
-      Real u[mesh::kOctPts];
-      mesh.load_octant(field, g, u);  // the owner's send payload
-      bytes += sizeof(u);
-      if (ghosts)
-        (*ghosts)[r].insert((*ghosts)[r].end(), u, u + mesh::kOctPts);
-    }
-  }
-  return bytes;
 }
 
 std::vector<ExchangeMaps> build_exchange_maps(const mesh::Mesh& mesh,

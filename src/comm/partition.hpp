@@ -1,16 +1,15 @@
 #pragma once
 /// \file partition.hpp
-/// \brief SFC-based mesh partitioning across simulated ranks with real
-/// ghost-layer (halo) volume accounting — the distributed substrate behind
-/// the strong/weak scaling studies (Figs. 17, 18, 20). The partitioner is
-/// real (contiguous SFC ranges with work weights, as in Dendro); only the
-/// network transport is modeled (perf::NetworkModel).
+/// \brief SFC-based mesh partitioning across simulated ranks and the
+/// DOF-level ghost exchange maps — the distributed substrate behind the
+/// strong/weak scaling studies (Figs. 17, 18, 20). The partitioner is real
+/// (contiguous SFC ranges with work weights, as in Dendro); src/dist moves
+/// the exchange through SimComm, where only the network is modeled.
 
 #include <vector>
 
 #include "common/types.hpp"
 #include "mesh/mesh.hpp"
-#include "perf/network.hpp"
 
 namespace dgr::comm {
 
@@ -19,9 +18,6 @@ struct RankPartition {
   int ranks = 1;
   std::vector<std::size_t> splits;        ///< size ranks+1, octant indices
   std::vector<double> work;               ///< per-rank work weight
-  std::vector<std::uint64_t> send_bytes;  ///< per-rank halo bytes sent
-  std::vector<int> neighbor_ranks;        ///< per-rank distinct peers (count)
-  std::vector<std::size_t> ghost_octants; ///< per-rank ghost-layer size
 
   int rank_of(OctIndex e) const;
   std::size_t owned_begin(int r) const { return splits[r]; }
@@ -30,37 +26,7 @@ struct RankPartition {
 
 /// Partition with per-octant weight = 1 (octants carry equal kernel cost;
 /// the RHS does not depend on level once patches are built, §V-A).
-/// `bytes_per_point` is the per-grid-point exchange payload (24 vars x 8
-/// bytes for the BSSN state).
-RankPartition partition_mesh(const mesh::Mesh& mesh, int ranks,
-                             int bytes_per_point = 24 * 8);
-
-/// One point of a scaling study: convert per-rank work and halo volume to
-/// modeled parallel time.
-struct ScalingPoint {
-  int ranks = 1;
-  double t_compute = 0;  ///< max over ranks of (owned octants x unit cost)
-  double t_comm = 0;     ///< max over ranks of the alpha-beta halo cost
-  double t_total = 0;
-  double efficiency = 0; ///< T(1) / (ranks * T(ranks))
-};
-
-/// `sec_per_octant`: cost of one octant's unzip+RHS+zip per evaluation.
-/// `t1`: single-rank reference time (pass <= 0 to compute it as
-/// total_octants x sec_per_octant).
-ScalingPoint scaling_point(const mesh::Mesh& mesh, const RankPartition& part,
-                           double sec_per_octant,
-                           const perf::NetworkModel& net, double t1 = -1);
-
-/// Verification helper: perform the halo exchange on a zipped field — each
-/// rank gathers the DOF values its ghost octants carry — and return the
-/// total bytes moved. The assembled ghost values are checked against the
-/// global field by the tests (the exchange is a real data movement, not
-/// just accounting).
-std::uint64_t halo_exchange_field(const mesh::Mesh& mesh,
-                                  const RankPartition& part,
-                                  const Real* field,
-                                  std::vector<std::vector<Real>>* ghosts);
+RankPartition partition_mesh(const mesh::Mesh& mesh, int ranks);
 
 /// Rank-local ghost exchange maps at DOF granularity (Dendro-style ghost
 /// nodes): exactly the deduplicated grid points a rank's unzip reads but

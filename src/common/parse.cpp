@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "common/error.hpp"
 
@@ -37,25 +36,6 @@ long env_count(const char* name, long fallback, long lo, long hi) {
   const char* e = std::getenv(name);
   if (!e) return fallback;
   return parse_count(e, name, lo, hi);
-}
-
-int parse_choice(const char* s, const char* what,
-                 std::initializer_list<const char*> choices) {
-  if (s != nullptr && *s != '\0') {
-    int i = 0;
-    for (const char* c : choices) {
-      if (std::strcmp(s, c) == 0) return i;
-      ++i;
-    }
-  }
-  std::string accepted;
-  for (const char* c : choices) {
-    if (!accepted.empty()) accepted += "|";
-    accepted += c;
-  }
-  DGR_CHECK_MSG(false, what << " must be one of " << accepted << ", got \""
-                            << (s ? s : "(null)") << "\"");
-  return -1;  // unreachable
 }
 
 }  // namespace dgr

@@ -9,8 +9,6 @@
 /// loudly at first use instead of being silently ignored, truncated, or
 /// read as zero, with the same error text everywhere.
 
-#include <initializer_list>
-
 namespace dgr {
 
 /// Strict bounded integer parse: digits (optional leading '-') only, full
@@ -27,11 +25,5 @@ double parse_real(const char* s, const char* what);
 /// otherwise the strictly parsed value (unset and invalid are different —
 /// invalid throws).
 long env_count(const char* name, long fallback, long lo, long hi);
-
-/// Strict keyword parse: `s` must match one of `choices` exactly; returns
-/// its index. Anything else throws dgr::Error naming `what` and listing
-/// the accepted values.
-int parse_choice(const char* s, const char* what,
-                 std::initializer_list<const char*> choices);
 
 }  // namespace dgr

@@ -154,6 +154,13 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
   DGR_CHECK(mesh != nullptr && cfg.ranks >= 1);
   DGR_CHECK(initial.num_dofs() == mesh->num_dofs());
   solver::validate_regrid_config(cfg.regrid);
+  DGR_CHECK_MSG(!(cfg.execute && cfg.do_regrid) || cfg.regrid_every > 0,
+                "regrid_every must be > 0, got " << cfg.regrid_every);
+  DGR_CHECK_MSG(cfg.extraction_radii.empty() || cfg.extract_every > 0,
+                "extract_every must be > 0, got " << cfg.extract_every);
+  DGR_CHECK_MSG(cfg.checkpoint_interval >= 0,
+                "checkpoint_interval must be >= 0 (0 disables), got "
+                    << cfg.checkpoint_interval);
   DGR_CHECK_MSG(!(cfg.subcycle && cfg.execute),
                 "subcycle is schedule-only in the distributed engine "
                 "(execute-mode local timestepping runs through "
@@ -254,7 +261,6 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
     std::optional<gw::WaveExtractor> extractor;
     std::vector<std::uint64_t> wave_steps;  // step each sample was taken at
     if (!cfg.extraction_radii.empty()) {
-      DGR_CHECK(cfg.extract_every > 0);
       extractor.emplace(cfg.extraction_radii, cfg.lmax);
       for (Real r : cfg.extraction_radii) {
         gw::ModeTimeSeries ts;

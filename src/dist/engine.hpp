@@ -67,9 +67,10 @@ struct DistConfig {
   /// timestepping induces (fewer, smaller exchanges for coarse depths).
   bool subcycle = false;
 
-  /// Coordinated checkpoint every K steps (0 disables). Required (> 0)
-  /// when fault injection is enabled: the step-0 state always counts as
-  /// the first coordinated checkpoint, later ones refresh it.
+  /// Coordinated checkpoint every K steps (0 disables; negative is
+  /// rejected). Required (> 0) when fault injection is enabled: the step-0
+  /// state always counts as the first coordinated checkpoint, later ones
+  /// refresh it.
   int checkpoint_interval = 0;
   /// Checkpoint destination. Non-empty: solver::save_checkpoint writes
   /// (atomically) to this path and recovery restarts through

@@ -27,12 +27,7 @@ RankCtx::RankCtx(int rank, std::shared_ptr<const mesh::Mesh> mesh,
       maps_(std::move(maps)),
       owned_begin_(part.owned_begin(rank)),
       owned_end_(part.owned_end(rank)),
-      runtime_(exec_space::default_backend() == exec_space::Backend::kSimGpu
-                   ? std::make_unique<simgpu::GpuRuntime>()
-                   : nullptr),
-      pipeline_(mesh_, scfg,
-                runtime_ ? exec_space::ExecSpace::simgpu(*runtime_)
-                         : exec_space::ExecSpace::host()) {
+      pipeline_(mesh_, scfg) {
   DGR_CHECK(maps_.rank == rank_);
   interior_runs_ = runs_of(maps_.interior);
   boundary_runs_ = runs_of(maps_.boundary);

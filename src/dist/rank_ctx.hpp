@@ -94,11 +94,6 @@ class RankCtx {
   std::size_t owned_begin_ = 0, owned_end_ = 0;
   std::vector<DofIndex> owned_dofs_;
   std::vector<solver::OctRange> interior_runs_, boundary_runs_;
-  /// The rank's own accounting runtime under DGR_EXEC_SPACE=simgpu (null
-  /// otherwise): ranks run concurrently on pool workers, and
-  /// ExecSpace::host() would hand every rank the runtime of the thread that
-  /// built the cohort.
-  std::unique_ptr<simgpu::GpuRuntime> runtime_;
   solver::RhsPipeline pipeline_;
   bssn::BssnState u_, k_[4], stage_;
   // In-flight exchange bookkeeping.

@@ -1,19 +1,18 @@
 #pragma once
 /// \file parallel.hpp
-/// \brief Deterministic parallel loops and reductions on the work-stealing
-/// pool (pool.hpp).
+/// \brief Deterministic parallel loops on the work-stealing pool
+/// (pool.hpp).
 ///
 /// Determinism contract. A parallel region partitions [begin, end) into
 /// ceil(n / grain) fixed chunks that depend only on (begin, end, grain) —
 /// never on the thread count or on scheduling. Chunk c always covers
 /// [begin + c*grain, min(end, begin + (c+1)*grain)), and any per-chunk
-/// result lands in slot c. parallel_reduce combines the slots in a fixed
-/// pairwise tree on the calling thread, so floating-point reductions are
-/// bitwise identical at any thread count — the property the solver's
-/// norms, the metrics snapshots, and the modeled kernel times are tested
-/// for at DGR_THREADS = 1, 2, 7. Callers must keep `grain` a constant (or
-/// a function of the problem only) for results to be comparable across
-/// thread counts.
+/// result lands in slot c, so a caller that merges the slots in chunk
+/// order gets the same bits at any thread count — the property the
+/// evolved states, the metrics snapshots, and the modeled kernel times are
+/// tested for at DGR_THREADS = 1, 2, 7. Callers must keep `grain` a
+/// constant (or a function of the problem only) for results to be
+/// comparable across thread counts.
 ///
 /// Execution. The calling thread participates: it drains chunks alongside
 /// min(threads - 1, chunks - 1) helper tasks submitted to the pool, then
@@ -35,7 +34,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "common/clock.hpp"
 #include "exec/pool.hpp"
@@ -136,33 +134,6 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
       begin, end, grain,
       [&](std::int64_t, std::int64_t b, std::int64_t e) { body(b, e); },
       label);
-}
-
-/// Deterministic reduction: body(range_begin, range_end) -> T per fixed
-/// chunk, combined by join in a fixed pairwise tree over the chunk slots
-/// (bitwise independent of thread count). `identity` seeds empty ranges.
-template <class T, class Body, class Join>
-T parallel_reduce(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  T identity, Body&& body, Join&& join,
-                  const char* label = nullptr) {
-  const std::int64_t nc = num_chunks(begin, end, grain);
-  if (nc == 0) return identity;
-  if (grain < 1) grain = 1;
-  std::vector<T> slot(static_cast<std::size_t>(nc), identity);
-  for_each_chunk(
-      begin, end, grain,
-      [&](std::int64_t c, std::int64_t b, std::int64_t e) {
-        slot[static_cast<std::size_t>(c)] = body(b, e);
-      },
-      label);
-  // Pairwise tree over chunk order: (s0⊕s1)⊕(s2⊕s3)⊕... independent of
-  // which lane produced which slot.
-  for (std::int64_t width = nc; width > 1; width = (width + 1) / 2) {
-    for (std::int64_t i = 0; 2 * i < width; ++i)
-      slot[i] = (2 * i + 1 < width) ? join(slot[2 * i], slot[2 * i + 1])
-                                    : slot[2 * i];
-  }
-  return slot[0];
 }
 
 }  // namespace dgr::exec

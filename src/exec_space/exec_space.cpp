@@ -1,9 +1,5 @@
 #include "exec_space/exec_space.hpp"
 
-#include <cstdlib>
-
-#include "common/parse.hpp"
-
 namespace dgr::exec_space {
 
 const char* backend_name(Backend b) {
@@ -13,22 +9,6 @@ const char* backend_name(Backend b) {
     case Backend::kSimGpu: return "simgpu";
   }
   return "unknown";
-}
-
-Backend parse_backend(const char* s, const char* what) {
-  return static_cast<Backend>(
-      dgr::parse_choice(s, what, {"serial", "pool", "simgpu"}));
-}
-
-Backend backend_from_env() {
-  const char* e = std::getenv("DGR_EXEC_SPACE");
-  if (!e) return Backend::kPool;
-  return parse_backend(e, "DGR_EXEC_SPACE");
-}
-
-Backend default_backend() {
-  static const Backend cached = backend_from_env();
-  return cached;
 }
 
 namespace detail {
@@ -59,15 +39,5 @@ HostSlots::~HostSlots() {
 }
 
 }  // namespace detail
-
-ExecSpace ExecSpace::host() {
-  const Backend b = default_backend();
-  if (b != Backend::kSimGpu) return ExecSpace(b, nullptr);
-  // Accounting-only simulated device, one per driver thread: ensemble
-  // runners drive solvers concurrently from pool workers, and
-  // kernel-record bookkeeping is a single-driver operation.
-  thread_local dgr::simgpu::GpuRuntime t_runtime;
-  return ExecSpace(Backend::kSimGpu, &t_runtime);
-}
 
 }  // namespace dgr::exec_space

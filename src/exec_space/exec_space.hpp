@@ -4,8 +4,8 @@
 ///
 /// One kernel body per sweep, instantiated per backend. An ExecSpace is a
 /// cheap value describing *where* a data-parallel sweep runs; the sweep
-/// itself is written once against range_for / team_for / reduce and never
-/// names a backend. Three backends exist:
+/// itself is written once against range_for / team_for and never names a
+/// backend. Three backends exist:
 ///
 ///   backend   | execution engine            | instrumentation
 ///   ----------+-----------------------------+---------------------------
@@ -16,14 +16,17 @@
 ///             | launch_range                | records, modeled time,
 ///             |                             | ScopedSpan, gpu.* metrics
 ///
+/// A caller picks the backend by the space it passes in:
+/// ExecSpace::serial(), ExecSpace::simgpu(rt), or ExecSpace::host() (the
+/// pool), which every solver path defaults to.
+///
 /// Determinism is enforced here, in exactly one place: every backend
 /// partitions [0, n) into the same fixed grain-based chunks (a function of
 /// the problem only — see exec/parallel.hpp), per-chunk OpCounts land in
-/// slots indexed by chunk, and slots are merged in chunk order. reduce()
-/// combines per-chunk values in the same fixed pairwise tree as
-/// exec::parallel_reduce. Consequently every sweep is bitwise identical
-/// across backends, thread counts, and scheduling — the contract pinned by
-/// tests/test_exec_space.cpp's backend-equivalence matrix.
+/// slots indexed by chunk, and slots are merged in chunk order.
+/// Consequently every sweep is bitwise identical across backends, thread
+/// counts, and scheduling — the contract pinned by the determinism matrix
+/// in tests/test_exec_space.cpp.
 ///
 /// Per-chunk OpCounts slots for the host backends come from a ScratchArena
 /// (zero steady-state heap allocations, like launch_range's); the simgpu
@@ -35,11 +38,6 @@
 /// width) and team_for hands it to kernel bodies through TeamMember, so a
 /// kernel's vector width is a property of the space it runs in, not of the
 /// kernel body.
-///
-/// The DGR_EXEC_SPACE environment knob (strict: serial|pool|simgpu)
-/// overrides the backend returned by ExecSpace::host(), which every host
-/// solver path uses by default — the lever the CI determinism matrix pulls
-/// to prove backend equivalence end to end.
 
 #include <cstdint>
 #include <vector>
@@ -55,18 +53,6 @@ namespace dgr::exec_space {
 enum class Backend { kSerial = 0, kPool = 1, kSimGpu = 2 };
 
 const char* backend_name(Backend b);
-
-/// Strict backend keyword parse (serial|pool|simgpu); anything else throws
-/// dgr::Error naming `what`.
-Backend parse_backend(const char* s, const char* what);
-
-/// The DGR_EXEC_SPACE override, read strictly on every call (unset =
-/// kPool). Garbage throws instead of silently running on the default.
-Backend backend_from_env();
-
-/// backend_from_env(), read once and cached — the backend ExecSpace::host()
-/// binds for the rest of the process.
-Backend default_backend();
 
 /// Patch-block element offset of (octant-in-chunk o, variable v) with nvar
 /// variables of npts points each: [o][v][p], x fastest — the layout
@@ -147,17 +133,11 @@ class ExecSpace {
   ExecSpace() : ExecSpace(Backend::kPool, nullptr) {}
 
   static ExecSpace serial() { return ExecSpace(Backend::kSerial, nullptr); }
-  static ExecSpace pool() { return ExecSpace(Backend::kPool, nullptr); }
   static ExecSpace simgpu(dgr::simgpu::GpuRuntime& rt) {
     return ExecSpace(Backend::kSimGpu, &rt);
   }
-  /// The process-default host space, honoring the DGR_EXEC_SPACE override.
-  /// Under DGR_EXEC_SPACE=simgpu each driver thread gets its own
-  /// accounting GpuRuntime (launch bookkeeping is single-driver, and
-  /// concurrent drivers such as ensemble runners must not share kernel
-  /// records). An object built on one thread and driven from others
-  /// (a dist::RankCtx) must bring its own runtime instead.
-  static ExecSpace host();
+  /// The host space every solver path defaults to: the pool.
+  static ExecSpace host() { return ExecSpace(); }
 
   Backend backend() const { return backend_; }
   /// The backing runtime (non-null iff backend() == kSimGpu).
@@ -221,54 +201,6 @@ class ExecSpace {
                 TeamMember member(exec::this_lane(), vw);
                 body(member, b, e, c);
               });
-  }
-
-  /// Deterministic reduction: body(chunk_begin, chunk_end) -> T per fixed
-  /// chunk, combined by join in a fixed pairwise tree over the chunk slots
-  /// — bitwise independent of backend and thread count. `identity` seeds
-  /// empty ranges. On the simgpu backend the sweep is recorded as a kernel
-  /// launch (bodies may charge no counts; pass a spec with blocks for the
-  /// model).
-  template <class T, class Body, class Join>
-  T reduce(const LaunchSpec& spec, std::int64_t n, std::int64_t grain,
-           T identity, Body&& body, Join&& join) const {
-    if (grain < 1) grain = 1;
-    const std::int64_t nc = exec::num_chunks(0, n, grain);
-    if (nc == 0) return identity;
-    std::vector<T> slot(static_cast<std::size_t>(nc), identity);
-    switch (backend_) {
-      case Backend::kSerial:
-        for (std::int64_t c = 0; c < nc; ++c)
-          slot[static_cast<std::size_t>(c)] =
-              body(c * grain, std::min<std::int64_t>(n, (c + 1) * grain));
-        break;
-      case Backend::kPool:
-        exec::for_each_chunk(
-            0, n, grain,
-            [&](std::int64_t c, std::int64_t b, std::int64_t e) {
-              slot[static_cast<std::size_t>(c)] = body(b, e);
-            },
-            spec.label);
-        break;
-      case Backend::kSimGpu:
-        rt_->launch_range(spec.name, spec.blocks, spec.stream, n, grain,
-                          [&](std::int64_t b, std::int64_t e, OpCounts&) {
-                            slot[static_cast<std::size_t>(b / grain)] =
-                                body(b, e);
-                          });
-        break;
-    }
-    // Fixed pairwise tree over chunk order — identical to
-    // exec::parallel_reduce: (s0+s1)+(s2+s3)+...
-    for (std::int64_t width = nc; width > 1; width = (width + 1) / 2) {
-      for (std::int64_t i = 0; 2 * i < width; ++i)
-        slot[static_cast<std::size_t>(i)] =
-            (2 * i + 1 < width)
-                ? join(slot[static_cast<std::size_t>(2 * i)],
-                       slot[static_cast<std::size_t>(2 * i + 1)])
-                : slot[static_cast<std::size_t>(2 * i)];
-    }
-    return slot[0];
   }
 
  private:

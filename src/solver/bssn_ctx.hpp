@@ -66,7 +66,7 @@ using OctRange = std::pair<OctIndex, OctIndex>;
 class RhsPipeline {
  public:
   /// `space` is where the unzip/RHS/zip sweeps execute (default: the
-  /// process host space, honoring DGR_EXEC_SPACE). The pipeline arithmetic
+  /// host pool). The pipeline arithmetic
   /// is bitwise identical on every backend; only instrumentation differs.
   /// On a simgpu space each compute() first records the (empty)
   /// "halo-exchange" kernel of Algorithm 1.
@@ -98,7 +98,7 @@ class BssnCtx {
  public:
   /// `space` is the execution space every sweep of the context (RHS
   /// pipeline, RK4 AXPYs, sub-cycled fills) runs in; the default is the
-  /// process host space, honoring the DGR_EXEC_SPACE override.
+  /// host pool.
   BssnCtx(std::shared_ptr<mesh::Mesh> mesh, SolverConfig config,
           exec_space::ExecSpace space = exec_space::ExecSpace::host());
 

@@ -1,13 +1,11 @@
 /// \file test_comm.cpp
-/// \brief Simulated-communicator tests: SFC partitioning, real ghost-layer
-/// accounting, halo-exchange data movement, and the scaling-point model.
+/// \brief SFC partitioning and the DOF-level ghost exchange maps.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "comm/partition.hpp"
-#include "common/rng.hpp"
 #include "octree/refinement.hpp"
 
 namespace dgr::comm {
@@ -56,108 +54,27 @@ TEST(Partition, UniformMeshBalanced) {
 
 TEST(Partition, SingleRankHasNoGhosts) {
   Mesh m = make_mesh();
-  const auto part = partition_mesh(m, 1);
-  EXPECT_EQ(part.ghost_octants[0], 0u);
-  EXPECT_EQ(part.send_bytes[0], 0u);
-  EXPECT_EQ(part.neighbor_ranks[0], 0);
+  const auto maps = build_exchange_maps(m, partition_mesh(m, 1));
+  EXPECT_TRUE(maps[0].ghost_octants.empty());
+  EXPECT_EQ(maps[0].send_dofs(), 0u);
+  EXPECT_EQ(maps[0].recv_dofs(), 0u);
+  EXPECT_TRUE(maps[0].peers.empty());
 }
 
 TEST(Partition, GhostLayerGrowsSublinearly) {
   // Surface-to-volume: per-rank ghost fraction grows with ranks, but the
   // ghost layer stays well below the owned octant count for few ranks.
   Mesh m = make_adaptive();
-  const auto p2 = partition_mesh(m, 2);
-  const auto p8 = partition_mesh(m, 8);
+  const auto p2 = build_exchange_maps(m, partition_mesh(m, 2));
+  const auto p8 = build_exchange_maps(m, partition_mesh(m, 8));
   for (int r = 0; r < 2; ++r) {
-    EXPECT_GT(p2.ghost_octants[r], 0u);
-    EXPECT_LT(p2.ghost_octants[r], m.num_octants() / 2);
+    EXPECT_GT(p2[r].ghost_octants.size(), 0u);
+    EXPECT_LT(p2[r].ghost_octants.size(), m.num_octants() / 2);
   }
   std::size_t g2 = 0, g8 = 0;
-  for (auto g : p2.ghost_octants) g2 += g;
-  for (auto g : p8.ghost_octants) g8 += g;
+  for (const auto& x : p2) g2 += x.ghost_octants.size();
+  for (const auto& x : p8) g8 += x.ghost_octants.size();
   EXPECT_GT(g8, g2);  // more ranks -> more total halo
-}
-
-TEST(HaloExchange, BytesMatchGhostCount) {
-  Mesh m = make_mesh();
-  const auto part = partition_mesh(m, 4);
-  std::vector<Real> field(m.num_dofs(), 1.5);
-  const std::uint64_t bytes =
-      halo_exchange_field(m, part, field.data(), nullptr);
-  std::uint64_t ghosts = 0;
-  for (auto g : part.ghost_octants) ghosts += g;
-  EXPECT_EQ(bytes, ghosts * mesh::kOctPts * sizeof(Real));
-}
-
-TEST(HaloExchange, GhostValuesMatchGlobalField) {
-  Mesh m = make_adaptive();
-  Rng rng(31);
-  std::vector<Real> field(m.num_dofs());
-  for (auto& v : field) v = rng.uniform(-1, 1);
-  const auto part = partition_mesh(m, 3);
-  std::vector<std::vector<Real>> ghosts;
-  halo_exchange_field(m, part, field.data(), &ghosts);
-  // Re-derive each rank's ghost list in the same (sorted) order and compare
-  // the exchanged payload against direct octant loads.
-  for (int r = 0; r < 3; ++r) {
-    std::set<OctIndex> gset;
-    for (std::size_t e = part.splits[r]; e < part.splits[r + 1]; ++e)
-      for (OctIndex nb : m.adjacency(OctIndex(e)))
-        if (part.rank_of(nb) != r) gset.insert(nb);
-    ASSERT_EQ(ghosts[r].size(), gset.size() * mesh::kOctPts);
-    std::size_t off = 0;
-    for (OctIndex g : gset) {
-      Real u[mesh::kOctPts];
-      m.load_octant(field.data(), g, u);
-      for (int i = 0; i < mesh::kOctPts; ++i)
-        EXPECT_EQ(ghosts[r][off + i], u[i]);
-      off += mesh::kOctPts;
-    }
-  }
-}
-
-TEST(HaloExchange, CrossesCoarseFinePartitionBoundaries) {
-  // A refined octree split mid-level: partition ranks so that rank
-  // boundaries cut through the level transitions around the puncture, then
-  // check the exchanged ghost payloads — including hanging points resolved
-  // through coarse-host interpolation rules — against direct octant loads.
-  Mesh m = make_adaptive();
-  const auto part = partition_mesh(m, 5);
-
-  // The partition must actually put a coarse-fine interface on a rank
-  // boundary, i.e. some ghost octant differs in level from the owned
-  // octant adjacent to it.
-  bool cross_level_halo = false;
-  for (int r = 0; r < part.ranks && !cross_level_halo; ++r)
-    for (std::size_t e = part.splits[r]; e < part.splits[r + 1]; ++e)
-      for (OctIndex nb : m.adjacency(OctIndex(e)))
-        if (part.rank_of(nb) != r &&
-            m.tree().leaf(nb).level != m.tree().leaf(OctIndex(e)).level) {
-          cross_level_halo = true;
-          break;
-        }
-  ASSERT_TRUE(cross_level_halo);
-
-  Rng rng(77);
-  std::vector<Real> field(m.num_dofs());
-  for (auto& v : field) v = rng.uniform(-2, 2);
-  std::vector<std::vector<Real>> ghosts;
-  halo_exchange_field(m, part, field.data(), &ghosts);
-  for (int r = 0; r < part.ranks; ++r) {
-    std::set<OctIndex> gset;
-    for (std::size_t e = part.splits[r]; e < part.splits[r + 1]; ++e)
-      for (OctIndex nb : m.adjacency(OctIndex(e)))
-        if (part.rank_of(nb) != r) gset.insert(nb);
-    ASSERT_EQ(ghosts[r].size(), gset.size() * mesh::kOctPts);
-    std::size_t off = 0;
-    for (OctIndex g : gset) {
-      Real u[mesh::kOctPts];
-      m.load_octant(field.data(), g, u);  // resolves hanging rules
-      for (int i = 0; i < mesh::kOctPts; ++i)
-        EXPECT_EQ(ghosts[r][off + i], u[i]) << "rank " << r << " oct " << g;
-      off += mesh::kOctPts;
-    }
-  }
 }
 
 TEST(ExchangeMaps, InteriorOctantsReadOnlyLocalDofs) {
@@ -191,35 +108,6 @@ TEST(ExchangeMaps, InteriorOctantsReadOnlyLocalDofs) {
       EXPECT_FALSE(maps[r].boundary.empty());
     }
   }
-}
-
-TEST(Scaling, PerfectOnOneRank) {
-  Mesh m = make_mesh();
-  const auto part = partition_mesh(m, 1);
-  const auto pt = scaling_point(m, part, 1e-4, perf::nvlink());
-  EXPECT_NEAR(pt.efficiency, 1.0, 1e-12);
-  EXPECT_EQ(pt.t_comm, 0.0);
-}
-
-TEST(Scaling, EfficiencyDecaysWithRanks) {
-  Mesh m = make_adaptive();
-  double prev_eff = 1.1;
-  for (int ranks : {2, 4, 8, 16}) {
-    const auto part = partition_mesh(m, ranks);
-    const auto pt = scaling_point(m, part, 1e-5, perf::nvlink());
-    EXPECT_LE(pt.efficiency, 1.01);
-    EXPECT_GT(pt.efficiency, 0.05);
-    EXPECT_LT(pt.efficiency, prev_eff + 0.05) << ranks;
-    prev_eff = pt.efficiency;
-  }
-}
-
-TEST(Scaling, FasterNetworkHigherEfficiency) {
-  Mesh m = make_adaptive();
-  const auto part = partition_mesh(m, 8);
-  const auto fast = scaling_point(m, part, 1e-5, perf::nvlink());
-  const auto slow = scaling_point(m, part, 1e-5, perf::infiniband());
-  EXPECT_GE(fast.efficiency, slow.efficiency);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 /// \file test_determinism.cpp
-/// \brief Cross-thread-count determinism of the full stack: the CPU
-/// evolution (solver::evolve incl. regrid + wave extraction), the
-/// simulated-GPU pipeline, and the distributed engine must produce
+/// \brief End-to-end determinism of the full stack on a minimal two-depth
+/// mesh: a sub-cycled solver::evolve through a mesh-changing regrid (with
+/// the puncture tracker and wave extraction) on every backend, the
+/// simulated-GPU solver, and the distributed engine must produce
 /// bitwise-identical state vectors, Psi4 output, modeled times, and
 /// metrics snapshots at DGR_THREADS = 1, 2, 7 — the contract of the
-/// src/exec fixed-chunk partition and ordered reductions.
+/// src/exec fixed-chunk partition and chunk-order merges. The per-sweep
+/// (backend, threads, SIMD width) matrix is in tests/test_exec_space.cpp.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "bssn/initial_data.hpp"
 #include "dist/engine.hpp"
 #include "exec/pool.hpp"
+#include "exec_space/exec_space.hpp"
 #include "gw/extract.hpp"
 #include "obs/obs.hpp"
 #include "simgpu/gpu_bssn.hpp"
@@ -24,14 +28,18 @@ namespace dgr {
 namespace {
 
 using bssn::BssnState;
+using exec_space::Backend;
 using mesh::Mesh;
 
 constexpr int kThreadCounts[] = {1, 2, 7};
 
+/// bbh_global's geometry around one puncture: 120 octants on levels 2
+/// and 3, the determinism matrix's mesh.
 std::shared_ptr<Mesh> puncture_mesh() {
   oct::Domain dom{16.0};
   return std::make_shared<Mesh>(
-      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, 3}}, 2), dom);
+      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, 3}}, 2, 0.75),
+      dom);
 }
 
 void init_puncture(const Mesh& m, BssnState& s) {
@@ -40,84 +48,77 @@ void init_puncture(const Mesh& m, BssnState& s) {
                       s);
 }
 
-/// Everything one CPU evolution run exposes, captured for comparison.
-struct CpuRun {
+/// Everything one sub-cycled evolution exposes, captured for comparison.
+struct EvolveRun {
   BssnState state;
   std::vector<gw::ModeTimeSeries> waves;
+  std::vector<std::array<Real, 3>> punctures;
   std::string metrics;
+  std::size_t octants = 0;  ///< of the final mesh
   int steps = 0, regrids = 0;
 };
 
-CpuRun run_cpu(int threads) {
+EvolveRun run_evolve(Backend b, int threads) {
   exec::ThreadPool::set_global_threads(threads);
   obs::MetricsRegistry reg;
   obs::install_metrics(&reg);
   auto m = puncture_mesh();
   solver::SolverConfig scfg;
   scfg.bssn.ko_sigma = 0.3;
-  solver::BssnCtx ctx(m, scfg);
+  simgpu::GpuRuntime rt;
+  exec_space::ExecSpace space = exec_space::ExecSpace::host();
+  if (b == Backend::kSerial) space = exec_space::ExecSpace::serial();
+  if (b == Backend::kSimGpu) space = exec_space::ExecSpace::simgpu(rt);
+  solver::BssnCtx ctx(m, scfg, space);
   init_puncture(*m, ctx.state());
   solver::EvolutionConfig ecfg;
-  ecfg.t_end = 6.1 * ctx.suggested_dt();
-  ecfg.regrid_every = 3;  // exercise regrid + transfer_state mid-run
-  ecfg.regrid.max_level = 3;
-  ecfg.extract_every = 2;
+  ecfg.subcycle = true;
+  // Two cycles, a regrid that refines to level 4, then a tail shorter
+  // than a cycle of the new mesh, taken as a global-dt step.
+  ecfg.t_end = 4.1 * ctx.suggested_dt();
+  ecfg.regrid_every = 4;
+  ecfg.regrid.max_level = 4;
+  ecfg.extract_every = 4;
   ecfg.extraction_radii = {4.0};
-  const auto res = solver::evolve(ctx, ecfg, nullptr);
-  CpuRun out{ctx.state(), res.waves22, reg.json(), res.steps, res.regrids};
+  solver::PunctureTracker tracker({{0.05, 0.03, 0.02}});
+  const auto res = solver::evolve(ctx, ecfg, &tracker);
+  EvolveRun out{ctx.state(), res.waves22, tracker.positions(), reg.json(),
+                ctx.mesh().num_octants(), res.steps, res.regrids};
   obs::install_metrics(nullptr);
   return out;
 }
 
-TEST(Determinism, CpuEvolveIsBitwiseStableAcrossThreadCounts) {
-  const CpuRun ref = run_cpu(1);
-  ASSERT_GE(ref.steps, 6);
+TEST(Determinism, SubcycledEvolveThroughRegridIsBitwiseStableOnEveryBackend) {
+  const EvolveRun ref = run_evolve(Backend::kSerial, 1);
+  EXPECT_EQ(ref.steps, 5);  // 2 cycles of 2 fine steps + the tail step
+  EXPECT_EQ(ref.regrids, 1);
+  EXPECT_NE(ref.octants, puncture_mesh()->num_octants());
   ASSERT_FALSE(ref.waves.empty());
   ASSERT_FALSE(ref.waves[0].values.empty());
-  for (int threads : {2, 7}) {
-    const CpuRun run = run_cpu(threads);
-    EXPECT_EQ(run.steps, ref.steps) << threads;
-    EXPECT_EQ(run.regrids, ref.regrids) << threads;
-    ASSERT_EQ(run.state.num_dofs(), ref.state.num_dofs()) << threads;
-    EXPECT_EQ(run.state.max_abs_diff(ref.state), 0.0) << threads;
-    ASSERT_EQ(run.waves.size(), ref.waves.size()) << threads;
-    for (std::size_t r = 0; r < ref.waves.size(); ++r) {
-      EXPECT_EQ(run.waves[r].times, ref.waves[r].times) << threads;
-      EXPECT_EQ(run.waves[r].values, ref.waves[r].values) << threads;
+  for (Backend b : {Backend::kPool, Backend::kSimGpu}) {
+    std::string metrics;
+    for (int threads : kThreadCounts) {
+      const EvolveRun run = run_evolve(b, threads);
+      const std::string what = std::string(exec_space::backend_name(b)) +
+                               " threads " + std::to_string(threads);
+      EXPECT_EQ(run.steps, ref.steps) << what;
+      EXPECT_EQ(run.regrids, ref.regrids) << what;
+      ASSERT_EQ(run.state.num_dofs(), ref.state.num_dofs()) << what;
+      EXPECT_EQ(run.state.max_abs_diff(ref.state), 0.0) << what;
+      ASSERT_EQ(run.waves.size(), ref.waves.size()) << what;
+      for (std::size_t r = 0; r < ref.waves.size(); ++r) {
+        EXPECT_EQ(run.waves[r].times, ref.waves[r].times) << what;
+        EXPECT_EQ(run.waves[r].values, ref.waves[r].values) << what;
+      }
+      EXPECT_EQ(run.punctures, ref.punctures) << what;
+      // The simgpu backend adds its gpu.* metrics, so the snapshot is
+      // compared across thread counts within a backend.
+      if (threads == 1)
+        metrics = run.metrics;
+      else
+        EXPECT_EQ(run.metrics, metrics) << what;
     }
-    EXPECT_EQ(run.metrics, ref.metrics) << threads;
   }
-  exec::ThreadPool::set_global_threads(1);
-}
-
-/// 2 RK4 steps at a given SIMD width (width 1: the staged scalar RHS;
-/// width 4: the packed RHS).
-BssnState run_at_width(int threads, int width) {
-  exec::ThreadPool::set_global_threads(threads);
-  auto m = puncture_mesh();
-  solver::SolverConfig scfg;
-  scfg.bssn.ko_sigma = 0.3;
-  scfg.simd_width = width;
-  solver::BssnCtx ctx(m, scfg);
-  init_puncture(*m, ctx.state());
-  ctx.rk4_step();
-  ctx.rk4_step();
-  return ctx.state();
-}
-
-TEST(Determinism, PackedRhsIsBitwiseStableAcrossThreadsAndWidths) {
-  // The packed RHS must be bitwise identical to the scalar staged kernel
-  // at every thread count AND every pack width — the two knobs
-  // (DGR_THREADS, DGR_SIMD) never change results.
-  const BssnState ref = run_at_width(1, 1);
-  ASSERT_GT(ref.num_dofs(), 0u);
-  for (int threads : kThreadCounts)
-    for (int width : {1, 4}) {
-      if (threads == 1 && width == 1) continue;
-      const BssnState run = run_at_width(threads, width);
-      EXPECT_EQ(run.max_abs_diff(ref), 0.0)
-          << "threads " << threads << " width " << width;
-    }
   exec::ThreadPool::set_global_threads(1);
 }
 

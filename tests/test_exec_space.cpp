@@ -1,14 +1,13 @@
 /// \file test_exec_space.cpp
-/// \brief The exec_space backend-equivalence contract: every sweep ported
-/// onto dgr::exec_space is bitwise identical across {serial, pool, simgpu}
-/// backends × thread counts × SIMD widths, and the layer's primitives
-/// (range_for, team_for, reduce, OpCounts slot merge, DGR_EXEC_SPACE knob)
-/// behave identically on every backend.
+/// \brief The exec_space backend-equivalence contract: the layer's
+/// primitives (range_for, team_for, OpCounts slot merge) behave identically
+/// on every backend, and the determinism matrix pins every sweep family
+/// bitwise across (backend, threads, SIMD width) rows on a minimal
+/// two-depth mesh. tests/test_determinism.cpp holds the end-to-end pins.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -41,61 +40,13 @@ constexpr Backend kBackends[] = {Backend::kSerial, Backend::kPool,
 ExecSpace make_space(Backend b, simgpu::GpuRuntime& rt) {
   switch (b) {
     case Backend::kSerial: return ExecSpace::serial();
-    case Backend::kPool: return ExecSpace::pool();
+    case Backend::kPool: return ExecSpace::host();
     case Backend::kSimGpu: return ExecSpace::simgpu(rt);
   }
-  return ExecSpace::pool();
+  return ExecSpace::host();
 }
 
 // ------------------------------------------------------------ primitives --
-
-TEST(ExecSpaceBasics, ParseBackendAcceptsExactlyTheThreeNames) {
-  EXPECT_EQ(exec_space::parse_backend("serial", "t"), Backend::kSerial);
-  EXPECT_EQ(exec_space::parse_backend("pool", "t"), Backend::kPool);
-  EXPECT_EQ(exec_space::parse_backend("simgpu", "t"), Backend::kSimGpu);
-  for (const char* bad : {"Serial", "gpu", "POOL", "", "pool ", "simgpu2"})
-    EXPECT_THROW(exec_space::parse_backend(bad, "t"), Error) << bad;
-  EXPECT_THROW(exec_space::parse_backend(nullptr, "t"), Error);
-  try {
-    exec_space::parse_backend("nope", "DGR_EXEC_SPACE");
-    FAIL();
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("DGR_EXEC_SPACE"),
-              std::string::npos);
-  }
-  for (Backend b : kBackends)
-    EXPECT_EQ(exec_space::parse_backend(exec_space::backend_name(b), "t"), b);
-}
-
-TEST(ExecSpaceBasics, BackendFromEnvIsStrict) {
-  // Prime the process-default cache with the ambient knob BEFORE mutating
-  // the environment: ExecSpace::host() must keep honoring whatever the
-  // process was launched with (the CI exec-space job depends on it).
-  const Backend def = exec_space::default_backend();
-  const char* orig = std::getenv("DGR_EXEC_SPACE");
-  const std::string saved = orig ? orig : "";
-
-  ASSERT_EQ(unsetenv("DGR_EXEC_SPACE"), 0);
-  EXPECT_EQ(exec_space::backend_from_env(), Backend::kPool);
-  ASSERT_EQ(setenv("DGR_EXEC_SPACE", "serial", 1), 0);
-  EXPECT_EQ(exec_space::backend_from_env(), Backend::kSerial);
-  ASSERT_EQ(setenv("DGR_EXEC_SPACE", "simgpu", 1), 0);
-  EXPECT_EQ(exec_space::backend_from_env(), Backend::kSimGpu);
-  for (const char* bad : {"cuda", "Pool", "serial ", "1"}) {
-    ASSERT_EQ(setenv("DGR_EXEC_SPACE", bad, 1), 0);
-    EXPECT_THROW(exec_space::backend_from_env(), Error) << bad;
-  }
-
-  if (orig)
-    ASSERT_EQ(setenv("DGR_EXEC_SPACE", saved.c_str(), 1), 0);
-  else
-    ASSERT_EQ(unsetenv("DGR_EXEC_SPACE"), 0);
-  // host() binds the cached process default; whatever it is, it must be
-  // consistent and carry a runtime exactly on the simgpu backend.
-  const ExecSpace host = ExecSpace::host();
-  EXPECT_EQ(host.backend(), def);
-  EXPECT_EQ(host.runtime() != nullptr, host.backend() == Backend::kSimGpu);
-}
 
 TEST(ExecSpaceBasics, SimdWidthIsStrict) {
   // Only 0 (the DGR_SIMD width), 1 and 4 exist. Any other width used to run
@@ -140,50 +91,6 @@ TEST(ExecSpacePrimitives, RangeForCoversChunksIdenticallyOnEveryBackend) {
       else
         EXPECT_EQ(out, ref) << "backend " << exec_space::backend_name(b)
                             << " threads " << threads;
-    }
-  }
-  exec::ThreadPool::set_global_threads(1);
-}
-
-TEST(ExecSpacePrimitives, ReduceUsesTheFixedPairwiseTreeOnEveryBackend) {
-  const std::int64_t n = 777, grain = 8;
-  // Expected value: per-chunk sums combined by the documented pairwise
-  // tree (NOT plain left-to-right accumulation — FP addition is not
-  // associative, so the two orders genuinely differ here).
-  std::vector<double> slot;
-  for (std::int64_t b = 0; b < n; b += grain) {
-    double s = 0;
-    for (std::int64_t i = b; i < std::min(n, b + grain); ++i)
-      s += std::sin(0.01 * i) * 1e-3 + 1.0;
-    slot.push_back(s);
-  }
-  for (std::int64_t width = static_cast<std::int64_t>(slot.size()); width > 1;
-       width = (width + 1) / 2) {
-    for (std::int64_t i = 0; 2 * i < width; ++i)
-      slot[static_cast<std::size_t>(i)] =
-          (2 * i + 1 < width)
-              ? slot[static_cast<std::size_t>(2 * i)] +
-                    slot[static_cast<std::size_t>(2 * i + 1)]
-              : slot[static_cast<std::size_t>(2 * i)];
-  }
-  const double expected = slot[0];
-
-  for (int threads : {1, 4}) {
-    exec::ThreadPool::set_global_threads(threads);
-    for (Backend b : kBackends) {
-      simgpu::GpuRuntime rt;
-      const ExecSpace es = make_space(b, rt);
-      const double got = es.reduce(
-          LaunchSpec{"t-reduce", "t-reduce", 1, 0}, n, grain, 0.0,
-          [&](std::int64_t i0, std::int64_t i1) {
-            double s = 0;
-            for (std::int64_t i = i0; i < i1; ++i)
-              s += std::sin(0.01 * i) * 1e-3 + 1.0;
-            return s;
-          },
-          [](double x, double y) { return x + y; });
-      EXPECT_EQ(got, expected) << "backend " << exec_space::backend_name(b)
-                               << " threads " << threads;
     }
   }
   exec::ThreadPool::set_global_threads(1);
@@ -252,12 +159,15 @@ TEST(ExecSpacePrimitives, SimGpuBackendRecordsKernelLaunches) {
   EXPECT_EQ(out.flops, 96u);  // chunk-order merge also feeds the out-param
 }
 
-// --------------------------------------------- backend-equivalence matrix --
+// ------------------------------------------------- determinism matrix --
 
-std::shared_ptr<Mesh> puncture_mesh() {
+/// bbh_global's geometry around one puncture: 120 octants on two depths
+/// (levels 2 and 3), with hanging points and owned-row skips.
+std::shared_ptr<Mesh> matrix_mesh() {
   oct::Domain dom{16.0};
   return std::make_shared<Mesh>(
-      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, 3}}, 2), dom);
+      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, 3}}, 2, 0.75),
+      dom);
 }
 
 void init_puncture(const Mesh& m, BssnState& s) {
@@ -266,136 +176,107 @@ void init_puncture(const Mesh& m, BssnState& s) {
                       s);
 }
 
-/// Two RK4 steps on backend `b` at the given thread count and SIMD width
-/// (width 1: the staged scalar RHS; width 4: the packed RHS).
-BssnState run_rk4(Backend b, int threads, int width) {
-  exec::ThreadPool::set_global_threads(threads);
-  auto m = puncture_mesh();
+/// One (backend, threads, SIMD width) combination. Width 1 runs the staged
+/// scalar RHS, width 4 the packed one.
+struct Row {
+  Backend backend;
+  int threads;
+  int width;
+};
+
+std::string row_name(const Row& r) {
+  return std::string(exec_space::backend_name(r.backend)) + " threads " +
+         std::to_string(r.threads) + " width " + std::to_string(r.width);
+}
+
+/// serial x 1 thread, then pool and simgpu x threads {1, 2, 7}, each at
+/// widths 1 and 4; rows[0] is the reference. The serial backend runs every
+/// chunk on the calling thread, so more threads would repeat its row.
+std::vector<Row> matrix_rows() {
+  std::vector<Row> rows;
+  for (int width : {1, 4}) rows.push_back({Backend::kSerial, 1, width});
+  for (Backend b : {Backend::kPool, Backend::kSimGpu})
+    for (int threads : {1, 2, 7})
+      for (int width : {1, 4}) rows.push_back({b, threads, width});
+  return rows;
+}
+
+/// Everything one row computes from puncture initial data.
+struct RowRun {
+  BssnState rk4, cycle;  ///< after one RK4 step / one sub-cycled cycle
+  OpCounts rk4_counts, cycle_counts;
+  std::vector<Real> psi4;  ///< Re then Im
+  double cycle_modeled = 0;  ///< simgpu rows: the cycle's modeled seconds
+};
+
+RowRun run_row(const Row& row, const std::shared_ptr<Mesh>& m) {
   solver::SolverConfig scfg;
   scfg.bssn.ko_sigma = 0.3;
-  scfg.simd_width = width;
-  simgpu::GpuRuntime rt;
-  solver::BssnCtx ctx(m, scfg, make_space(b, rt));
-  init_puncture(*m, ctx.state());
-  ctx.rk4_step();
-  ctx.rk4_step();
-  return ctx.state();
-}
-
-TEST(ExecSpaceMatrix, Rk4IsBitwiseIdenticalAcrossBackendsThreadsAndWidths) {
-  const BssnState ref = run_rk4(Backend::kSerial, 1, 1);
-  ASSERT_GT(ref.num_dofs(), 0u);
-  for (Backend b : kBackends)
-    for (int threads : {1, 4})
-      for (int width : {1, 4}) {
-        if (b == Backend::kSerial && threads == 1 && width == 1) continue;
-        const BssnState run = run_rk4(b, threads, width);
-        EXPECT_EQ(run.max_abs_diff(ref), 0.0)
-            << exec_space::backend_name(b) << " threads " << threads
-            << " width " << width;
-      }
-  exec::ThreadPool::set_global_threads(1);
-}
-
-/// A short evolution with a mid-run regrid (remesh + transfer_state) on
-/// backend `b`.
-BssnState run_evolve(Backend b, int threads) {
-  exec::ThreadPool::set_global_threads(threads);
-  auto m = puncture_mesh();
-  solver::SolverConfig scfg;
-  scfg.bssn.ko_sigma = 0.3;
-  simgpu::GpuRuntime rt;
-  solver::BssnCtx ctx(m, scfg, make_space(b, rt));
-  init_puncture(*m, ctx.state());
-  solver::EvolutionConfig ecfg;
-  ecfg.t_end = 4.1 * ctx.suggested_dt();
-  ecfg.regrid_every = 3;
-  ecfg.regrid.max_level = 3;
-  const auto res = solver::evolve(ctx, ecfg, nullptr);
-  EXPECT_GE(res.steps, 4);
-  return ctx.state();
-}
-
-TEST(ExecSpaceMatrix, EvolveThroughRegridIsBitwiseIdenticalAcrossBackends) {
-  const BssnState ref = run_evolve(Backend::kSerial, 1);
-  for (Backend b : kBackends)
-    for (int threads : {1, 4}) {
-      if (b == Backend::kSerial && threads == 1) continue;
-      const BssnState run = run_evolve(b, threads);
-      ASSERT_EQ(run.num_dofs(), ref.num_dofs());
-      EXPECT_EQ(run.max_abs_diff(ref), 0.0)
-          << exec_space::backend_name(b) << " threads " << threads;
-    }
-  exec::ThreadPool::set_global_threads(1);
-}
-
-/// One sub-cycled coarse step (multi-depth mesh => stage fill, dense save
-/// and depth-restricted update all execute) on backend `b`.
-BssnState run_subcycle(Backend b, int threads) {
-  exec::ThreadPool::set_global_threads(threads);
-  auto m = puncture_mesh();
-  solver::SolverConfig scfg;
-  scfg.bssn.ko_sigma = 0.3;
-  simgpu::GpuRuntime rt;
-  solver::BssnCtx ctx(m, scfg, make_space(b, rt));
-  init_puncture(*m, ctx.state());
-  EXPECT_GT(ctx.subcycle_index().cycle(), 1);
-  ctx.subcycle_cycle(ctx.suggested_dt());
-  if (b == Backend::kSimGpu) {
-    // The machine model prices the sub-cycled sweeps.
-    for (const char* k : {"subcycle-fill", "subcycle-save", "subcycle-update"})
-      EXPECT_TRUE(rt.has_kernel(k)) << k;
-    EXPECT_GT(rt.modeled_total_seconds(), 0.0);
+  scfg.simd_width = row.width;
+  const std::string what = row_name(row);
+  RowRun out;
+  {
+    simgpu::GpuRuntime rt;
+    solver::BssnCtx ctx(m, scfg, make_space(row.backend, rt));
+    init_puncture(*m, ctx.state());
+    ctx.rk4_step();
+    out.rk4 = ctx.state();
+    out.rk4_counts = ctx.op_counts();
   }
-  return ctx.state();
-}
-
-TEST(ExecSpaceMatrix, SubcycleCycleIsBitwiseIdenticalAcrossBackends) {
-  const BssnState ref = run_subcycle(Backend::kSerial, 1);
-  for (Backend b : kBackends)
-    for (int threads : {1, 4}) {
-      if (b == Backend::kSerial && threads == 1) continue;
-      const BssnState run = run_subcycle(b, threads);
-      EXPECT_EQ(run.max_abs_diff(ref), 0.0)
-          << exec_space::backend_name(b) << " threads " << threads;
+  {
+    // One cycle runs both fill modes (the linear bootstrap at substep 0,
+    // the quadratic dense read at substep 1), the dense save and the
+    // depth-restricted update.
+    simgpu::GpuRuntime rt;
+    solver::BssnCtx ctx(m, scfg, make_space(row.backend, rt));
+    init_puncture(*m, ctx.state());
+    ctx.subcycle_cycle(ctx.suggested_dt());
+    out.cycle = ctx.state();
+    out.cycle_counts = ctx.op_counts();
+    if (row.backend == Backend::kSimGpu) {
+      // The machine model prices the sub-cycled sweeps.
+      for (const char* k :
+           {"subcycle-fill", "subcycle-save", "subcycle-update"})
+        EXPECT_TRUE(rt.has_kernel(k)) << what << " " << k;
+      out.cycle_modeled = rt.modeled_total_seconds();
+      EXPECT_GT(out.cycle_modeled, 0.0) << what;
     }
-  exec::ThreadPool::set_global_threads(1);
-}
-
-/// compute_psi4_field's chunked sweeps on backend `b` (puncture initial
-/// data): Re then Im, concatenated.
-std::vector<Real> run_psi4(Backend b, int threads) {
-  exec::ThreadPool::set_global_threads(threads);
-  auto m = puncture_mesh();
-  BssnState s;
-  init_puncture(*m, s);
-  const std::size_t n = m->num_dofs();
-  std::vector<Real> out(2 * n);
-  simgpu::GpuRuntime rt;
-  gw::compute_psi4_field(*m, s, bssn::BssnParams{}, out.data(),
-                         out.data() + n, make_space(b, rt));
-  if (b == Backend::kSimGpu) {
-    // Psi4 launches under its own kernel names, so the pinned unzip and
-    // zip records of the RHS pipeline never see extraction.
-    EXPECT_TRUE(rt.has_kernel("psi4-unzip"));
-    EXPECT_TRUE(rt.has_kernel("psi4"));
-    EXPECT_FALSE(rt.has_kernel("octant-to-patch"));
-    EXPECT_FALSE(rt.has_kernel("patch-to-octant"));
+  }
+  {
+    BssnState s;
+    init_puncture(*m, s);
+    const std::size_t n = m->num_dofs();
+    out.psi4.resize(2 * n);
+    simgpu::GpuRuntime rt;
+    ExecSpace es = make_space(row.backend, rt);
+    es.set_vector_policy({row.width});
+    gw::compute_psi4_field(*m, s, bssn::BssnParams{}, out.psi4.data(),
+                           out.psi4.data() + n, es);
+    if (row.backend == Backend::kSimGpu) {
+      // Psi4 launches under its own kernel names, so the pinned unzip and
+      // zip records of the RHS pipeline never see extraction.
+      EXPECT_TRUE(rt.has_kernel("psi4-unzip")) << what;
+      EXPECT_TRUE(rt.has_kernel("psi4")) << what;
+      EXPECT_FALSE(rt.has_kernel("octant-to-patch")) << what;
+      EXPECT_FALSE(rt.has_kernel("patch-to-octant")) << what;
+    }
   }
   return out;
 }
 
-TEST(ExecSpaceMatrix, Psi4FieldIsBitwiseIdenticalAcrossBackends) {
-  const std::vector<Real> ref = run_psi4(Backend::kSerial, 1);
-  for (Backend b : kBackends)
-    for (int threads : {1, 4}) {
-      if (b == Backend::kSerial && threads == 1) continue;
-      const std::vector<Real> run = run_psi4(b, threads);
-      EXPECT_EQ(std::memcmp(run.data(), ref.data(), ref.size() * sizeof(Real)),
-                0)
-          << exec_space::backend_name(b) << " threads " << threads;
-    }
-  exec::ThreadPool::set_global_threads(1);
+bool bitwise_equal(const BssnState& a, const BssnState& b) {
+  if (a.num_dofs() != b.num_dofs()) return false;
+  for (int v = 0; v < bssn::kNumVars; ++v)
+    if (std::memcmp(a.field(v), b.field(v), a.num_dofs() * sizeof(Real)))
+      return false;
+  return true;
+}
+
+void expect_counts_eq(const OpCounts& a, const OpCounts& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.flops, b.flops) << what;
+  EXPECT_EQ(a.bytes_read, b.bytes_read) << what;
+  EXPECT_EQ(a.bytes_written, b.bytes_written) << what;
 }
 
 /// sweep_rhs's launch with every octant evaluating all 7^3 interior points
@@ -464,17 +345,25 @@ BssnState rhs_eval(const ExecSpace& es, const Mesh& m, const BssnState& u,
   return rhs;
 }
 
-/// sweep_rhs evaluates only each octant's owned rows; after the zip the
-/// RHS must equal the all-rows kernel's bit for bit, with the same
-/// OpCounts and simgpu kernel records. The mesh has hanging points and
-/// outer-boundary octants (Sommerfeld rows); chunks of 10 octants leave a
-/// partial pipeline chunk and partial team chunks.
-TEST(ExecSpaceMatrix, OwnedRowRhsMatchesAllRowsAfterZip) {
-  exec::ThreadPool::set_global_threads(1);
-  auto m = puncture_mesh();
-  constexpr int kChunk = 10;
+/// Every row must reproduce the reference row bit for bit: the state after
+/// an RK4 step and after a sub-cycled cycle, their OpCounts, and the Psi4
+/// field. On every row, sweep_rhs evaluates only each octant's owned rows;
+/// after the zip the RHS must equal the all-rows kernel's (run serially)
+/// bit for bit, with the same OpCounts, and simgpu rows must record them.
+TEST(DeterminismMatrix, EverySweepIsBitwiseIdenticalOnEveryRow) {
+  auto m = matrix_mesh();
+  // The mesh features the rows rely on: two depths (so a cycle runs two
+  // fine substeps), hanging points, octants that skip owned rows, and a
+  // chunking that leaves a partial last chunk.
+  constexpr int kChunk = 7;
+  ASSERT_EQ(mesh::SubcycleIndex::build(*m).cycle(), 2);
   ASSERT_GT(m->num_hanging(), 0u);
   ASSERT_NE(m->num_octants() % kChunk, 0u);
+  std::size_t skipped = 0;
+  for (OctIndex e = 0; e < OctIndex(m->num_octants()); ++e)
+    skipped += m->owned_rows(e) != mesh::kAllRows;
+  ASSERT_GT(skipped, 0u);
+
   BssnState u;
   init_puncture(*m, u);
   // Perturb every field so the shift has both signs and no row is trivial.
@@ -482,52 +371,60 @@ TEST(ExecSpaceMatrix, OwnedRowRhsMatchesAllRowsAfterZip) {
   for (int v = 0; v < bssn::kNumVars; ++v)
     for (std::size_t i = 0; i < u.num_dofs(); ++i)
       u.field(v)[i] += rng.uniform(-1e-3, 1e-3);
-  std::size_t skipped = 0;
-  for (OctIndex e = 0; e < OctIndex(m->num_octants()); ++e)
-    skipped += m->owned_rows(e) != mesh::kAllRows;
-  ASSERT_GT(skipped, 0u);
-
-  simgpu::GpuRuntime rt_ref;
+  exec::ThreadPool::set_global_threads(1);
   OpCounts rhs_ref, zip_ref;
-  const BssnState ref = rhs_eval(ExecSpace::simgpu(rt_ref), *m, u, kChunk,
-                                 /*all_rows=*/true, rhs_ref, zip_ref);
-  for (Backend b : kBackends)
-    for (int threads : {1, 2, 7})
-      for (int width : {1, 4}) {
-        exec::ThreadPool::set_global_threads(threads);
-        simgpu::GpuRuntime rt;
-        ExecSpace es = make_space(b, rt);
-        es.set_vector_policy({width});
-        OpCounts rhs_c, zip_c;
-        const BssnState got =
-            rhs_eval(es, *m, u, kChunk, /*all_rows=*/false, rhs_c, zip_c);
-        const std::string what = std::string(exec_space::backend_name(b)) +
-                                 " threads " + std::to_string(threads) +
-                                 " width " + std::to_string(width);
-        for (int v = 0; v < bssn::kNumVars; ++v)
-          ASSERT_EQ(std::memcmp(got.field(v), ref.field(v),
-                                u.num_dofs() * sizeof(Real)),
-                    0)
-              << what << " var " << v;
-        for (const auto& [c, r] :
-             {std::pair{rhs_c, rhs_ref}, std::pair{zip_c, zip_ref}}) {
-          EXPECT_EQ(c.flops, r.flops) << what;
-          EXPECT_EQ(c.bytes_read, r.bytes_read) << what;
-          EXPECT_EQ(c.bytes_written, r.bytes_written) << what;
-        }
-        if (b != Backend::kSimGpu) continue;
-        for (const char* k : {"bssn-rhs", "patch-to-octant"}) {
-          const auto& a = rt.record(k);
-          const auto& r = rt_ref.record(k);
-          EXPECT_EQ(a.launches, r.launches) << what << " " << k;
-          EXPECT_EQ(a.blocks, r.blocks) << what << " " << k;
-          EXPECT_EQ(a.counts.flops, r.counts.flops) << what << " " << k;
-          EXPECT_EQ(a.counts.bytes_read, r.counts.bytes_read)
-              << what << " " << k;
-          EXPECT_EQ(a.counts.bytes_written, r.counts.bytes_written)
-              << what << " " << k;
-        }
-      }
+  const BssnState rhs_all = rhs_eval(ExecSpace::serial(), *m, u, kChunk,
+                                     /*all_rows=*/true, rhs_ref, zip_ref);
+  const std::uint64_t chunks = (m->num_octants() + kChunk - 1) / kChunk;
+
+  const std::vector<Row> rows = matrix_rows();
+  ASSERT_EQ(rows.size(), 14u);
+  RowRun ref;
+  double modeled_ref = 0;
+  for (const Row& row : rows) {
+    exec::ThreadPool::set_global_threads(row.threads);
+    const std::string what = row_name(row);
+    RowRun run = run_row(row, m);
+    if (row.backend == Backend::kSimGpu) {
+      if (modeled_ref == 0) modeled_ref = run.cycle_modeled;
+      EXPECT_EQ(run.cycle_modeled, modeled_ref) << what;
+    }
+    if (&row == &rows[0]) {
+      ref = std::move(run);
+    } else {
+      EXPECT_TRUE(bitwise_equal(run.rk4, ref.rk4)) << what << " rk4";
+      EXPECT_TRUE(bitwise_equal(run.cycle, ref.cycle)) << what << " cycle";
+      expect_counts_eq(run.rk4_counts, ref.rk4_counts, what + " rk4");
+      expect_counts_eq(run.cycle_counts, ref.cycle_counts, what + " cycle");
+      ASSERT_EQ(run.psi4.size(), ref.psi4.size());
+      EXPECT_EQ(std::memcmp(run.psi4.data(), ref.psi4.data(),
+                            ref.psi4.size() * sizeof(Real)),
+                0)
+          << what << " psi4";
+    }
+
+    simgpu::GpuRuntime rt;
+    ExecSpace es = make_space(row.backend, rt);
+    es.set_vector_policy({row.width});
+    OpCounts rhs_c, zip_c;
+    const BssnState got =
+        rhs_eval(es, *m, u, kChunk, /*all_rows=*/false, rhs_c, zip_c);
+    EXPECT_TRUE(bitwise_equal(got, rhs_all)) << what << " owned-row rhs";
+    expect_counts_eq(rhs_c, rhs_ref, what + " rhs");
+    expect_counts_eq(zip_c, zip_ref, what + " zip");
+    if (row.backend != Backend::kSimGpu) continue;
+    // One launch per pipeline chunk, one block per octant (per octant and
+    // variable for the zip), and the all-rows kernel's counts.
+    const auto& rhs_rec = rt.record("bssn-rhs");
+    const auto& zip_rec = rt.record("patch-to-octant");
+    EXPECT_EQ(std::uint64_t(rhs_rec.launches), chunks) << what;
+    EXPECT_EQ(std::uint64_t(zip_rec.launches), chunks) << what;
+    EXPECT_EQ(rhs_rec.blocks, m->num_octants()) << what;
+    EXPECT_EQ(zip_rec.blocks, m->num_octants() * bssn::kNumVars) << what;
+    expect_counts_eq(rhs_rec.counts, rhs_ref, what + " bssn-rhs");
+    expect_counts_eq(zip_rec.counts, zip_ref, what + " patch-to-octant");
+  }
+  EXPECT_GT(modeled_ref, 0.0);
   exec::ThreadPool::set_global_threads(1);
 }
 

@@ -1,9 +1,9 @@
 /// \file test_subcycle.cpp
 /// \brief Depth-local sub-cycled timestepping: the scheduler truth table,
 /// the per-depth mesh decomposition, dense-output accuracy, the bitwise
-/// contracts (uniform-mesh degeneracy to rk4_step, determinism across
-/// DGR_THREADS and SIMD widths, global-dt path unchanged, resumption after
-/// restore()), convergence of the sub-cycled evolution to the
+/// contracts (uniform-mesh degeneracy to rk4_step, global-dt path
+/// unchanged, resumption after restore()), convergence of the sub-cycled
+/// evolution to the
 /// global-dt answer, the RK2 puncture tracker, cadence validation, and the
 /// distributed engine's depth-filtered halo schedule.
 
@@ -18,9 +18,7 @@
 #include "common/error.hpp"
 #include "dist/engine.hpp"
 #include "ensemble/scenario.hpp"
-#include "exec/pool.hpp"
 #include "fd/dense_output.hpp"
-#include "gw/extract.hpp"
 #include "mesh/sampling.hpp"
 #include "mesh/subcycle_index.hpp"
 #include "solver/evolution.hpp"
@@ -31,12 +29,15 @@ namespace {
 using bssn::BssnState;
 using mesh::Mesh;
 
-/// Two-depth puncture mesh (levels 2..3, cycle length 2) — the
-/// test_determinism grid.
+/// Two-depth puncture mesh (levels 2..3, cycle length 2, 120 octants) —
+/// the determinism matrix's grid. Thread, SIMD-width and backend
+/// determinism of the sub-cycled step is pinned there
+/// (tests/test_exec_space.cpp, tests/test_determinism.cpp).
 std::shared_ptr<Mesh> puncture_mesh() {
   oct::Domain dom{16.0};
   return std::make_shared<Mesh>(
-      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, 3}}, 2), dom);
+      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, 3}}, 2, 0.75),
+      dom);
 }
 
 /// Uniform level-2 mesh over the same domain (cycle length 1).
@@ -231,81 +232,6 @@ TEST(Subcycle, GlobalDtEvolveIsUnchangedByTheSubcycleBranch) {
   EXPECT_EQ(res.steps, steps);
   EXPECT_EQ(via_evolve.state().max_abs_diff(manual.state()), 0.0);
   EXPECT_EQ(via_evolve.time(), manual.time());
-}
-
-BssnState run_subcycled(int threads, int width) {
-  exec::ThreadPool::set_global_threads(threads);
-  auto m = puncture_mesh();
-  solver::SolverConfig scfg = solver_config();
-  scfg.simd_width = width;
-  solver::BssnCtx ctx(m, scfg);
-  init_puncture(*m, ctx.state());
-  // One cycle already exercises both fill modes: the linear bootstrap at
-  // substep 0 and the quadratic dense read of the coarse step at substep 1.
-  ctx.subcycle_cycle(ctx.suggested_dt());
-  return ctx.state();
-}
-
-TEST(Subcycle, BitwiseDeterministicAcrossThreadsAndSimdWidths) {
-  // The acceptance contract: DGR_THREADS and DGR_SIMD never change the
-  // sub-cycled state — fill sweeps, restricted RHS runs and the restricted
-  // final update all use the fixed-chunk partition.
-  const BssnState ref = run_subcycled(1, 1);
-  ASSERT_GT(ref.num_dofs(), 0u);
-  for (int threads : {1, 4})
-    for (int width : {1, 4}) {
-      if (threads == 1 && width == 1) continue;
-      const BssnState run = run_subcycled(threads, width);
-      EXPECT_EQ(run.max_abs_diff(ref), 0.0)
-          << "threads " << threads << " width " << width;
-    }
-  exec::ThreadPool::set_global_threads(1);
-}
-
-/// A full sub-cycled evolve (regrid + tracker + extraction on cycle
-/// boundaries), captured for cross-thread comparison.
-struct SubRun {
-  BssnState state;
-  std::vector<gw::ModeTimeSeries> waves;
-  std::vector<std::array<Real, 3>> punctures;
-  int steps = 0, regrids = 0;
-};
-
-SubRun run_subcycled_evolve(int threads) {
-  exec::ThreadPool::set_global_threads(threads);
-  auto m = puncture_mesh();
-  solver::BssnCtx ctx(m, solver_config());
-  init_puncture(*m, ctx.state());
-  solver::EvolutionConfig ecfg;
-  ecfg.subcycle = true;
-  ecfg.t_end = 4.1 * ctx.suggested_dt();  // 2 cycles + a clamped tail step
-  ecfg.regrid_every = 4;                  // multiple of the cycle length 2
-  ecfg.regrid.max_level = 3;
-  ecfg.extract_every = 2;
-  ecfg.extraction_radii = {4.0};
-  solver::PunctureTracker tracker({{0.05, 0.03, 0.02}});
-  const auto res = solver::evolve(ctx, ecfg, &tracker);
-  return {ctx.state(), res.waves22, tracker.positions(), res.steps,
-          res.regrids};
-}
-
-TEST(Subcycle, EvolveWithRegridIsBitwiseStableAcrossThreadCounts) {
-  const SubRun ref = run_subcycled_evolve(1);
-  EXPECT_EQ(ref.steps, 5);  // 2 cycles of 2 fine steps + the 0.1 dt tail
-  ASSERT_FALSE(ref.waves.empty());
-  ASSERT_FALSE(ref.waves[0].values.empty());
-  const SubRun run = run_subcycled_evolve(4);
-  EXPECT_EQ(run.steps, ref.steps);
-  EXPECT_EQ(run.regrids, ref.regrids);
-  ASSERT_EQ(run.state.num_dofs(), ref.state.num_dofs());
-  EXPECT_EQ(run.state.max_abs_diff(ref.state), 0.0);
-  for (std::size_t r = 0; r < ref.waves.size(); ++r) {
-    EXPECT_EQ(run.waves[r].times, ref.waves[r].times);
-    EXPECT_EQ(run.waves[r].values, ref.waves[r].values);
-  }
-  for (int a = 0; a < 3; ++a)
-    EXPECT_EQ(run.punctures[0][a], ref.punctures[0][a]);
-  exec::ThreadPool::set_global_threads(1);
 }
 
 TEST(Subcycle, RestoreDropsRetainedDenseStages) {
