@@ -57,14 +57,14 @@ int main(int argc, char** argv) {
       solver::BssnCtx ctx(m, cfg);
       bench::init_bbh_state(*m, 1.0, 2.0, ctx.state());
       WallTimer t;
-      ctx.rk4_step();
+      const auto ledger = bench::span_ledger([&] { ctx.rk4_step(); });
       const double s = t.seconds();
       const bool scatter = method == mesh::UnzipMethod::kLoopOverOctants;
       if (scatter) base = s;
       else rep.pair("end_to_end_slowdown_gather", NAN, s / base, "x");
       std::printf("      %-18s | wall %.2f s | unzip share %.0f%%%s\n",
                   scatter ? "loop-over-octants" : "loop-over-patches", s,
-                  100 * ctx.breakdown().unzip.total_seconds() / s,
+                  100 * ledger.summaries.at("unzip").sum * 1e-6 / s,
                   scatter ? "" : "  <- baseline");
     }
     (void)base;

@@ -221,6 +221,21 @@ class Reporter {
   obs::Clock trace_domain_ = obs::Clock::kVirtual;
 };
 
+/// The span ledger of one call: runs `f` with a fresh timing-enabled
+/// registry installed (the previous one is restored afterwards) and
+/// returns its snapshot, whose summaries hold the call's span times in
+/// microseconds by layer (unzip, rhs, zip, update, ...).
+template <class F>
+obs::MetricsRegistry::Snapshot span_ledger(F&& f) {
+  obs::MetricsRegistry ledger;
+  ledger.enable_timing(true);
+  obs::MetricsRegistry* outer = obs::metrics();
+  obs::install_metrics(&ledger);
+  f();
+  obs::install_metrics(outer);
+  return ledger.snapshot();
+}
+
 /// The Table III adaptivity grids m1..m5 as meshes.
 inline std::shared_ptr<mesh::Mesh> adaptivity_mesh(int family) {
   oct::Domain dom{400.0};

@@ -78,9 +78,10 @@ int main(int argc, char** argv) {
     for (int w = 0; w < 2; ++w) {
       scfg.simd_width = w == 0 ? 1 : wact;
       solver::RhsPipeline pipe(m, scfg);
-      solver::PhaseBreakdown ph;
-      pipe.compute(s, w == 0 ? rhs_scalar : rhs_simd, all, &ph, nullptr);
-      ms[w] = ph.rhs.total_seconds() * 1e3;
+      const auto ledger = bench::span_ledger([&] {
+        pipe.compute(s, w == 0 ? rhs_scalar : rhs_simd, all, nullptr);
+      });
+      ms[w] = ledger.summaries.at("rhs").sum * 1e-3;
     }
     const bool bitwise = rhs_simd.max_abs_diff(rhs_scalar) == 0.0;
     const std::string g = "m" + std::to_string(fam);

@@ -39,20 +39,6 @@ class BssnState {
     return p;
   }
 
-  /// y = y + s * x  (the AXPY of Algorithm 1, over every variable).
-  void axpy(Real s, const BssnState& x) {
-    for (int v = 0; v < kNumVars; ++v)
-      for (std::size_t d = 0; d < ndofs_; ++d)
-        fields_[v][d] += s * x.fields_[v][d];
-  }
-
-  /// this = a + s * b (RK stage combination).
-  void set_axpy(const BssnState& a, Real s, const BssnState& b) {
-    for (int v = 0; v < kNumVars; ++v)
-      for (std::size_t d = 0; d < ndofs_; ++d)
-        fields_[v][d] = a.fields_[v][d] + s * b.fields_[v][d];
-  }
-
   /// Max absolute difference against another state (all variables).
   Real max_abs_diff(const BssnState& o) const {
     Real m = 0;

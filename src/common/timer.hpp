@@ -1,6 +1,7 @@
 #pragma once
 /// \file timer.hpp
-/// \brief Wall-clock timing helpers used by the benchmark harness.
+/// \brief A steady-clock stopwatch for benches and calibration loops.
+/// Solver regions are timed by obs::ScopedSpan (obs/obs.hpp).
 
 #include <chrono>
 
@@ -21,33 +22,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulating timer: sums durations of start()/stop() intervals. Used for
-/// per-phase cost breakdowns (Fig. 20).
-class PhaseTimer {
- public:
-  /// Begin (or re-begin) an interval. Calling start() while an interval is
-  /// already running banks the elapsed time before restarting, so repeated
-  /// start() calls accumulate instead of silently discarding the running
-  /// interval.
-  void start() {
-    if (running_) total_ += t_.seconds();
-    t_.restart();
-    running_ = true;
-  }
-  void stop() {
-    if (running_) total_ += t_.seconds();
-    running_ = false;
-  }
-  bool running() const { return running_; }
-  double total_seconds() const { return total_; }
-  void reset() { total_ = 0.0; running_ = false; }
-
- private:
-  WallTimer t_;
-  double total_ = 0.0;
-  bool running_ = false;
 };
 
 }  // namespace dgr

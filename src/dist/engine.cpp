@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "exec/parallel.hpp"
+#include "exec_space/bssn_sweeps.hpp"
 #include "obs/obs.hpp"
 #include "solver/io.hpp"
 
@@ -112,28 +113,29 @@ void rhs_eval_depth(SimComm& comm, Cohort& c, const DistConfig& cfg, int tag,
 }
 
 /// One distributed RK4 step — the exact arithmetic of BssnCtx::rk4_step,
-/// with a ghost exchange ahead of each of the four evaluations.
+/// with a ghost exchange ahead of each of the four evaluations. Every
+/// rank's stage updates are BssnCtx's AXPY sweeps, run on the host space
+/// its RhsPipeline uses.
 void rk4_step(SimComm& comm, Cohort& c, const DistConfig& cfg, Real dt,
               int* tag) {
+  const exec_space::ExecSpace es = exec_space::ExecSpace::host();
+  const auto stage = [&](Real s, int k) {
+    for (auto& rc : c.ranks)
+      exec_space::sweep_rk4_axpy(es, rc->stage(), s, rc->k(k), &rc->state(),
+                                 nullptr);
+  };
   rhs_eval(comm, c, cfg, (*tag)++, /*use_stage=*/false, 0);
-  ranks_parallel(c, "dist.update", [&](RankCtx& rc) {
-    rc.stage().set_axpy(rc.state(), 0.5 * dt, rc.k(0));
-  });
+  stage(0.5 * dt, 0);
   rhs_eval(comm, c, cfg, (*tag)++, /*use_stage=*/true, 1);
-  ranks_parallel(c, "dist.update", [&](RankCtx& rc) {
-    rc.stage().set_axpy(rc.state(), 0.5 * dt, rc.k(1));
-  });
+  stage(0.5 * dt, 1);
   rhs_eval(comm, c, cfg, (*tag)++, /*use_stage=*/true, 2);
-  ranks_parallel(c, "dist.update", [&](RankCtx& rc) {
-    rc.stage().set_axpy(rc.state(), dt, rc.k(2));
-  });
+  stage(dt, 2);
   rhs_eval(comm, c, cfg, (*tag)++, /*use_stage=*/true, 3);
-  ranks_parallel(c, "dist.update", [&](RankCtx& rc) {
-    rc.state().axpy(dt / 6.0, rc.k(0));
-    rc.state().axpy(dt / 3.0, rc.k(1));
-    rc.state().axpy(dt / 3.0, rc.k(2));
-    rc.state().axpy(dt / 6.0, rc.k(3));
-  });
+  const Real weight[4] = {dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0};
+  for (auto& rc : c.ranks)
+    for (int k = 0; k < 4; ++k)
+      exec_space::sweep_rk4_axpy(es, rc->state(), weight[k], rc->k(k),
+                                 nullptr, nullptr);
 }
 
 /// The last coordinated checkpoint, kept in memory (and mirrored on disk
@@ -253,10 +255,10 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
   } else {
     // Mirror solver::evolve (Algorithm 1) exactly, with a global step
     // counter so the regrid cadence (every regrid_every-th step) survives
-    // checkpoint restarts and rollbacks: a window of regrid_every steps
-    // followed by the regrid synchronization point.
-    Real time = cfg.t_start;
-    std::uint64_t global_step = cfg.step_start;
+    // rollbacks: a window of regrid_every steps followed by the regrid
+    // synchronization point.
+    Real time = 0;
+    std::uint64_t global_step = 0;
 
     std::optional<gw::WaveExtractor> extractor;
     std::vector<std::uint64_t> wave_steps;  // step each sample was taken at
@@ -331,14 +333,6 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
       obs::count("dist.recovery.count");
       obs::count("dist.recovery.lost_steps", std::uint64_t(lost));
       obs::gauge_set("dist.recovery.t_detect", t_detect);
-      // Preserve the flight-recorder timeline that led into the failure —
-      // the rings keep filling during re-execution, so dump now, while
-      // the pre-fault spans are still in the buffers.
-      if (!cfg.flightrec_path.empty()) {
-        obs::flightrec::record_instant("dist.recovery", "fault",
-                                       t_detect * 1e6);
-        obs::flightrec::dump(cfg.flightrec_path);
-      }
       mark("recovery");
     };
 
@@ -418,7 +412,7 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
           global_step % std::uint64_t(cfg.checkpoint_interval) == 0)
         take_checkpoint();
     }
-    res.steps = static_cast<int>(global_step - cfg.step_start);
+    res.steps = static_cast<int>(global_step);
     res.state = gather_global(*comm, c);
   }
 

@@ -79,15 +79,6 @@ struct DistConfig {
   std::string checkpoint_path;
   /// Fault injection plan (see fault.hpp); inert unless `enabled`.
   FaultConfig faults;
-  /// Dump the flight recorder here after each fault recovery, preserving
-  /// the spans leading into the failure ("" disables — the default, so
-  /// tests exercising recovery don't write files as a side effect).
-  std::string flightrec_path;
-
-  /// Restart support: resume from a checkpoint's time/step so the
-  /// regrid/checkpoint/extraction cadences align with the original run.
-  Real t_start = 0;
-  std::uint64_t step_start = 0;
 
   /// Psi4 recording (mirrors solver::EvolutionConfig): every
   /// `extract_every` steps the state is gathered (a modeled allgather) and
@@ -107,8 +98,8 @@ struct RankReport {
 };
 
 struct DistResult {
-  /// Net steps advanced past cfg.step_start (rolled-back steps excluded),
-  /// so a recovered run reports the same count as the fault-free run.
+  /// Net steps advanced (rolled-back steps excluded), so a recovered run
+  /// reports the same count as the fault-free run.
   int steps = 0;
   /// Every rk4_step actually executed, including re-execution after
   /// rollbacks; steps_executed - steps is the recovery re-compute bill.

@@ -167,12 +167,12 @@ void RankCtx::finish_exchange_depth(SimComm& comm, bssn::BssnState& u,
 
 void RankCtx::compute_rhs_interior(const bssn::BssnState& u,
                                    bssn::BssnState& rhs) {
-  pipeline_.compute(u, rhs, interior_runs_, nullptr, nullptr);
+  pipeline_.compute(u, rhs, interior_runs_, nullptr);
 }
 
 void RankCtx::compute_rhs_boundary(const bssn::BssnState& u,
                                    bssn::BssnState& rhs) {
-  pipeline_.compute(u, rhs, boundary_runs_, nullptr, nullptr);
+  pipeline_.compute(u, rhs, boundary_runs_, nullptr);
 }
 
 }  // namespace dgr::dist

@@ -45,7 +45,7 @@ EnsembleDriver::Ticket EnsembleDriver::submit(const ScenarioConfig& cfg) {
   const double t0 = monotonic_us();
   bool from_disk = false;
   if (auto wf = cache_.get(key, &from_disk)) {
-    obs::observe("ensemble.lookup_us", monotonic_us() - t0);
+    obs::observe_timing("ensemble.lookup_us", monotonic_us() - t0);
     t.source = from_disk ? Source::kDisk : Source::kMemory;
     std::promise<Result> p;
     p.set_value(std::move(wf));
@@ -117,9 +117,8 @@ EnsembleDriver::Result EnsembleDriver::evolve(const ScenarioConfig& cfg,
 }
 
 void EnsembleDriver::execute(const JobPtr& job) {
-  const double t_start = monotonic_us();
-  obs::observe("ensemble.queue_us", t_start - job->t_submit_us);
-  obs::observe_hist_timing("ensemble.queue_us", t_start - job->t_submit_us);
+  obs::observe_hist_timing("ensemble.queue_us",
+                           monotonic_us() - job->t_submit_us);
   Result result;
   try {
     obs::ScopedSpan span("ensemble.evolve", "ensemble");
@@ -134,7 +133,6 @@ void EnsembleDriver::execute(const JobPtr& job) {
     job->promise.set_exception(std::current_exception());
     return;
   }
-  obs::observe("ensemble.evolve_us", monotonic_us() - t_start);
   obs::count("ensemble.evolutions");
   cache_.put(job->key, result);
   {

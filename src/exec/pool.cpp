@@ -4,18 +4,18 @@
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
+#include "obs/obs.hpp"
 
 namespace dgr::exec {
 
 namespace {
-thread_local int tl_lane = 0;
 thread_local ThreadPool* tl_pool = nullptr;
 
 std::mutex g_pool_m;
 std::unique_ptr<ThreadPool> g_pool;
 }  // namespace
 
-int this_lane() { return tl_lane; }
+int this_lane() { return obs::thread_lane(); }
 
 ThreadPool::ThreadPool(int threads) : lanes_(threads < 1 ? 1 : threads) {
   const int nworkers = lanes_ - 1;
@@ -42,8 +42,8 @@ void ThreadPool::submit(std::function<void()> task) {
     return;
   }
   std::size_t w;
-  if (tl_pool == this && tl_lane >= 1)
-    w = static_cast<std::size_t>(tl_lane - 1);
+  if (tl_pool == this && this_lane() >= 1)
+    w = static_cast<std::size_t>(this_lane() - 1);
   else
     w = rr_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   {
@@ -82,7 +82,7 @@ bool ThreadPool::try_pop(int widx, std::function<void()>& out) {
 }
 
 void ThreadPool::run(int widx) {
-  tl_lane = widx + 1;
+  obs::bind_thread_lane(widx + 1);
   tl_pool = this;
   for (;;) {
     std::function<void()> task;

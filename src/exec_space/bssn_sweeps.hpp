@@ -146,8 +146,9 @@ using SubcycleRhsFn = std::function<void(
 /// Runs the "subcycle-fill" / "subcycle-save" / "subcycle-update" sweeps
 /// (host label "update") on `es` with the pinned OpCounts charges, calling
 /// `rhs` once per stage. `update_begin` / `update_end` (nullable) bracket
-/// each update-class sweep — the host solver hangs its update PhaseTimer
-/// here. `counts` feeds the sweeps' merged OpCounts (nullable).
+/// each update-class sweep; BssnCtx passes none, as each sweep already
+/// times itself in its `update` span. `counts` feeds the sweeps' merged
+/// OpCounts (nullable).
 void subcycle_step_depth(const ExecSpace& es, const mesh::SubcycleIndex& idx,
                          int depth, Real fine_dt, Real time,
                          const SubcycleState& st, const SubcycleRhsFn& rhs,

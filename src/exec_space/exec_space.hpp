@@ -9,12 +9,15 @@
 ///
 ///   backend   | execution engine            | instrumentation
 ///   ----------+-----------------------------+---------------------------
-///   kSerial   | caller thread, chunk order  | OpCounts slots only
+///   kSerial   | caller thread, chunk order  | OpCounts slots
 ///   kPool     | src/exec work-stealing pool | OpCounts slots + worker
 ///             | (exec::for_each_chunk)      | trace spans (spec.label)
 ///   kSimGpu   | simgpu GpuRuntime::         | OpCounts slots + kernel
 ///             | launch_range                | records, modeled time,
-///             |                             | ScopedSpan, gpu.* metrics
+///             |                             | gpu.* metrics
+///
+/// On every backend a labelled sweep runs inside one obs::ScopedSpan named
+/// by spec.label: its row in the per-layer ledger (obs/obs.hpp).
 ///
 /// A caller picks the backend by the space it passes in:
 /// ExecSpace::serial(), ExecSpace::simgpu(rt), or ExecSpace::host() (the
@@ -30,8 +33,8 @@
 ///
 /// Per-chunk OpCounts slots for the host backends come from a ScratchArena
 /// (zero steady-state heap allocations, like launch_range's); the simgpu
-/// backend delegates to GpuRuntime::launch_range, which owns its arena,
-/// kernel records, and ScopedSpan/flight-recorder instrumentation.
+/// backend delegates to GpuRuntime::launch_range, which owns its arena and
+/// kernel records.
 ///
 /// The inner-loop vector policy plugs the dgr::simd pack layer in:
 /// VectorPolicy carries the SIMD dispatch width (0 = the runtime DGR_SIMD
@@ -40,11 +43,13 @@
 /// kernel body.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/counters.hpp"
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
+#include "obs/obs.hpp"
 #include "simd/simd.hpp"
 #include "simgpu/runtime.hpp"
 
@@ -64,12 +69,12 @@ constexpr std::size_t patch_offset(std::int64_t o, int v, std::size_t nvar,
          npts;
 }
 
-/// Identity of one launch: the simgpu kernel-record name plus the host
-/// trace label (worker spans), with the block/stream accounting the device
+/// Identity of one launch: the simgpu kernel-record name plus the layer
+/// label (the sweep's span), with the block/stream accounting the device
 /// model prices. Host backends ignore blocks/stream.
 struct LaunchSpec {
   const char* name = "kernel";  ///< simgpu kernel-record name
-  const char* label = nullptr;  ///< host worker-span label (null = no span)
+  const char* label = nullptr;  ///< span / ledger layer (null = no span)
   std::uint64_t blocks = 0;     ///< simgpu accounting only
   int stream = 0;               ///< simgpu stream (0 = sync pipeline)
 };
@@ -157,13 +162,16 @@ class ExecSpace {
   int max_lanes() const { return exec::lanes(); }
 
   /// Run body(chunk_begin, chunk_end, OpCounts&) over the fixed grain-based
-  /// chunks of [0, n). Per-chunk counts land in slots indexed by chunk and
+  /// chunks of [0, n), inside a span named spec.label (when set). Per-chunk
+  /// counts land in slots indexed by chunk and
   /// are merged in chunk order into *counts (when non-null) — and, on the
   /// simgpu backend, into the named kernel's record and modeled time.
   /// Chunks must write disjoint outputs.
   template <class Body>
   void range_for(const LaunchSpec& spec, std::int64_t n, std::int64_t grain,
                  OpCounts* counts, Body&& body) const {
+    std::optional<obs::ScopedSpan> span;
+    if (spec.label) span.emplace(spec.label, "exec");
     if (backend_ == Backend::kSimGpu) {
       rt_->launch_range(spec.name, spec.blocks, spec.stream, n, grain, body,
                         counts);

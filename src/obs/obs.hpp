@@ -4,10 +4,15 @@
 /// MetricsRegistry can be installed (not owned) for the duration of a run;
 /// instrumented code emits through the helpers below, which are cheap
 /// no-ops (one pointer load and branch) when nothing is installed — the
-/// solver and runtime hot paths pay nothing by default. ScopedSpan
-/// additionally feeds the always-on flight recorder (obs/flightrec.hpp),
-/// so the last moments before a crash are reconstructable even when no
-/// trace session was ever installed.
+/// solver and runtime hot paths pay nothing by default.
+///
+/// ScopedSpan is the one region timer. A closed span goes to the installed
+/// trace session (on the calling thread's track), to the always-on flight
+/// recorder (obs/flightrec.hpp: the last moments before a crash are
+/// reconstructable even when no session was ever installed) and, when the
+/// installed registry has enable_timing(true), to a summary of its name in
+/// microseconds. With exec_space::ExecSpace spanning every labelled sweep,
+/// those summaries are the per-layer ledger (unzip, rhs, zip, update, ...).
 
 #include <cstdint>
 
@@ -27,30 +32,16 @@ MetricsRegistry* metrics();
 void install_trace(TraceSession* session);
 void install_metrics(MetricsRegistry* registry);
 
-/// RAII host-domain span on the installed session's default host track,
-/// mirrored into the flight recorder's per-thread ring at destruction.
-/// `name` and `cat` must be static strings (the flight recorder stores
-/// the pointers) — which every call site already satisfies.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* name, const char* cat = "host")
-      : session_(trace()), name_(name), cat_(cat), t0_(monotonic_us()) {
-    if (session_) session_->span_begin(session_->host_track(), name, cat, t0_);
-  }
-  ~ScopedSpan() {
-    const double t1 = monotonic_us();
-    if (session_) session_->span_end(session_->host_track(), t1);
-    flightrec::record_span(name_, cat_, t0_, t1 - t0_);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+/// Trace lane of the calling thread: exec::ThreadPool workers bind their
+/// pool lane (>= 1) when they start; every other thread is lane 0. It is
+/// also exec::this_lane(), the index of per-lane scratch.
+void bind_thread_lane(int lane);
+int thread_lane();
 
- private:
-  TraceSession* session_;
-  const char* name_;
-  const char* cat_;
-  double t0_;
-};
+/// The calling thread's track in `session`: worker_track(lane) on a pool
+/// worker, the host track on lane 0. Spans that workers open concurrently
+/// therefore never interleave their B/E events on one track.
+int thread_track(TraceSession& session);
 
 // Metric helpers: forward to the installed registry, no-op otherwise.
 inline void count(const char* name, std::uint64_t n = 1) {
@@ -77,5 +68,40 @@ inline void observe_hist_timing(const char* name, double v) {
     if (m->timing_enabled()) m->observe_hist(name, v);
   }
 }
+/// Summary of a WALL-CLOCK duration, behind the same enable_timing() gate.
+inline void observe_timing(const char* name, double v) {
+  if (MetricsRegistry* m = metrics()) {
+    if (m->timing_enabled()) m->observe(name, v);
+  }
+}
+
+/// RAII host-domain span (see the file comment). `name` and `cat` must be
+/// static strings (the flight recorder stores the pointers) — which every
+/// call site already satisfies.
+class ScopedSpan {
+ public:
+  explicit ScopedSpan(const char* name, const char* cat = "host")
+      : session_(trace()), name_(name), cat_(cat), t0_(monotonic_us()) {
+    if (session_) {
+      track_ = thread_track(*session_);
+      session_->span_begin(track_, name, cat, t0_);
+    }
+  }
+  ~ScopedSpan() {
+    const double t1 = monotonic_us();
+    if (session_) session_->span_end(track_, t1);
+    flightrec::record_span(name_, cat_, t0_, t1 - t0_);
+    observe_timing(name_, t1 - t0_);
+  }
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+ private:
+  TraceSession* session_;
+  const char* name_;
+  const char* cat_;
+  double t0_;
+  int track_ = -1;
+};
 
 }  // namespace dgr::obs

@@ -15,7 +15,7 @@
 /// summary / hist, e.g.
 ///   pair:state_max_abs_diff        (the "ours" value of a Reporter pair)
 ///   gauge:bench.hit_rate
-///   summary:ensemble.queue_us.mean
+///   summary:ensemble.lookup_us.mean
 ///   hist:serve.latency_us.mem.p99
 ///
 /// Worse-direction inference from the metric name: latency/time/error-ish

@@ -51,11 +51,11 @@ class TraceSession {
                 Clock domain);
 
   /// The lazily-created default host-domain track ("host"/"main") the RAII
-  /// span guards write to.
+  /// span guards write to on threads outside the pool.
   int host_track();
 
   /// The lazily-created host-domain track ("exec"/"worker <lane>") a pool
-  /// worker lane emits its parallel-region spans on (src/exec).
+  /// worker lane emits its parallel-region and RAII spans on (src/exec).
   int worker_track(int lane);
 
   std::size_t num_tracks() const {

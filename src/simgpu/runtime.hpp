@@ -21,7 +21,6 @@
 
 #include "common/counters.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "exec/parallel.hpp"
 #include "obs/obs.hpp"
 #include "perf/machine_model.hpp"
@@ -138,7 +137,6 @@ struct KernelRecord {
   int stream = 0;
   OpCounts counts;              ///< totals over all launches
   std::vector<OpCounts> per_launch;  ///< per-launch counts (model input)
-  double host_seconds = 0;
 
   /// Modeled device time: the finite-cache model applied per launch (the
   /// §III-D working set m is a per-kernel-invocation quantity).
@@ -195,29 +193,18 @@ class GpuRuntime {
   }
 
   // --------------------------------------------------- kernel launches --
-  /// Execute `body` as one kernel launch of `blocks` blocks on `stream`.
-  /// The body receives an OpCounts to fill with the work it performed.
+  /// Execute `body` as one kernel launch of `blocks` blocks on `stream`,
+  /// inside a span named `name`. The body receives an OpCounts to fill
+  /// with the work it performed. `name` must be a static string: the
+  /// flight recorder keeps the pointer.
   template <class F>
-  void launch(const std::string& name, std::uint64_t blocks, int stream,
-              F&& body) {
-    KernelRecord& rec = records_[name];
-    WallTimer t;
+  void launch(const char* name, std::uint64_t blocks, int stream, F&& body) {
     OpCounts c;
     {
-      obs::ScopedSpan span(name.c_str(), "kernel");
+      obs::ScopedSpan span(name, "kernel");
       body(c);
     }
-    rec.host_seconds += t.seconds();
-    rec.counts += c;
-    rec.per_launch.push_back(c);
-    rec.launches += 1;
-    rec.blocks += blocks;
-    rec.stream = stream;
-    if (obs::MetricsRegistry* m = obs::metrics()) {
-      m->add("gpu.launches");
-      m->add("gpu.flops", c.flops);
-      m->add("gpu.kernel." + name + ".bytes", c.bytes_moved());
-    }
+    book(name, blocks, stream, c);
   }
 
   /// Execute one kernel launch whose body is data-parallel over [0, n):
@@ -229,39 +216,26 @@ class GpuRuntime {
   /// Chunks of one launch must write disjoint outputs; the launch itself is
   /// still a single sequential record update on the caller. When `out` is
   /// non-null the chunk-order-merged counts are also accumulated into it
-  /// (the exec_space layer routes solver-side OpCounts through this).
+  /// (the exec_space layer routes solver-side OpCounts through this, and
+  /// opens the sweep's span around the launch). Pool workers label their
+  /// trace spans with `name`.
   template <class F>
-  void launch_range(const std::string& name, std::uint64_t blocks, int stream,
+  void launch_range(const char* name, std::uint64_t blocks, int stream,
                     std::int64_t n, std::int64_t grain, F&& body,
                     OpCounts* out = nullptr) {
-    KernelRecord& rec = records_[name];
-    WallTimer t;
     scratch_.reset();
     const std::int64_t nc = exec::num_chunks(0, n, grain);
     OpCounts* slots = scratch_.get<OpCounts>(static_cast<std::size_t>(nc));
-    {
-      obs::ScopedSpan span(name.c_str(), "kernel");
-      exec::for_each_chunk(
-          0, n, grain,
-          [&](std::int64_t c, std::int64_t b, std::int64_t e) {
-            body(b, e, slots[c]);
-          },
-          name.c_str());
-    }
+    exec::for_each_chunk(
+        0, n, grain,
+        [&](std::int64_t c, std::int64_t b, std::int64_t e) {
+          body(b, e, slots[c]);
+        },
+        name);
     OpCounts c;
     for (std::int64_t i = 0; i < nc; ++i) c += slots[i];
     if (out) *out += c;
-    rec.host_seconds += t.seconds();
-    rec.counts += c;
-    rec.per_launch.push_back(c);
-    rec.launches += 1;
-    rec.blocks += blocks;
-    rec.stream = stream;
-    if (obs::MetricsRegistry* m = obs::metrics()) {
-      m->add("gpu.launches");
-      m->add("gpu.flops", c.flops);
-      m->add("gpu.kernel." + name + ".bytes", c.bytes_moved());
-    }
+    book(name, blocks, stream, c);
   }
 
   /// The per-launch scratch arena (reset at the start of every
@@ -302,12 +276,6 @@ class GpuRuntime {
     return t;
   }
 
-  double host_total_seconds() const {
-    double t = 0;
-    for (const auto& [name, rec] : records_) t += rec.host_seconds;
-    return t;
-  }
-
   /// Reset semantics. The runtime distinguishes *counters* — statistics of
   /// work submitted so far (kernel records, H2D/D2H transfer bytes, and the
   /// allocation high-water mark) — from *live allocation state*
@@ -324,6 +292,22 @@ class GpuRuntime {
   }
 
  private:
+  /// Book one finished launch into its kernel record and the metrics.
+  void book(const char* name, std::uint64_t blocks, int stream,
+            const OpCounts& c) {
+    KernelRecord& rec = records_[name];
+    rec.counts += c;
+    rec.per_launch.push_back(c);
+    rec.launches += 1;
+    rec.blocks += blocks;
+    rec.stream = stream;
+    if (obs::MetricsRegistry* m = obs::metrics()) {
+      m->add("gpu.launches");
+      m->add("gpu.flops", c.flops);
+      m->add(std::string("gpu.kernel.") + name + ".bytes", c.bytes_moved());
+    }
+  }
+
   perf::MachineModel model_;
   std::map<std::string, KernelRecord> records_;
   ScratchArena scratch_;

@@ -7,7 +7,6 @@
 #include "exec_space/bssn_sweeps.hpp"
 #include "mesh/interp.hpp"
 #include "mesh/sampling.hpp"
-#include "obs/obs.hpp"
 
 namespace dgr::solver {
 
@@ -38,19 +37,12 @@ void RhsPipeline::set_mesh(std::shared_ptr<const mesh::Mesh> mesh) {
 
 void RhsPipeline::compute(const BssnState& u, BssnState& rhs,
                           const std::vector<OctRange>& runs,
-                          PhaseBreakdown* phases, OpCounts* counts) {
+                          OpCounts* counts) {
   const auto in = u.cptrs();
   const auto out = rhs.ptrs();
   if (static_cast<int>(ws_.size()) < space_.max_lanes())
     ws_.resize(space_.max_lanes());
   const exec_space::RhsDispatch dispatch{&config_.bssn, nullptr, &ws_};
-
-  // Per-call phase durations feed the timing-gated histograms below: the
-  // banked PhaseTimer totals are snapshotted here and the deltas observed
-  // once the call completes.
-  const double t_unzip0 = phases ? phases->unzip.total_seconds() : 0.0;
-  const double t_rhs0 = phases ? phases->rhs.total_seconds() : 0.0;
-  const double t_zip0 = phases ? phases->zip.total_seconds() : 0.0;
 
   // Halo exchange (Algorithm 1 line 6): on a single simulated device the
   // partition is whole, so only the (empty) kernel is recorded, ahead of
@@ -68,33 +60,14 @@ void RhsPipeline::compute(const BssnState& u, BssnState& rhs,
          begin += config_.chunk_octants) {
       const OctIndex end =
           std::min<OctIndex>(begin + config_.chunk_octants, run.second);
-
-      if (phases) phases->unzip.start();
       exec_space::sweep_octant_to_patch(space_, *mesh_, in.data(), begin, end,
                                         patch_in_.data(), config_.unzip_method,
                                         counts);
-      if (phases) phases->unzip.stop();
-
-      if (phases) phases->rhs.start();
       exec_space::sweep_rhs(space_, *mesh_, dispatch, begin, end,
                             patch_in_.data(), patch_out_.data(), counts);
-      if (phases) phases->rhs.stop();
-
-      if (phases) phases->zip.start();
       exec_space::sweep_patch_to_octant(space_, *mesh_, patch_out_.data(),
                                         begin, end, out.data(), counts);
-      if (phases) phases->zip.stop();
     }
-  }
-
-  if (phases) {
-    obs::observe_hist_timing(
-        "solver.rhs.unzip_us",
-        (phases->unzip.total_seconds() - t_unzip0) * 1e6);
-    obs::observe_hist_timing(
-        "solver.rhs.rhs_us", (phases->rhs.total_seconds() - t_rhs0) * 1e6);
-    obs::observe_hist_timing(
-        "solver.rhs.zip_us", (phases->zip.total_seconds() - t_zip0) * 1e6);
   }
 }
 
@@ -117,7 +90,7 @@ Real BssnCtx::suggested_dt() const {
 void BssnCtx::compute_rhs(const BssnState& u, BssnState& rhs) {
   pipeline_.compute(u, rhs,
                     {{0, static_cast<OctIndex>(mesh_->num_octants())}},
-                    &phases_, &counts_);
+                    &counts_);
 }
 
 void BssnCtx::rk4_step(Real dt) {
@@ -126,25 +99,14 @@ void BssnCtx::rk4_step(Real dt) {
   // pass counts == nullptr: the context has never accumulated update flops
   // into counts_ (a simgpu space still records them per kernel).
   compute_rhs(state_, k_[0]);
-
-  phases_.update.start();
   exec_space::sweep_rk4_axpy(space_, stage_, 0.5 * dt, k_[0], &state_,
                              nullptr);
-  phases_.update.stop();
   compute_rhs(stage_, k_[1]);
-
-  phases_.update.start();
   exec_space::sweep_rk4_axpy(space_, stage_, 0.5 * dt, k_[1], &state_,
                              nullptr);
-  phases_.update.stop();
   compute_rhs(stage_, k_[2]);
-
-  phases_.update.start();
   exec_space::sweep_rk4_axpy(space_, stage_, dt, k_[2], &state_, nullptr);
-  phases_.update.stop();
   compute_rhs(stage_, k_[3]);
-
-  phases_.update.start();
   exec_space::sweep_rk4_axpy(space_, state_, dt / 6.0, k_[0], nullptr,
                              nullptr);
   exec_space::sweep_rk4_axpy(space_, state_, dt / 3.0, k_[1], nullptr,
@@ -153,7 +115,6 @@ void BssnCtx::rk4_step(Real dt) {
                              nullptr);
   exec_space::sweep_rk4_axpy(space_, state_, dt / 6.0, k_[3], nullptr,
                              nullptr);
-  phases_.update.stop();
 
   time_ += dt;
   ++steps_;

@@ -3,8 +3,9 @@
 /// \brief The BSSN evolution context — the CPU analogue of the paper's
 /// `bssnSolverCtx` and the host side of Algorithm 1. Drives the
 /// halo-consistent unzip -> RHS -> zip -> AXPY pipeline with RK4 time
-/// stepping, per-phase cost breakdown (Fig. 20), and error-driven
-/// regridding.
+/// stepping and error-driven regridding. Each layer of the pipeline is an
+/// exec_space sweep whose span (unzip, rhs, zip, update) is the per-layer
+/// cost of the paper's Fig. 20 (obs/obs.hpp).
 
 #include <functional>
 #include <memory>
@@ -13,7 +14,6 @@
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
 #include "common/counters.hpp"
-#include "common/timer.hpp"
 #include "exec_space/exec_space.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/subcycle_index.hpp"
@@ -32,25 +32,6 @@ struct SolverConfig {
   /// the packed kernel; RhsPipeline rejects any other value. Results are
   /// bitwise identical at every width and thread count.
   int simd_width = 0;
-};
-
-/// Per-phase accumulated wall-clock cost of the evolution pipeline; the
-/// breakdown reported in the paper's Fig. 20.
-struct PhaseBreakdown {
-  PhaseTimer unzip;    ///< octant-to-patch (incl. halo/hanging resolution)
-  PhaseTimer rhs;      ///< derivative + algebraic stages
-  PhaseTimer zip;      ///< patch-to-octant
-  PhaseTimer update;   ///< RK stage AXPY combinations
-  void reset() {
-    unzip.reset();
-    rhs.reset();
-    zip.reset();
-    update.reset();
-  }
-  double total() const {
-    return unzip.total_seconds() + rhs.total_seconds() + zip.total_seconds() +
-           update.total_seconds();
-  }
 };
 
 /// One contiguous run of octant indices [first, second).
@@ -81,8 +62,7 @@ class RhsPipeline {
 
   /// Evaluate the BSSN RHS of `u` into `rhs` over the given runs.
   void compute(const bssn::BssnState& u, bssn::BssnState& rhs,
-               const std::vector<OctRange>& runs, PhaseBreakdown* phases,
-               OpCounts* counts);
+               const std::vector<OctRange>& runs, OpCounts* counts);
 
  private:
   std::shared_ptr<const mesh::Mesh> mesh_;
@@ -142,13 +122,8 @@ class BssnCtx {
       const std::vector<std::array<Real, 3>>& excise = {},
       Real excise_radius = 0.0) const;
 
-  const PhaseBreakdown& breakdown() const { return phases_; }
-  PhaseBreakdown& breakdown() { return phases_; }
   const OpCounts& op_counts() const { return counts_; }
-  void reset_instrumentation() {
-    phases_.reset();
-    counts_ = OpCounts{};
-  }
+  void reset_instrumentation() { counts_ = OpCounts{}; }
 
   /// Replace the mesh (after a regrid): moves the current state onto the
   /// new mesh with transfer_state.
@@ -181,7 +156,6 @@ class BssnCtx {
   bssn::BssnState k_[4], stage_;
   Real time_ = 0;
   std::size_t steps_ = 0;
-  PhaseBreakdown phases_;
   OpCounts counts_;
   RhsPipeline pipeline_;
 

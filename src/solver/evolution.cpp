@@ -35,9 +35,9 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
   obs::ScopedSpan top("solver::evolve", "solver");
   EvolutionResult result;
 
-  // Per-step observability: step/regrid counters, mesh size gauges,
-  // cumulative slow-memory traffic, and (opt-in) constraint norms. All of
-  // it is a no-op when no MetricsRegistry is installed.
+  // Per-step observability: step/regrid counters, mesh size gauges and
+  // cumulative slow-memory traffic. All of it is a no-op when no
+  // MetricsRegistry is installed.
   const auto record_step_metrics = [&](const BssnCtx& ctx) {
     obs::MetricsRegistry* m = obs::metrics();
     if (!m) return;
@@ -47,13 +47,6 @@ EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
     m->set("solver.dofs", double(ctx.mesh().num_dofs()));
     m->set("solver.bytes_read", double(ctx.op_counts().bytes_read));
     m->set("solver.bytes_written", double(ctx.op_counts().bytes_written));
-    if (config.metrics_constraints_every > 0 &&
-        result.steps % config.metrics_constraints_every == 0) {
-      const auto norms = ctx.constraint_norms();
-      m->observe("solver.ham_l2", norms.ham_l2);
-      m->observe("solver.ham_linf", norms.ham_linf);
-      m->observe("solver.mom_l2", norms.mom_l2);
-    }
   };
 
   std::optional<gw::WaveExtractor> extractor;

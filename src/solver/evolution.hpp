@@ -52,10 +52,6 @@ struct EvolutionConfig {
   /// Extraction sphere radii; empty disables extraction.
   std::vector<Real> extraction_radii;
   int lmax = 2;
-  /// Observability: every N steps, compute constraint norms and record them
-  /// to the installed obs::MetricsRegistry (0 disables; norms are not free,
-  /// so this is opt-in and a no-op without a registry).
-  int metrics_constraints_every = 0;
 };
 
 struct EvolutionResult {

@@ -54,9 +54,7 @@ void BssnCtx::subcycle_bootstrap() {
   // form after its first step — linear fills are only ever read while
   // stepping through substep 0 right after (re)initialization.
   compute_rhs(state_, dense_k1_);
-  phases_.update.start();
   exec_space::sweep_dense_save_all(space_, state_, dense_u0_, nullptr);
-  phases_.update.stop();
   dense_ready_ = true;
 }
 
@@ -71,10 +69,9 @@ void BssnCtx::subcycle_step_depth(int depth, Real fine_dt) {
       space_, *subidx_, depth, fine_dt, time_, st,
       [&](const BssnState& u, BssnState& k,
           const std::vector<OctRange>& runs) {
-        pipeline_.compute(u, k, runs, &phases_, &counts_);
+        pipeline_.compute(u, k, runs, &counts_);
       },
-      nullptr, [&] { phases_.update.start(); },
-      [&] { phases_.update.stop(); });
+      nullptr, nullptr, nullptr);
 }
 
 void BssnCtx::subcycle_cycle(Real fine_dt) {

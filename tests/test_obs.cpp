@@ -8,7 +8,8 @@
 /// span guards, the DGR_LOG / JSON-lines log sink, and the end-to-end
 /// guarantee that a 2-rank evolve_distributed run produces valid,
 /// deterministic Chrome-trace JSON (per-rank pids/tids, B/E pairing,
-/// monotone span timestamps per track).
+/// monotone span timestamps per track), and the per-layer ledger that the
+/// exec_space sweep spans feed on every backend and in the dist engine.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,9 @@
 #include "dist/engine.hpp"
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
+#include "exec_space/exec_space.hpp"
 #include "obs/obs.hpp"
+#include "solver/bssn_ctx.hpp"
 
 namespace dgr::obs {
 namespace {
@@ -513,6 +516,7 @@ struct ParsedEvent {
   char ph = 0;
   int pid = 0, tid = 0;
   double ts = 0;
+  std::string name;  ///< empty on E events
 };
 
 // Minimal line-oriented parser for the exporter's one-event-per-line form.
@@ -535,19 +539,73 @@ std::vector<ParsedEvent> parse_events(const std::string& j) {
     e.pid = std::atoi(field(line, "pid").c_str());
     e.tid = std::atoi(field(line, "tid").c_str());
     if (e.ph != 'M') e.ts = std::atof(field(line, "ts").c_str());
+    if (e.ph != 'E') {
+      const std::string rest = field(line, "name");
+      e.name = rest.substr(1, rest.find('"', 1) - 1);
+    }
     out.push_back(e);
   }
   return out;
 }
 
-std::string run_two_rank_trace() {
+/// Spans pair up: every E closes an open B on its own track, none stays
+/// open, and B/E timestamps are monotone per track. Flow and instant
+/// events ride between spans and are exempt from the ordering. A sweep
+/// never opens a sweep on its own thread, so no sweep-layer span nests in
+/// another on a track: one that does was interleaved there by a second
+/// thread. Returns the pids that carry spans.
+std::set<int> expect_paired_spans(const std::vector<ParsedEvent>& events) {
+  const std::set<std::string> layers = {"unzip", "rhs", "zip", "update"};
+  std::map<std::pair<int, int>, std::vector<std::string>> open;
+  std::map<std::pair<int, int>, double> last_ts;
+  std::set<int> pids_with_spans;
+  for (const auto& e : events) {
+    if (e.ph != 'B' && e.ph != 'E') continue;
+    const auto key = std::make_pair(e.pid, e.tid);
+    auto& stack = open[key];
+    if (e.ph == 'B') {
+      if (layers.count(e.name))
+        for (const std::string& outer : stack)
+          EXPECT_EQ(layers.count(outer), 0u)
+              << e.name << " nested in " << outer << " on pid " << e.pid
+              << " tid " << e.tid;
+      stack.push_back(e.name);
+      pids_with_spans.insert(e.pid);
+    } else {
+      EXPECT_FALSE(stack.empty()) << "E without open B on pid " << e.pid
+                                  << " tid " << e.tid;
+      if (!stack.empty()) stack.pop_back();
+    }
+    auto it = last_ts.find(key);
+    if (it != last_ts.end()) {
+      EXPECT_GE(e.ts, it->second) << "non-monotone span ts on pid " << e.pid;
+    }
+    last_ts[key] = e.ts;
+  }
+  for (const auto& [key, stack] : open) {
+    EXPECT_TRUE(stack.empty()) << "unclosed span";
+  }
+  return pids_with_spans;
+}
+
+/// Octree refined to `finest` around a puncture near the origin.
+std::shared_ptr<mesh::Mesh> puncture_mesh(int finest = 3) {
   oct::Domain dom{16.0};
-  auto m = std::make_shared<mesh::Mesh>(
-      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, 3}}, 2), dom);
-  bssn::BssnState s;
-  s.resize(m->num_dofs());
-  bssn::set_punctures(*m, {{1.0, {0.05, 0.03, 0.02}, {0, 0, 0}, {0, 0, 0}}},
+  return std::make_shared<mesh::Mesh>(
+      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, finest}}, 2),
+      dom);
+}
+
+bssn::BssnState puncture_state(const mesh::Mesh& m) {
+  bssn::BssnState s(m.num_dofs());
+  bssn::set_punctures(m, {{1.0, {0.05, 0.03, 0.02}, {0, 0, 0}, {0, 0, 0}}},
                       s);
+  return s;
+}
+
+std::string run_two_rank_trace() {
+  auto m = puncture_mesh();
+  const bssn::BssnState s = puncture_state(*m);
   TraceSession session;
   install_trace(&session);
   dist::DistConfig dcfg;
@@ -579,35 +637,8 @@ TEST(Trace, TwoRankDistributedRunExportsValidSchedule) {
 
   const auto events = parse_events(j);
   ASSERT_FALSE(events.empty());
-
-  // Spans pair up (every E closes an open B on its track) and B/E
-  // timestamps are monotone per track; flow/instant events ride between
-  // spans and are exempt from the per-track ordering.
-  std::map<std::pair<int, int>, int> open;
-  std::map<std::pair<int, int>, double> last_ts;
-  std::set<int> pids_with_spans;
-  for (const auto& e : events) {
-    if (e.ph != 'B' && e.ph != 'E') continue;
-    const auto key = std::make_pair(e.pid, e.tid);
-    if (e.ph == 'B') {
-      open[key] += 1;
-      pids_with_spans.insert(e.pid);
-    } else {
-      ASSERT_GT(open[key], 0) << "E without open B on pid " << e.pid
-                              << " tid " << e.tid;
-      open[key] -= 1;
-    }
-    auto it = last_ts.find(key);
-    if (it != last_ts.end()) {
-      EXPECT_GE(e.ts, it->second) << "non-monotone span ts on pid " << e.pid;
-    }
-    last_ts[key] = e.ts;
-  }
-  for (const auto& [key, n] : open) {
-    EXPECT_EQ(n, 0) << "unclosed span";
-  }
   // Spans on at least the two rank processes.
-  EXPECT_GE(pids_with_spans.size(), 2u);
+  EXPECT_GE(expect_paired_spans(events).size(), 2u);
 
   // Every flow start has a matching finish ('s' and 'f' counts agree).
   std::size_t n_s = 0, n_f = 0;
@@ -624,13 +655,8 @@ TEST(Trace, TwoRankDistributedRunIsDeterministic) {
 }
 
 TEST(Metrics, DistributedRunFeedsRegistry) {
-  oct::Domain dom{16.0};
-  auto m = std::make_shared<mesh::Mesh>(
-      oct::build_puncture_octree(dom, {{{0.05, 0.03, 0.02}, 3}}, 2), dom);
-  bssn::BssnState s;
-  s.resize(m->num_dofs());
-  bssn::set_punctures(*m, {{1.0, {0.05, 0.03, 0.02}, {0, 0, 0}, {0, 0, 0}}},
-                      s);
+  auto m = puncture_mesh();
+  const bssn::BssnState s = puncture_state(*m);
   MetricsRegistry reg;
   install_metrics(&reg);
   dist::DistConfig dcfg;
@@ -644,6 +670,87 @@ TEST(Metrics, DistributedRunFeedsRegistry) {
   EXPECT_GT(reg.counter("dist.messages"), 0u);
   EXPECT_EQ(reg.gauge("dist.ranks"), 2.0);
   EXPECT_EQ(reg.gauge("dist.t_virtual"), res.t_virtual);
+}
+
+// ------------------------------------------------------ per-layer ledger --
+
+/// One execute-mode RK4 step of the 2-rank engine, no regrid.
+void run_two_rank_step(std::shared_ptr<const mesh::Mesh> m) {
+  dist::DistConfig dcfg;
+  dcfg.ranks = 2;
+  dcfg.t_end = solver::SolverConfig{}.cfl * m->finest_spacing();
+  dcfg.do_regrid = false;
+  const bssn::BssnState s = puncture_state(*m);
+  dist::evolve_distributed(std::move(m), s, solver::SolverConfig{}, dcfg);
+}
+
+TEST(Ledger, Rk4StepTimesEveryLayerOnEveryBackend) {
+  auto m = puncture_mesh(/*finest=*/2);
+  solver::SolverConfig cfg;
+  cfg.chunk_octants = 16;
+  const std::uint64_t chunks =
+      (m->num_octants() + cfg.chunk_octants - 1) / cfg.chunk_octants;
+  ASSERT_GT(chunks, 1u);
+  simgpu::GpuRuntime rt;
+  for (const exec_space::ExecSpace& es :
+       {exec_space::ExecSpace::serial(), exec_space::ExecSpace::host(),
+        exec_space::ExecSpace::simgpu(rt)}) {
+    const std::string what = exec_space::backend_name(es.backend());
+    solver::BssnCtx ctx(m, cfg, es);
+    ctx.state() = puncture_state(*m);
+    MetricsRegistry reg;
+    install_metrics(&reg);
+    ctx.rk4_step();  // timing off: spans leave the registry alone
+    EXPECT_TRUE(reg.snapshot().summaries.empty()) << what;
+    reg.enable_timing(true);
+    ctx.rk4_step();
+    install_metrics(nullptr);
+    // One span per sweep: four RHS evaluations of `chunks` chunks each,
+    // and the seven AXPY sweeps of the step.
+    for (const char* layer : {"unzip", "rhs", "zip", "update"}) {
+      const auto sum = reg.summary(layer);
+      ASSERT_TRUE(sum.has_value()) << what << " " << layer;
+      EXPECT_EQ(sum->count, layer == std::string("update") ? 7 : 4 * chunks)
+          << what << " " << layer;
+      EXPECT_GT(sum->sum, 0.0) << what << " " << layer;
+    }
+  }
+}
+
+TEST(Ledger, DistributedRunTimesEveryLayer) {
+  auto m = puncture_mesh(/*finest=*/2);
+  MetricsRegistry reg;
+  install_metrics(&reg);
+  run_two_rank_step(m);
+  EXPECT_TRUE(reg.snapshot().summaries.empty());
+  reg.enable_timing(true);
+  run_two_rank_step(m);
+  install_metrics(nullptr);
+  for (const char* layer : {"unzip", "rhs", "zip", "update"}) {
+    const auto sum = reg.summary(layer);
+    ASSERT_TRUE(sum.has_value()) << layer;
+    EXPECT_GT(sum->sum, 0.0) << layer;
+  }
+  EXPECT_EQ(reg.summary("update")->count, 2u * 7u);  // per rank per step
+}
+
+TEST(Trace, TwoRankExecuteRunPairsHostSpansPerTrack) {
+  // Rank numerics run on pool workers, whose sweep spans must land on
+  // their own worker tracks: on the shared host track the B/E events of
+  // concurrently running ranks would interleave.
+  auto m = puncture_mesh(/*finest=*/2);
+  exec::ThreadPool::set_global_threads(3);
+  TraceSession session;
+  install_trace(&session);
+  run_two_rank_step(m);
+  install_trace(nullptr);
+  exec::ThreadPool::set_global_threads(exec::ThreadPool::configured_threads());
+  const std::string j = session.chrome_json(Clock::kHost);
+  EXPECT_NE(j.find("\"name\":\"unzip\""), std::string::npos);
+  EXPECT_NE(j.find("\"name\":\"update\""), std::string::npos);
+  const auto events = parse_events(j);
+  ASSERT_FALSE(events.empty());
+  expect_paired_spans(events);
 }
 
 }  // namespace

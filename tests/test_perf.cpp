@@ -7,7 +7,6 @@
 
 #include <cmath>
 
-#include "common/timer.hpp"
 #include "perf/machine_model.hpp"
 #include "perf/network.hpp"
 #include "perf/production.hpp"
@@ -15,56 +14,6 @@
 
 namespace dgr::perf {
 namespace {
-
-// Busy-wait so PhaseTimer's steady clock observes a nonzero interval.
-void spin_for(double seconds) {
-  WallTimer t;
-  while (t.seconds() < seconds) {
-  }
-}
-
-TEST(PhaseTimer, StartStopAccumulates) {
-  PhaseTimer t;
-  EXPECT_FALSE(t.running());
-  EXPECT_EQ(t.total_seconds(), 0.0);
-  t.start();
-  EXPECT_TRUE(t.running());
-  spin_for(1e-3);
-  t.stop();
-  EXPECT_FALSE(t.running());
-  const double first = t.total_seconds();
-  EXPECT_GE(first, 1e-3);
-  t.start();
-  spin_for(1e-3);
-  t.stop();
-  EXPECT_GE(t.total_seconds(), first + 1e-3);
-}
-
-TEST(PhaseTimer, RestartWhileRunningBanksElapsedTime) {
-  // start() on a running timer must bank the open interval instead of
-  // silently discarding it (the bug this test pins down): the second
-  // start() below may not erase the first millisecond.
-  PhaseTimer t;
-  t.start();
-  spin_for(1e-3);
-  t.start();  // re-begin: banks the ~1ms interval, keeps running
-  EXPECT_TRUE(t.running());
-  EXPECT_GE(t.total_seconds(), 1e-3);
-  spin_for(1e-3);
-  t.stop();
-  EXPECT_GE(t.total_seconds(), 2e-3);
-}
-
-TEST(PhaseTimer, StopWithoutStartAndReset) {
-  PhaseTimer t;
-  t.stop();  // no open interval: a no-op, not a negative or garbage total
-  EXPECT_EQ(t.total_seconds(), 0.0);
-  t.start();
-  spin_for(1e-4);
-  t.reset();
-  EXPECT_FALSE(t.running());
-  EXPECT_EQ(t.total_seconds(), 0.0);
-}
 
 TEST(MachineModel, A100MatchesPaperConstants) {
   const MachineModel m = a100();

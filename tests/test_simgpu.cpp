@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "bssn/initial_data.hpp"
+#include "obs/flightrec.hpp"
 #include "simgpu/gpu_bssn.hpp"
 #include "solver/bssn_ctx.hpp"
 
@@ -34,6 +36,28 @@ TEST(Runtime, KernelRecordsAccumulate) {
   EXPECT_EQ(rt.record("k1").blocks, 20u);
   EXPECT_EQ(rt.record("k1").counts.flops, 150u);
   EXPECT_EQ(rt.record("k2").stream, 1);
+}
+
+// A launch from a frame of its own, whose stack is then overwritten.
+[[gnu::noinline]] void launch_from_frame(GpuRuntime& rt) {
+  rt.launch("frame-kernel", 1, 0, [](OpCounts&) {});
+}
+[[gnu::noinline]] void overwrite_stack() {
+  volatile char junk[4096];
+  for (std::size_t i = 0; i < sizeof junk; ++i) junk[i] = 'X';
+}
+
+TEST(Runtime, KernelNameOutlivesTheLaunch) {
+  // The flight recorder keeps each launch's span name pointer, which must
+  // not point into a temporary of the launching frame.
+  obs::flightrec::reset();
+  obs::flightrec::set_enabled(true);
+  GpuRuntime rt;
+  launch_from_frame(rt);
+  overwrite_stack();
+  EXPECT_NE(obs::flightrec::dump_json().find("\"name\":\"frame-kernel\""),
+            std::string::npos);
+  obs::flightrec::reset();
 }
 
 TEST(Runtime, ResetCountersKeepsLiveAllocationState) {

@@ -101,18 +101,15 @@ TEST(Rk4, RobustStabilityRandomPerturbation) {
   EXPECT_FALSE(std::isnan(ctx.state().max_abs()));
 }
 
-TEST(Rk4, PhaseBreakdownAndCountersAccumulate) {
+TEST(Rk4, CountersAccumulateAndReset) {
   auto m = uniform_mesh(1, 4.0);
   BssnCtx ctx(m, SolverConfig{});
   bssn::set_minkowski(*m, ctx.state());
   ctx.rk4_step();
-  EXPECT_GT(ctx.breakdown().rhs.total_seconds(), 0.0);
-  EXPECT_GT(ctx.breakdown().unzip.total_seconds(), 0.0);
   EXPECT_GT(ctx.op_counts().flops, 0u);
   EXPECT_GT(ctx.op_counts().bytes_read, 0u);
   ctx.reset_instrumentation();
   EXPECT_EQ(ctx.op_counts().flops, 0u);
-  EXPECT_EQ(ctx.breakdown().total(), 0.0);
 }
 
 TEST(Rk4, ChunkSizeDoesNotChangeResult) {
