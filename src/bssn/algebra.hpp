@@ -5,16 +5,18 @@
 /// derivatives, KO terms) to the 24 RHS outputs, written once as a template
 /// over the scalar type.
 ///
-/// Instantiated with S = Real it is the compiled scalar kernel used by
-/// `bssn_rhs_patch`, and with S = dgr::simd<double, 4> the packed kernel of
-/// `bssn_rhs_patch_packed` (lanewise the same expressions, so the same
-/// bits); instantiated with the codegen module's symbolic scalar
+/// Instantiated with S = Real it is the staged kernel `bssn_rhs_patch`
+/// (the test oracle), and with S = dgr::simd<double, W> (W = 1, 4) the pack
+/// kernel `bssn_rhs_patch_packed<W>` (lanewise the same expressions, so
+/// the same bits); instantiated with the codegen module's symbolic scalar
 /// it emits the expression DAG from which the paper's code-generation
 /// variants (SymPyGR-CSE, binary-reduce, staged+CSE — Table II / Fig. 11)
 /// are scheduled. A single source of truth guarantees the scheduled
-/// programs compute exactly the tested physics.
+/// programs compute exactly the tested physics. metric_ricci is the
+/// conformal geometry of the 3-metric diagnostics (Psi4, the constraints).
 
 #include "bssn/vars.hpp"
+#include "simd/simd.hpp"
 
 namespace dgr::bssn {
 
@@ -53,6 +55,84 @@ inline void sym_inverse_t(const S g[6], S inv[6]) {
   inv[3] = (a * f - c * c) * idet;
   inv[4] = (b * c - a * e) * idet;
   inv[5] = (a * d - b * b) * idet;
+}
+
+/// The conformal geometry the 3-metric diagnostics (Psi4, the constraints)
+/// share: the inverse conformal metric, the lowered and raised conformal
+/// Christoffels and the physical Ricci tensor (conformal + chi parts, Eqs.
+/// 16-19). Its sums start from zero and run in their own order, not
+/// bssn_algebra_point's, so each diagnostic keeps the bits it always had.
+template <class S>
+struct MetricRicci {
+  S gtu[6];       ///< gt^ij, sym_idx storage
+  S C1low[3][6];  ///< Gammat_{i,jk} at [i][sym_idx(j, k)]
+  S C1[3][6];     ///< Gammat^k_{ij} at [k][sym_idx(i, j)]
+  S Ric[6];       ///< R_ij, sym_idx storage
+};
+
+/// Fill g from the metric inputs of q (what bssn_gather_pack_metric
+/// gathers). S is Real or a dgr::simd pack.
+template <class S>
+void metric_ricci(const AlgebraInputs<S>& q, MetricRicci<S>& g) {
+  const S zero = splat<S>(0.0);
+  const S& ch = q.ch;
+  sym_inverse_t(q.gt, g.gtu);
+  auto GTU = [&](int i, int j) { return g.gtu[sym_idx(i, j)]; };
+  auto GT = [&](int i, int j) { return q.gt[sym_idx(i, j)]; };
+  auto DGT = [&](int i, int j, int k) { return q.d_gt[sym_idx(i, j)][k]; };
+  for (int i = 0; i < 3; ++i)
+    for (int j = 0; j < 3; ++j)
+      for (int k = j; k < 3; ++k)
+        g.C1low[i][sym_idx(j, k)] =
+            0.5 * (DGT(i, j, k) + DGT(i, k, j) - DGT(j, k, i));
+  auto C1LOW = [&](int i, int j, int k) { return g.C1low[i][sym_idx(j, k)]; };
+  for (int k = 0; k < 3; ++k)
+    for (int i = 0; i < 3; ++i)
+      for (int j = i; j < 3; ++j) {
+        S s = zero;
+        for (int l = 0; l < 3; ++l) s = s + GTU(k, l) * C1LOW(l, i, j);
+        g.C1[k][sym_idx(i, j)] = s;
+      }
+  auto C1R = [&](int k, int i, int j) { return g.C1[k][sym_idx(i, j)]; };
+
+  S tr = zero;
+  for (int k = 0; k < 3; ++k)
+    for (int l = 0; l < 3; ++l)
+      tr = tr + GTU(k, l) * (q.dd_ch[sym_idx(k, l)] -
+                             (3.0 / (2.0 * ch)) * q.d_ch[k] * q.d_ch[l]);
+  for (int m = 0; m < 3; ++m) tr = tr - q.Gt[m] * q.d_ch[m];
+  for (int i = 0; i < 3; ++i)
+    for (int j = i; j < 3; ++j) {
+      S t1 = zero;
+      for (int l = 0; l < 3; ++l)
+        for (int m = 0; m < 3; ++m)
+          t1 = t1 + GTU(l, m) * q.dd_gt[sym_idx(i, j)][sym_idx(l, m)];
+      t1 = t1 * -0.5;
+      S t2 = zero;
+      for (int k = 0; k < 3; ++k)
+        t2 = t2 + (GT(k, i) * q.d_Gt[k][j] + GT(k, j) * q.d_Gt[k][i]);
+      t2 = t2 * 0.5;
+      S t3 = zero;
+      for (int k = 0; k < 3; ++k)
+        t3 = t3 + q.Gt[k] * (C1LOW(i, j, k) + C1LOW(j, i, k));
+      t3 = t3 * 0.5;
+      S t4 = zero;
+      for (int l = 0; l < 3; ++l)
+        for (int m = 0; m < 3; ++m) {
+          S s = zero;
+          for (int k = 0; k < 3; ++k)
+            s = s + (C1R(k, l, i) * C1LOW(j, k, m) +
+                     C1R(k, l, j) * C1LOW(i, k, m) +
+                     C1R(k, i, m) * C1LOW(k, l, j));
+          t4 = t4 + GTU(l, m) * s;
+        }
+      S Qij = q.dd_ch[sym_idx(i, j)];
+      for (int k = 0; k < 3; ++k) Qij = Qij - C1R(k, i, j) * q.d_ch[k];
+      const S Mij =
+          Qij / (2.0 * ch) - q.d_ch[i] * q.d_ch[j] / (4.0 * ch * ch);
+      g.Ric[sym_idx(i, j)] =
+          t1 + t2 + t3 + t4 + Mij + GT(i, j) * tr / (2.0 * ch);
+    }
 }
 
 /// Evaluate the full algebraic stage at one point. `out[v]` receives the

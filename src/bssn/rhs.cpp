@@ -24,6 +24,7 @@ void MixedInnerSweeps::compute(const Real* const in[kNumVars], Real h) {
   constexpr int lo = kPad, hi = kPad + kR;
   for (std::size_t s = 0; s < kSecondDerivVars.size(); ++s) {
     const int v = kSecondDerivVars[s];
+    if (in[v] == nullptr) continue;
     Real* dx = d1.data() + (s * 2) * kPatchPts;
     // d/dx where y or z is interior: every y at interior z, then interior
     // y at the z padding below and above.
@@ -35,39 +36,7 @@ void MixedInnerSweeps::compute(const Real* const in[kNumVars], Real h) {
   }
 }
 
-DerivWorkspace::DerivWorkspace()
-    : grad(static_cast<std::size_t>(kNumVars) * 3 * kPatchPts),
-      agrad(static_cast<std::size_t>(kNumVars) * 3 * kPatchPts),
-      hess(static_cast<std::size_t>(kSecondDerivVars.size()) * 6 * kPatchPts),
-      ko(static_cast<std::size_t>(kNumVars) * kPatchPts),
-      scratch(kPatchPts) {}
-
-int hess_slot(int var) {
-  for (std::size_t s = 0; s < kSecondDerivVars.size(); ++s)
-    if (kSecondDerivVars[s] == var) return static_cast<int>(s);
-  return -1;
-}
-
 namespace {
-
-/// MetricDerivWorkspace layout: gradient of kMetricVars slot s along
-/// `axis`, and Hessian block (6 patches, sym_idx order) of kMetricHessVars
-/// slot s.
-std::size_t metric_grad_off(std::size_t s, int axis) {
-  return (s * 3 + static_cast<std::size_t>(axis)) * kPatchPts;
-}
-std::size_t metric_hess_off(std::size_t s) { return s * 6 * kPatchPts; }
-
-/// The six Hessian components of u into out + sym * kPatchPts (sym_idx
-/// order) — the one Hessian body both derivative stages call.
-void hessian(const Real* u, Real h, Real* scratch, Real* out) {
-  fd::d2(u, out + sym_idx(0, 0) * kPatchPts, 0, h);
-  fd::d2(u, out + sym_idx(1, 1) * kPatchPts, 1, h);
-  fd::d2(u, out + sym_idx(2, 2) * kPatchPts, 2, h);
-  fd::d2_mixed(u, scratch, out + sym_idx(0, 1) * kPatchPts, 0, 1, h);
-  fd::d2_mixed(u, scratch, out + sym_idx(0, 2) * kPatchPts, 0, 2, h);
-  fd::d2_mixed(u, scratch, out + sym_idx(1, 2) * kPatchPts, 1, 2, h);
-}
 
 /// OpCounts of the derivative stage (both RHS bodies charge these, so the
 /// simgpu kernel records and the modeled times do not depend on the width).
@@ -122,28 +91,6 @@ void sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
 
 }  // namespace
 
-MetricDerivWorkspace::MetricDerivWorkspace()
-    : grad(kMetricVars.size() * 3 * kPatchPts),
-      hess(kMetricHessVars.size() * 6 * kPatchPts),
-      scratch(kPatchPts) {}
-
-MetricDerivs::MetricDerivs(const DerivWorkspace& ws) {
-  for (int v : kMetricVars)
-    for (int axis = 0; axis < 3; ++axis) grad[v][axis] = ws.grad_of(v, axis);
-  for (int v : kMetricHessVars)
-    for (int s = 0; s < 6; ++s) hess[v][s] = ws.hess_of(hess_slot(v), s);
-}
-
-MetricDerivs::MetricDerivs(const MetricDerivWorkspace& ws) {
-  for (std::size_t s = 0; s < kMetricVars.size(); ++s)
-    for (int axis = 0; axis < 3; ++axis)
-      grad[kMetricVars[s]][axis] = ws.grad.data() + metric_grad_off(s, axis);
-  for (std::size_t s = 0; s < kMetricHessVars.size(); ++s)
-    for (int k = 0; k < 6; ++k)
-      hess[kMetricHessVars[s]][k] =
-          ws.hess.data() + metric_hess_off(s) + k * kPatchPts;
-}
-
 void metric_patch_inputs(const Real* block, const Real* in[kNumVars]) {
   for (int v = 0; v < kNumVars; ++v) in[v] = nullptr;
   for (std::size_t s = 0; s < kMetricVars.size(); ++s)
@@ -152,6 +99,13 @@ void metric_patch_inputs(const Real* block, const Real* in[kNumVars]) {
 
 void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
                       DerivWorkspace& ws, OpCounts* counts) {
+  if (ws.grad.empty()) {
+    ws.grad.resize(std::size_t(kNumVars) * 3 * kPatchPts);
+    ws.agrad.resize(std::size_t(kNumVars) * 3 * kPatchPts);
+    ws.hess.resize(kSecondDerivVars.size() * 6 * kPatchPts);
+    ws.ko.resize(std::size_t(kNumVars) * kPatchPts);
+    ws.scratch.resize(kPatchPts);
+  }
   // First derivatives (72 evaluations) + upwind advective derivatives.
   for (int v = 0; v < kNumVars; ++v) {
     for (int axis = 0; axis < 3; ++axis) {
@@ -163,21 +117,17 @@ void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
     fd::ko_dissipation(in[v], ws.ko_of(v), 1.0, h);  // sigma applied in A
   }
   // Second derivatives (66 evaluations) for the 11 Hessian variables.
-  for (std::size_t s = 0; s < kSecondDerivVars.size(); ++s)
-    hessian(in[kSecondDerivVars[s]], h, ws.scratch.data(),
-            ws.hess_of(static_cast<int>(s), 0));
+  for (int s = 0; s < static_cast<int>(kSecondDerivVars.size()); ++s) {
+    const Real* u = in[kSecondDerivVars[s]];
+    Real* sc = ws.scratch.data();
+    fd::d2(u, ws.hess_of(s, sym_idx(0, 0)), 0, h);
+    fd::d2(u, ws.hess_of(s, sym_idx(1, 1)), 1, h);
+    fd::d2(u, ws.hess_of(s, sym_idx(2, 2)), 2, h);
+    fd::d2_mixed(u, sc, ws.hess_of(s, sym_idx(0, 1)), 0, 1, h);
+    fd::d2_mixed(u, sc, ws.hess_of(s, sym_idx(0, 2)), 0, 2, h);
+    fd::d2_mixed(u, sc, ws.hess_of(s, sym_idx(1, 2)), 1, 2, h);
+  }
   if (counts) charge_deriv_stage(*counts);
-}
-
-void bssn_metric_deriv_stage(const Real* const in[kNumVars], Real h,
-                             MetricDerivWorkspace& ws) {
-  for (std::size_t s = 0; s < kMetricVars.size(); ++s)
-    for (int axis = 0; axis < 3; ++axis)
-      fd::d1(in[kMetricVars[s]], ws.grad.data() + metric_grad_off(s, axis),
-             axis, h);
-  for (std::size_t s = 0; s < kMetricHessVars.size(); ++s)
-    hessian(in[kMetricHessVars[s]], h, ws.scratch.data(),
-            ws.hess.data() + metric_hess_off(s));
 }
 
 /// Gather the point-local inputs of the algebraic stage from the workspace
@@ -230,6 +180,8 @@ void bssn_algebraic_stage(const Real* const in[kNumVars],
                           const mesh::PatchGeom& geom, Real half_extent,
                           const BssnParams& prm, DerivWorkspace& ws,
                           OpCounts* counts, mesh::RowMask rows) {
+  DGR_CHECK_MSG(!ws.grad.empty(),
+                "bssn_algebraic_stage reads a bssn_deriv_stage workspace");
   AlgebraInputs<Real> q;
   const AlgebraParams<Real> aprm{prm.lambda_f0, prm.eta, prm.ko_sigma};
   Real rhs_pt[kNumVars];
@@ -258,12 +210,13 @@ void bssn_rhs_patch(const Real* const in[kNumVars], Real* const out[kNumVars],
   bssn_algebraic_stage(in, out, geom, half_extent, params, ws, counts, rows);
 }
 
+template <int W>
 void bssn_rhs_patch_packed(const Real* const in[kNumVars],
                            Real* const out[kNumVars],
                            const mesh::PatchGeom& geom, Real half_extent,
                            const BssnParams& prm, DerivWorkspace& ws,
                            OpCounts* counts, mesh::RowMask rows) {
-  using P = simd<Real, 4>;
+  using P = simd<Real, W>;
   ws.inner.compute(in, geom.h);
   const Real inv_h = 1.0 / geom.h;
   const Real inv_h2 = 1.0 / (geom.h * geom.h);
@@ -272,24 +225,28 @@ void bssn_rhs_patch_packed(const Real* const in[kNumVars],
                               P::broadcast(prm.ko_sigma)};
   AlgebraInputs<P> q;
   P rhs[kNumVars];
-  for (int kk = kPad; kk < kPad + kR; ++kk)
-    for (int jj = kPad; jj < kPad + kR; ++jj) {
-      if (!mesh::has_row(rows, jj - kPad, kk - kPad)) continue;
-      for (int i0 = 0; i0 < kR; i0 += P::width) {
-        const int p = patch_idx(kPad + i0, jj, kk);
-        const int live = std::min(P::width, kR - i0);
-        bssn_gather_pack(in, ws.inner, p, inv_h, inv_h2, prm.chi_floor, q);
-        bssn_algebra_point(q, aprm, rhs);
-        for (int v = 0; v < kNumVars; ++v)
-          rhs[v].store_partial(out[v] + p, live);
-      }
-    }
+  for_each_row_pack<W>(rows, [&](int p, int, int, int, int live) {
+    bssn_gather_pack(in, ws.inner, p, inv_h, inv_h2, prm.chi_floor, q);
+    bssn_algebra_point(q, aprm, rhs);
+    for (int v = 0; v < kNumVars; ++v) rhs[v].store_partial(out[v] + p, live);
+  });
   if (prm.sommerfeld) bssn_sommerfeld(in, out, geom, half_extent, rows);
   if (counts) {
     charge_deriv_stage(*counts);
     charge_algebraic_stage(*counts);
   }
 }
+
+template void bssn_rhs_patch_packed<1>(const Real* const[kNumVars],
+                                       Real* const[kNumVars],
+                                       const mesh::PatchGeom&, Real,
+                                       const BssnParams&, DerivWorkspace&,
+                                       OpCounts*, mesh::RowMask);
+template void bssn_rhs_patch_packed<4>(const Real* const[kNumVars],
+                                       Real* const[kNumVars],
+                                       const mesh::PatchGeom&, Real,
+                                       const BssnParams&, DerivWorkspace&,
+                                       OpCounts*, mesh::RowMask);
 
 void bssn_sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
                      const mesh::PatchGeom& geom, Real half_extent,

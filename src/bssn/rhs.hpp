@@ -28,7 +28,7 @@ struct BssnParams {
 /// The 22 inner first-derivative sweeps (d/dx and d/dy of the 11
 /// second-derivative variables) that the pack gather's mixed second
 /// derivatives contract over. They are the only patch-sized intermediates
-/// the packed kernels keep: each inner value feeds up to 14 outer stencil
+/// the pack kernels keep: each inner value feeds up to 14 outer stencil
 /// taps, so sweeping once beats recomputing it per point.
 struct MixedInnerSweeps {
   std::vector<Real> d1;  ///< [hvar][axis 0|1] * kPatchPts
@@ -42,13 +42,16 @@ struct MixedInnerSweeps {
   /// d/dx at x = 3..9 where y or z is 3..9 (931 points), d/dy at x and
   /// y = 3..9 and every z (637 points). The other entries are never
   /// written and stay zero from construction; only the discarded lanes of
-  /// a partial pack read them.
+  /// a partial pack read them. Variables whose input is null (the gauge
+  /// variables of a metric patch block, see metric_patch_inputs) are
+  /// skipped, and their sweeps are never read.
   void compute(const Real* const in[kNumVars], Real h);
 };
 
-/// Scratch buffers for the derivative stage; allocate once, reuse across
+/// Per-lane scratch of the patch RHS kernels; allocate once, reuse across
 /// patches (the GPU analogue is the per-block shared-memory workspace of
-/// Fig. 9).
+/// Fig. 9). A new workspace holds only `inner`, all the pack kernel reads;
+/// bssn_deriv_stage allocates the staged arrays (4.1 MB) on its first call.
 struct DerivWorkspace {
   // Centered gradients and upwind (advective) gradients of all 24 vars.
   std::vector<Real> grad;   ///< [var][axis] * kPatchPts
@@ -57,9 +60,8 @@ struct DerivWorkspace {
   std::vector<Real> hess;   ///< [hvar][sym6] * kPatchPts
   std::vector<Real> ko;     ///< [var] * kPatchPts
   std::vector<Real> scratch;///< one patch, for mixed-derivative sweeps
-  MixedInnerSweeps inner;   ///< the packed kernel's only patch arrays
+  MixedInnerSweeps inner;   ///< the pack kernel's only patch arrays
 
-  DerivWorkspace();
   Real* grad_of(int var, int axis) {
     return grad.data() + (var * 3 + axis) * mesh::kPatchPts;
   }
@@ -76,39 +78,6 @@ struct DerivWorkspace {
     return hess.data() + (hvar * 6 + s) * mesh::kPatchPts;
   }
   Real* ko_of(int var) { return ko.data() + var * mesh::kPatchPts; }
-};
-
-/// Position of variable v within kSecondDerivVars, or -1.
-int hess_slot(int var);
-
-/// Scratch for bssn_metric_deriv_stage: 51 gradient and 42 Hessian patches
-/// plus one mixed-derivative scratch patch (1.65 MB, against DerivWorkspace's
-/// 4.5 MB). Allocate once per lane, reuse across patches.
-struct MetricDerivWorkspace {
-  std::vector<Real> grad;     ///< [kMetricVars slot][axis] * kPatchPts
-  std::vector<Real> hess;     ///< [kMetricHessVars slot][sym6] * kPatchPts
-  std::vector<Real> scratch;  ///< one patch, for mixed-derivative sweeps
-
-  MetricDerivWorkspace();
-};
-
-/// Read-only view of the derivative set the 3-metric diagnostics (Psi4,
-/// the constraints) read, addressed by BSSN variable index: the centered
-/// gradients of the kMetricVars and the Hessians (symmetric storage, see
-/// sym_idx) of the kMetricHessVars. Entries of other variables are null.
-/// The diagnostics' point bodies read derivatives only through this view,
-/// so they run on either stage with the same bits.
-struct MetricDerivs {
-  const Real* grad[kNumVars][3] = {};
-  const Real* hess[kNumVars][6] = {};
-
-  /// The metric set inside a full derivative stage (bssn_deriv_stage).
-  explicit MetricDerivs(const DerivWorkspace& ws);
-  /// The compact stage's arrays (bssn_metric_deriv_stage).
-  explicit MetricDerivs(const MetricDerivWorkspace& ws);
-
-  const Real* grad_of(int var, int axis) const { return grad[var][axis]; }
-  const Real* hess_of(int var, int s) const { return hess[var][s]; }
 };
 
 /// Field pointers of a compact kMetricVars patch block (the layout a
@@ -129,23 +98,19 @@ void bssn_gather_point(const Real* const in[kNumVars], DerivWorkspace& ws,
 /// Derivative stage: fills the workspace from the 24 input patches.
 /// Performs the paper's 210 derivative evaluations (72 first, 66 second,
 /// 72 KO directional pieces folded into 24 combined KO terms) plus the
-/// upwind derivatives used for the advection terms.
+/// upwind derivatives used for the advection terms. With the algebraic
+/// stage it is the staged kernel: the test oracle of the pack kernels and
+/// the input stage of the Fig. 11 interpreter; no solver sweep runs it.
 void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
                       DerivWorkspace& ws, OpCounts* counts = nullptr);
-
-/// Derivative stage of the 3-metric diagnostics: only the derivative set
-/// MetricDerivs exposes — 93 of bssn_deriv_stage's 234 stencil sweeps (no
-/// upwind or KO terms, no alpha, beta or B derivatives). Reads only the
-/// kMetricVars entries of `in`. Every array is bitwise equal to the same
-/// array of bssn_deriv_stage: the two stages share their stencil calls.
-void bssn_metric_deriv_stage(const Real* const in[kNumVars], Real h,
-                             MetricDerivWorkspace& ws);
 
 /// Algebraic stage A + KO + (optionally) Sommerfeld boundary overwrite.
 /// Writes rhs values on the interior x-rows of each output patch that are
 /// in `rows` (mesh::RowMask); the other points are left untouched. The
 /// OpCounts model all 7^3 interior points whatever `rows` holds.
 /// `geom` gives the patch origin/spacing; `half_extent` the outer boundary.
+/// `ws` must hold bssn_deriv_stage of the same inputs (throws if it never
+/// ran on `ws`).
 void bssn_algebraic_stage(const Real* const in[kNumVars],
                           Real* const out[kNumVars],
                           const mesh::PatchGeom& geom, Real half_extent,
@@ -154,21 +119,23 @@ void bssn_algebraic_stage(const Real* const in[kNumVars],
                           mesh::RowMask rows = mesh::kAllRows);
 
 /// Full RHS on one patch: derivative stage then algebraic stage on `rows`.
-/// The scalar body of the production kernel, and the reference the packed
-/// kernel is pinned against bitwise.
+/// The staged kernel: the reference the pack kernel is pinned against
+/// bitwise at every width.
 void bssn_rhs_patch(const Real* const in[kNumVars], Real* const out[kNumVars],
                     const mesh::PatchGeom& geom, Real half_extent,
                     const BssnParams& params, DerivWorkspace& ws,
                     OpCounts* counts = nullptr,
                     mesh::RowMask rows = mesh::kAllRows);
 
-/// Full RHS on one patch, 4 x-points at a time: each 7-point interior
-/// x-row in `rows` is one full dgr::simd<double, 4> pack plus one 3-lane
-/// partial pack; rows outside `rows` are skipped and left untouched.
-/// The pack gather (gather_pack.hpp) evaluates every stencil point-locally
-/// and bssn_algebra_point runs on the packs. Uses only `ws.inner`. Bitwise
-/// identical to bssn_rhs_patch on every point it writes (same stencil and
-/// algebra expressions, lanewise), and charges the same OpCounts.
+/// Full RHS on one patch, W x-points at a time (W = 1 or 4): each 7-point
+/// interior x-row in `rows` is covered by dgr::simd<double, W> packs (at
+/// W = 4 one full pack plus one 3-lane partial pack); rows outside `rows`
+/// are skipped and left untouched. The pack gather (gather_pack.hpp)
+/// evaluates every stencil point-locally and bssn_algebra_point runs on
+/// the packs. Uses only `ws.inner`. Bitwise identical to bssn_rhs_patch on
+/// every point it writes (same stencil and algebra expressions, lanewise),
+/// and charges the same OpCounts. The solver's one RHS body.
+template <int W>
 void bssn_rhs_patch_packed(const Real* const in[kNumVars],
                            Real* const out[kNumVars],
                            const mesh::PatchGeom& geom, Real half_extent,

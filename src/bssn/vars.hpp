@@ -60,10 +60,6 @@ inline constexpr std::array<int, 17> kMetricVars = {
     kChi,  kK,    kGt0,  kGt1,  kGt2,  kGtxx, kGtxy, kGtxz, kGtyy,
     kGtyz, kGtzz, kAtxx, kAtxy, kAtxz, kAtyy, kAtyz, kAtzz};
 
-/// The metric variables whose Hessians the diagnostics read: chi, gt_ij.
-inline constexpr std::array<int, 7> kMetricHessVars = {
-    kChi, kGtxx, kGtxy, kGtxz, kGtyy, kGtyz, kGtzz};
-
 /// Names for diagnostics and I/O.
 std::string_view var_name(int v);
 

@@ -222,12 +222,42 @@ Waveform deserialize(const std::string& bytes) {
   return wf;
 }
 
+void validate_scenario(const ScenarioConfig& cfg) {
+  const auto in = [](long v, long lo, long hi, const char* what) {
+    DGR_CHECK_MSG(v >= lo && v <= hi, "scenario field " << what
+                                          << " must be in [" << lo << ", "
+                                          << hi << "], got " << v);
+  };
+  in(cfg.base_level, 1, 8, "base");
+  in(cfg.finest_level, cfg.base_level, 8, "finest");
+  in(cfg.steps, 1, 100000, "steps");
+  in(cfg.regrid_every, 1, 1 << 20, "regrid");
+  in(cfg.extract_every, 1, 1 << 20, "extract");
+  // NaN fails every comparison, so `ok` is false for it too.
+  const auto real = [](Real v, bool ok, const char* what, const char* rule) {
+    DGR_CHECK_MSG(std::isfinite(v) && ok, "scenario field "
+                                              << what << " must be finite and "
+                                              << rule << ", got " << v);
+  };
+  real(cfg.q, cfg.q >= 1, "q", ">= 1");
+  real(cfg.separation, cfg.separation > 0, "sep", "> 0");
+  for (int b = 0; b < 2; ++b) {
+    const auto& s = b == 0 ? cfg.spin1 : cfg.spin2;
+    const Real n2 = s[0] * s[0] + s[1] * s[1] + s[2] * s[2];
+    real(n2, n2 <= 1, b == 0 ? "s1 norm^2" : "s2 norm^2", "<= 1");
+  }
+  real(cfg.domain_half, cfg.domain_half > 0, "half", "> 0");
+  real(cfg.extraction_radius,
+       cfg.extraction_radius > 0 && cfg.extraction_radius < cfg.domain_half,
+       "radius", "in (0, half)");
+  // The regrid tolerance rule of solver::validate_regrid_config.
+  real(cfg.eps, cfg.eps >= 0, "eps", ">= 0");
+  real(cfg.cfl, cfg.cfl > 0, "cfl", "> 0");
+  real(cfg.ko_sigma, cfg.ko_sigma >= 0, "ko", ">= 0");
+}
+
 Waveform run_scenario(const ScenarioConfig& cfg) {
-  DGR_CHECK_MSG(cfg.q >= 1 && cfg.separation > 0 && cfg.steps > 0 &&
-                    cfg.base_level >= 1 &&
-                    cfg.finest_level >= cfg.base_level &&
-                    cfg.finest_level <= 8,
-                "scenario out of the runnable envelope");
+  validate_scenario(cfg);
 
   // Quasi-circular binary with the configured spins, punctures slightly
   // off the grid axes (the bench_common convention).

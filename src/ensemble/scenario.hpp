@@ -54,6 +54,15 @@ struct ScenarioConfig {
   bool operator==(const ScenarioConfig&) const = default;
 };
 
+/// The runnable envelope, checked by every config path: the serve protocol
+/// at parse (EVOLVE fields, EVOLVEX hex decodes) and run_scenario itself.
+/// base and finest in 1..8 with finest >= base, steps in 1..100000,
+/// regrid and extract in 1..2^20; every real field finite, with q >= 1,
+/// sep > 0, each spin's norm <= 1, half > 0, 0 < radius < half, eps >= 0
+/// (as solver::evolve requires), cfl > 0 and ko >= 0. Throws dgr::Error
+/// naming the field, so no config runs to an empty or unbounded evolution.
+void validate_scenario(const ScenarioConfig& cfg);
+
 /// Canonical byte encoding (versioned, fixed field order, IEEE-754 bit
 /// patterns for doubles). Stable across processes, thread counts and
 /// architectures of the same endianness.
@@ -128,6 +137,7 @@ Waveform deserialize(const std::string& bytes);
 /// with regridding pinned to [base_level, finest_level], extract Psi4
 /// (2,2), and integrate the strain. Deterministic: bitwise-identical output
 /// at any thread count and on any execution lane (the src/exec contract).
+/// Throws dgr::Error if validate_scenario rejects cfg.
 Waveform run_scenario(const ScenarioConfig& cfg);
 
 }  // namespace dgr::ensemble

@@ -47,8 +47,8 @@ void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
           OpCounts& c) {
         bssn::DerivWorkspace& ws = (*d.ws)[static_cast<std::size_t>(tm.lane())];
         const auto kernel = tm.vector_width() == 4
-                                ? bssn::bssn_rhs_patch_packed
-                                : bssn::bssn_rhs_patch;
+                                ? bssn::bssn_rhs_patch_packed<4>
+                                : bssn::bssn_rhs_patch_packed<1>;
         for (OctIndex e = begin + static_cast<OctIndex>(eb);
              e < begin + static_cast<OctIndex>(ee); ++e) {
           const Real* pin[kNumVars];

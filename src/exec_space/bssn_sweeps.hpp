@@ -67,11 +67,12 @@ void sweep_octant_to_patch(const ExecSpace& es, const LaunchSpec& spec,
                            Real* patches, mesh::UnzipMethod method,
                            OpCounts* counts);
 
-/// The parameters of sweep_rhs's patch RHS plus the per-lane derivative
-/// workspaces it indexes by TeamMember::lane(). `fused` and `fws` are not
-/// read: the register-machine kernel is no longer a solver path, and
-/// sweep_rhs rejects a non-null `fused`. They stay only so that existing
-/// aggregate initializers keep compiling.
+/// The parameters of sweep_rhs's patch RHS plus the per-lane workspaces it
+/// indexes by TeamMember::lane(); the pack kernel reads only their
+/// `inner` sweeps, so a default-constructed DerivWorkspace is all a lane
+/// needs. `fused` and `fws` are not read: the register-machine kernel is no
+/// longer a solver path, and sweep_rhs rejects a non-null `fused`. They
+/// stay only so that existing aggregate initializers keep compiling.
 struct RhsDispatch {
   const bssn::BssnParams* params = nullptr;
   const codegen::CompiledKernel* fused = nullptr;
@@ -80,14 +81,15 @@ struct RhsDispatch {
 };
 
 /// Patch RHS of octants [begin, end) from `patch_in` into `patch_out`,
-/// split by octant. The body follows the space's resolved vector width:
-/// bssn_rhs_patch_packed at 4, the staged bssn_rhs_patch at 1 — bitwise
-/// identical results and OpCounts either way. Each octant evaluates only
-/// its mesh.owned_rows(e): the x-rows holding a DOF it owns, the only
-/// ones sweep_patch_to_octant reads. The other interior points of
-/// `patch_out` are left unwritten and keep stale values; read patch_out
-/// through the zip only. The OpCounts still model all 7^3 points per
-/// octant (the paper's GPU kernel). Kernel "bssn-rhs", host label "rhs".
+/// split by octant. One body, bssn_rhs_patch_packed, runs at the space's
+/// resolved vector width (1 or 4), with bitwise identical results and
+/// OpCounts at both; the staged kernel is only its test oracle. Each octant
+/// evaluates only its mesh.owned_rows(e): the x-rows holding a DOF it
+/// owns, the only ones sweep_patch_to_octant reads. The other interior
+/// points of `patch_out` are left unwritten and keep stale values; read
+/// patch_out through the zip only. The OpCounts still model all 7^3 points
+/// per octant (the paper's GPU kernel). Kernel "bssn-rhs", host label
+/// "rhs".
 void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
                const RhsDispatch& d, OctIndex begin, OctIndex end,
                const Real* patch_in, Real* patch_out, OpCounts* counts);

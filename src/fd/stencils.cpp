@@ -1,71 +1,10 @@
 #include "fd/stencils.hpp"
 
-#include <vector>
-
 #include "common/error.hpp"
 
 namespace dgr::fd {
 
-std::vector<Real> fornberg_weights(Real x0, const std::vector<Real>& nodes,
-                                   int m) {
-  // B. Fornberg, "Generation of finite difference formulas on arbitrarily
-  // spaced grids", Math. Comp. 51 (1988). Direct transcription.
-  const int n = static_cast<int>(nodes.size()) - 1;
-  DGR_CHECK(n >= m && m >= 0);
-  std::vector<std::vector<Real>> c(n + 1, std::vector<Real>(m + 1, 0.0));
-  Real c1 = 1.0;
-  Real c4 = nodes[0] - x0;
-  c[0][0] = 1.0;
-  for (int i = 1; i <= n; ++i) {
-    const int mn = std::min(i, m);
-    Real c2 = 1.0;
-    const Real c5 = c4;
-    c4 = nodes[i] - x0;
-    for (int j = 0; j < i; ++j) {
-      const Real c3 = nodes[i] - nodes[j];
-      c2 *= c3;
-      if (j == i - 1) {
-        for (int k = mn; k >= 1; --k)
-          c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2;
-        c[i][0] = -c1 * c5 * c[i - 1][0] / c2;
-      }
-      for (int k = mn; k >= 1; --k)
-        c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3;
-      c[j][0] = c4 * c[j][0] / c3;
-    }
-    c1 = c2;
-  }
-  std::vector<Real> w(n + 1);
-  for (int i = 0; i <= n; ++i) w[i] = c[i][m];
-  return w;
-}
-
-const StencilWeights& stencil_weights() {
-  static const StencilWeights w = [] {
-    StencilWeights s;
-    const std::vector<Real> c7 = {-3, -2, -1, 0, 1, 2, 3};
-    auto a1 = fornberg_weights(0.0, c7, 1);
-    auto a2 = fornberg_weights(0.0, c7, 2);
-    for (int i = 0; i < 7; ++i) {
-      s.w1[i] = a1[i];
-      s.w2[i] = a2[i];
-    }
-    auto up = fornberg_weights(0.0, {-1, 0, 1, 2, 3}, 1);
-    for (int i = 0; i < 5; ++i) s.up_pos[i] = up[i];
-    // Mirror: d/dx with nodes -3..1 is minus the reversed positive stencil.
-    for (int i = 0; i < 5; ++i) s.up_neg[i] = -s.up_pos[4 - i];
-    const Real b[7] = {1, -6, 15, -20, 15, -6, 1};
-    for (int i = 0; i < 7; ++i) s.ko[i] = b[i] / 64.0;
-    return s;
-  }();
-  return w;
-}
-
 namespace {
-
-const StencilWeights& weights() { return stencil_weights(); }
-
-constexpr int stride_of(int axis) { return axis_stride(axis); }
 
 /// Compile-time-stride centered sweep over x in [X0, X1) of the patch rows
 /// y in [y0, y1), z in [z0, z1): the fixed stride and x range let the
@@ -73,7 +12,7 @@ constexpr int stride_of(int axis) { return axis_stride(axis); }
 template <int Axis, int X0, int X1>
 void centered_rows(const Real* u, Real* out, const Real w[7], Real scale,
                    int y0, int y1, int z0, int z1) {
-  constexpr int S = stride_of(Axis);
+  constexpr int S = axis_stride(Axis);
   for (int k = z0; k < z1; ++k)
     for (int j = y0; j < y1; ++j) {
       const int row = (k * kPatch + j) * kPatch;
@@ -104,7 +43,7 @@ void centered_sweep(const Real* u, Real* out, const Real w[7], Real scale) {
 }  // namespace
 
 void d1(const Real* u, Real* out, int axis, Real h) {
-  const auto& W = weights();
+  const StencilWeights& W = kStencilWeights;
   const Real inv = 1.0 / h;
   switch (axis) {
     case 0: centered_sweep<0>(u, out, W.w1, inv); break;
@@ -116,7 +55,7 @@ void d1(const Real* u, Real* out, int axis, Real h) {
 void d1_rows(const Real* u, Real* out, int axis, Real h, int y0, int y1,
              int z0, int z1) {
   DGR_CHECK(axis == 0 || axis == 1);
-  const auto& W = weights();
+  const StencilWeights& W = kStencilWeights;
   const Real inv = 1.0 / h;
   if (axis == 0)
     centered_rows<0, kPad, kPad + kR>(u, out, W.w1, inv, y0, y1, z0, z1);
@@ -125,7 +64,7 @@ void d1_rows(const Real* u, Real* out, int axis, Real h, int y0, int y1,
 }
 
 void d2(const Real* u, Real* out, int axis, Real h) {
-  const auto& W = weights();
+  const StencilWeights& W = kStencilWeights;
   const Real inv = 1.0 / (h * h);
   switch (axis) {
     case 0: centered_sweep<0>(u, out, W.w2, inv); break;
@@ -142,8 +81,8 @@ void d2_mixed(const Real* u, Real* scratch, Real* out, int axis_a, int axis_b,
 }
 
 void d1_upwind(const Real* u, const Real* beta, Real* out, int axis, Real h) {
-  const auto& W = weights();
-  const int s = stride_of(axis);
+  const StencilWeights& W = kStencilWeights;
+  const int s = axis_stride(axis);
   const Real inv = 1.0 / h;
   for (int k = kPad; k < kPad + kR; ++k)
     for (int j = kPad; j < kPad + kR; ++j)
@@ -160,7 +99,7 @@ void d1_upwind(const Real* u, const Real* beta, Real* out, int axis, Real h) {
 }
 
 void ko_dissipation(const Real* u, Real* out, Real sigma, Real h) {
-  const auto& W = weights();
+  const StencilWeights& W = kStencilWeights;
   const Real f = sigma / h;
   for (int k = kPad; k < kPad + kR; ++k)
     for (int j = kPad; j < kPad + kR; ++j)

@@ -11,9 +11,10 @@
 /// the full 0..12 range along the other axes — wide enough that mixed second
 /// derivatives can be formed by composing two first-derivative sweeps.
 
-#include <array>
+#include <algorithm>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "mesh/patch.hpp"
 
@@ -27,14 +28,47 @@ using mesh::patch_idx;
 
 /// Fornberg's algorithm: weights of the m-th derivative at evaluation point
 /// x0 for the given node offsets. Exact for polynomials up to degree
-/// nodes.size()-1.
-std::vector<Real> fornberg_weights(Real x0, const std::vector<Real>& nodes,
-                                   int m);
+/// nodes.size()-1. constexpr, so the tables below are evaluated from it at
+/// compile time: the coefficients have this one source.
+constexpr std::vector<Real> fornberg_weights(Real x0,
+                                             const std::vector<Real>& nodes,
+                                             int m) {
+  // B. Fornberg, "Generation of finite difference formulas on arbitrarily
+  // spaced grids", Math. Comp. 51 (1988). Direct transcription.
+  const int n = static_cast<int>(nodes.size()) - 1;
+  DGR_CHECK(n >= m && m >= 0);
+  std::vector<std::vector<Real>> c(n + 1, std::vector<Real>(m + 1, 0.0));
+  Real c1 = 1.0;
+  Real c4 = nodes[0] - x0;
+  c[0][0] = 1.0;
+  for (int i = 1; i <= n; ++i) {
+    const int mn = std::min(i, m);
+    Real c2 = 1.0;
+    const Real c5 = c4;
+    c4 = nodes[i] - x0;
+    for (int j = 0; j < i; ++j) {
+      const Real c3 = nodes[i] - nodes[j];
+      c2 *= c3;
+      if (j == i - 1) {
+        for (int k = mn; k >= 1; --k)
+          c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2;
+        c[i][0] = -c1 * c5 * c[i - 1][0] / c2;
+      }
+      for (int k = mn; k >= 1; --k)
+        c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3;
+      c[j][0] = c4 * c[j][0] / c3;
+    }
+    c1 = c2;
+  }
+  std::vector<Real> w(n + 1);
+  for (int i = 0; i <= n; ++i) w[i] = c[i][m];
+  return w;
+}
 
-/// The fixed stencil weight tables used by every operator below. Exposed so
-/// the fused point evaluators (stencils_point.hpp) contract the exact same
-/// coefficients in the exact same order as the sweep operators — the basis
-/// of the fused-kernel bitwise-identity contract.
+/// The fixed stencil weight tables used by every operator below. The sweep
+/// operators and the point evaluators (stencils_point.hpp) contract the
+/// same coefficients in the same order — the basis of the bitwise contract
+/// between the pack gather and the staged derivative stage.
 struct StencilWeights {
   Real w1[7];      ///< centered first derivative, nodes -3..3
   Real w2[7];      ///< centered second derivative, nodes -3..3
@@ -42,7 +76,28 @@ struct StencilWeights {
   Real up_neg[5];  ///< mirrored, nodes -3..1
   Real ko[7];      ///< KO numerator (binomial / 64), nodes -3..3
 };
-const StencilWeights& stencil_weights();
+
+/// The tables as compile-time constants. They carry Fornberg's roundoff
+/// bits (w1's centre weight is -0x1.5555555555555p-54, not 0), the same
+/// bits as a runtime call of fornberg_weights (test_fd memcmps them).
+/// Being constants, every weight folds into the kernels that read it.
+inline constexpr StencilWeights kStencilWeights = [] {
+  StencilWeights s{};
+  const std::vector<Real> c7 = {-3, -2, -1, 0, 1, 2, 3};
+  const std::vector<Real> a1 = fornberg_weights(0.0, c7, 1);
+  const std::vector<Real> a2 = fornberg_weights(0.0, c7, 2);
+  for (int i = 0; i < 7; ++i) {
+    s.w1[i] = a1[i];
+    s.w2[i] = a2[i];
+  }
+  const std::vector<Real> up = fornberg_weights(0.0, {-1, 0, 1, 2, 3}, 1);
+  for (int i = 0; i < 5; ++i) s.up_pos[i] = up[i];
+  // Mirror: d/dx with nodes -3..1 is minus the reversed positive stencil.
+  for (int i = 0; i < 5; ++i) s.up_neg[i] = -s.up_pos[4 - i];
+  const Real b[7] = {1, -6, 15, -20, 15, -6, 1};
+  for (int i = 0; i < 7; ++i) s.ko[i] = b[i] / 64.0;
+  return s;
+}();
 
 /// Element stride of a patch axis (0=x, 1=y, 2=z).
 constexpr int axis_stride(int axis) {

@@ -39,33 +39,39 @@ inline P centered_point(const Real* u, int p, int s, const Real w[7],
 /// Fused d1: centered first derivative at p along `axis`, scaled by 1/h.
 template <class P>
 inline P d1_point(const Real* u, int p, int axis, Real inv_h) {
-  return centered_point<P>(u, p, axis_stride(axis), stencil_weights().w1,
+  return centered_point<P>(u, p, axis_stride(axis), kStencilWeights.w1,
                            inv_h);
 }
 
 /// Fused d2 (diagonal): centered second derivative at p, scaled by 1/h^2.
 template <class P>
 inline P d2_point(const Real* u, int p, int axis, Real inv_h2) {
-  return centered_point<P>(u, p, axis_stride(axis), stencil_weights().w2,
+  return centered_point<P>(u, p, axis_stride(axis), kStencilWeights.w2,
                            inv_h2);
 }
 
-/// Fused 4th-order upwind derivative at p along `axis`: both one-sided
-/// contractions are evaluated and the lanewise sign of `beta` selects one —
-/// bitwise identical to the scalar branch in d1_upwind (both sides
-/// accumulate from zero in the sweep's order).
+/// Fused 4th-order upwind derivative at p along `axis`: the one-sided
+/// contraction the sign of `beta` picks — bitwise identical to the scalar
+/// branch in d1_upwind (both sides accumulate from zero in the sweep's
+/// order). A pack evaluates both sides and selects lanewise; a 1-lane
+/// pack branches, as the sweep does.
 template <class P>
 inline P upwind_point(const Real* u, const P& beta, int p, int axis,
                       Real inv_h) {
-  const StencilWeights& W = stencil_weights();
+  const StencilWeights& W = kStencilWeights;
   const int s = axis_stride(axis);
-  P pos = P::zero();
-  for (int t = -1; t <= 3; ++t)
-    pos = pos + P::broadcast(W.up_pos[t + 1]) * P::load(u + p + t * s);
-  P neg = P::zero();
-  for (int t = -3; t <= 1; ++t)
-    neg = neg + P::broadcast(W.up_neg[t + 3]) * P::load(u + p + t * s);
-  return select_ge_zero(beta, pos, neg) * P::broadcast(inv_h);
+  const auto side = [&](const Real* w, int t0) {
+    P acc = P::zero();
+    for (int t = 0; t < 5; ++t)
+      acc = acc + P::broadcast(w[t]) * P::load(u + p + (t0 + t) * s);
+    return acc;
+  };
+  if constexpr (P::width == 1)
+    return (beta[0] >= 0 ? side(W.up_pos, -1) : side(W.up_neg, -3)) *
+           P::broadcast(inv_h);
+  else
+    return select_ge_zero(beta, side(W.up_pos, -1), side(W.up_neg, -3)) *
+           P::broadcast(inv_h);
 }
 
 /// Fused Kreiss–Oliger dissipation at p, all three axes summed, scaled by
@@ -73,7 +79,7 @@ inline P upwind_point(const Real* u, const P& beta, int p, int axis,
 /// (per-offset: x + y + z first, then the weight).
 template <class P>
 inline P ko_point(const Real* u, int p, Real f) {
-  const StencilWeights& W = stencil_weights();
+  const StencilWeights& W = kStencilWeights;
   P acc = P::zero();
   for (int t = -3; t <= 3; ++t) {
     acc = acc + P::broadcast(W.ko[t + 3]) *

@@ -11,6 +11,7 @@
 
 #include <complex>
 
+#include "bssn/algebra.hpp"
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
 #include "exec_space/exec_space.hpp"
@@ -20,34 +21,34 @@ namespace dgr::gw {
 
 using Complex = std::complex<Real>;
 
-/// Default radius below which psi4_patch zeroes Psi4.
+/// Radius below which Psi4 is set to zero.
 inline constexpr Real kPsi4RMin = 1e-8;
 
-/// The Psi4 point algebra on the interior x-rows in `rows` of one patch
-/// (outputs are 13^3 buffers; the points of those rows are written, all
-/// others left untouched), reading the metric derivative set `d` of `in`
-/// (bssn::MetricDerivs) and only the kMetricVars entries of `in`. Points
-/// too close to the coordinate origin (within `r_min`) are set to zero —
-/// the tetrad is radial and extraction happens on far spheres anyway.
-void psi4_patch(const Real* const in[bssn::kNumVars],
-                const mesh::PatchGeom& geom, const bssn::BssnParams& params,
-                const bssn::MetricDerivs& d, Real* out_re, Real* out_im,
-                Real r_min = kPsi4RMin,
-                mesh::RowMask rows = mesh::kAllRows);
+/// The Psi4 point algebra at `pos` (S = Real, or a dgr::simd pack of W
+/// x-consecutive points gathered by bssn::bssn_gather_pack_metric), from
+/// the metric inputs of q only. Points too close to the coordinate origin
+/// (r < kPsi4RMin) give zero — the tetrad is radial and extraction happens
+/// on far spheres anyway; on the z axis the tetrad takes phi^ = y^. Both
+/// are lanewise selects, so every lane has the bits of the Real
+/// instantiation, the one exported here (compute_psi4_field runs the
+/// pack instantiations).
+template <class S>
+void psi4_point(const bssn::AlgebraInputs<S>& q, const S pos[3], S& re,
+                S& im);
 
 /// Octants per compute_psi4_field chunk: the chunk's 17-variable patch
-/// block is 2.4 MB, next to 1.65 MB of derivative scratch per lane.
+/// block is 2.4 MB, next to 0.39 MB of inner sweeps per lane.
 inline constexpr OctIndex kPsi4ChunkOctants = 8;
 
 /// Compute Psi4 as a pair of zipped scalar fields over the whole mesh, as
 /// chunked sweeps on `space`. Per chunk of kPsi4ChunkOctants octants: one
 /// loop-over-octants unzip of the 17 kMetricVars (kernel "psi4-unzip"),
-/// then per octant, on per-lane scratch, bssn_metric_deriv_stage,
-/// psi4_patch on the octant's owned rows, and a zip of Re and Im through
-/// the owner write sets (kernel "psi4"). Bitwise identical on every
-/// backend and thread count, and to a per-octant unzip + full
-/// bssn_deriv_stage + psi4_patch + zip. Safe to call from inside a sweep
-/// or a pool worker.
+/// then per octant, on per-lane scratch, the metric pack gather and
+/// psi4_point at the space's vector width on the octant's owned rows, and
+/// a zip of Re and Im through the owner write sets (kernel "psi4").
+/// Bitwise identical on every backend, thread count and width, and to a
+/// per-octant unzip + bssn_deriv_stage + bssn_gather_point + psi4_point
+/// at Real + zip. Safe to call from inside a sweep or a pool worker.
 void compute_psi4_field(
     const mesh::Mesh& mesh, const bssn::BssnState& state,
     const bssn::BssnParams& params, Real* re, Real* im,

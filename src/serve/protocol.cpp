@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -90,22 +89,6 @@ void apply_field(ensemble::ScenarioConfig& cfg, bool& full,
 
 }  // namespace
 
-void validate_scenario(const ensemble::ScenarioConfig& cfg) {
-  const auto in = [](long v, long lo, long hi, const char* what) {
-    DGR_CHECK_MSG(v >= lo && v <= hi, "scenario field " << what
-                                          << " must be in [" << lo << ", "
-                                          << hi << "], got " << v);
-  };
-  in(cfg.base_level, 1, 8, "base");
-  in(cfg.finest_level, 1, 8, "finest");
-  in(cfg.steps, 1, 100000, "steps");
-  in(cfg.regrid_every, 1, 1 << 20, "regrid");
-  in(cfg.extract_every, 1, 1 << 20, "extract");
-  // The regrid tolerance rule of solver::validate_regrid_config.
-  DGR_CHECK_MSG(std::isfinite(cfg.eps) && cfg.eps >= 0,
-                "scenario field eps must be finite and >= 0, got " << cfg.eps);
-}
-
 Request parse_request(const std::string& line,
                       const ensemble::ScenarioConfig& defaults) {
   const auto toks = split_ws(line);
@@ -140,13 +123,13 @@ Request parse_request(const std::string& line,
       apply_field(req.cfg, req.full, toks[i].substr(0, eq),
                   toks[i].substr(eq + 1));
     }
-    validate_scenario(req.cfg);
+    ensemble::validate_scenario(req.cfg);
   } else if (verb == "EVOLVEX") {
     DGR_CHECK_MSG(toks.size() == 2 || toks.size() == 3,
                   "EVOLVEX expects a hex config (and optional full=1)");
     req.kind = Request::Kind::kEvolve;
     req.cfg = ensemble::decode(from_hex(toks[1]));
-    validate_scenario(req.cfg);
+    ensemble::validate_scenario(req.cfg);
     if (toks.size() == 3) {
       DGR_CHECK_MSG(toks[2] == "full=1" || toks[2] == "full=0",
                     "EVOLVEX trailing token must be full=0|1");

@@ -53,17 +53,11 @@ struct Request {
   std::string dump_path;         ///< kDump only; "" = server default
 };
 
-/// Admission bounds shared by every config path into the service (EVOLVE
-/// per-field parses, EVOLVEX hex decodes, server defaults): base/finest in
-/// 1..8, steps in 1..100000, regrid/extract in 1..2^20, and eps finite and
-/// >= 0, as solver::evolve requires. Throws dgr::Error on violation — a
-/// hex-encoded config cannot smuggle in an effectively unbounded evolution
-/// that admission control could never shed.
-void validate_scenario(const ensemble::ScenarioConfig& cfg);
-
 /// Parse one request line against the server's default scenario; throws
 /// dgr::Error with a client-presentable message on malformed input.
-/// EVOLVE/EVOLVEX configs are checked with validate_scenario().
+/// EVOLVE/EVOLVEX configs are checked with ensemble::validate_scenario()
+/// at parse, before admission — a hex-encoded config cannot smuggle in an
+/// unbounded or empty evolution that admission control could never shed.
 Request parse_request(const std::string& line,
                       const ensemble::ScenarioConfig& defaults);
 

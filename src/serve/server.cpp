@@ -393,7 +393,7 @@ void Server::handle_connection(int fd) {
       try {
         const auto wf = p.ticket.future.get();
         const double wait_us = monotonic_us() - p.t_submit_us;
-        obs::observe("serve.wait_us", wait_us);
+        obs::observe_timing("serve.wait_us", wait_us);
         // Latency quantiles split by cache outcome (the METRICS view of
         // the service's cache effectiveness). Literal names: the flight
         // recorder and registry keep the pointers/strings they're given.

@@ -1,7 +1,8 @@
 #pragma once
 /// \file simd.hpp
-/// \brief Thin explicit-SIMD wrapper `dgr::simd<double, W>` for the packed
-/// and fused RHS kernels: a fixed-width pack of doubles with elementwise
+/// \brief Thin explicit-SIMD wrapper `dgr::simd<double, W>` for the patch
+/// kernels (the RHS, Psi4, the constraints and the fused SoA kernel): a
+/// fixed-width pack of doubles with elementwise
 /// load/store/arithmetic (mixed scalar–pack operands broadcast) whose
 /// per-lane results are bitwise identical to the scalar expressions they
 /// replace.
@@ -20,15 +21,17 @@
 /// between translation units. Backend choice at run time (`DGR_SIMD=avx2|
 /// scalar`) only selects which already-instantiated width to dispatch to.
 ///
-/// Determinism contract: add/sub/mul/div/neg/min/max/select are lanewise
-/// identical to their scalar counterparts; `fma` is a single-rounding fused
-/// multiply-add in every backend (`std::fma` == `vfmadd`), so results never
-/// depend on the width. The build adds `-ffp-contract=off` so the compiler
-/// cannot contract scalar a*b+c into an FMA behind our back.
+/// Determinism contract: add/sub/mul/div/neg/min/max/select/sqrt/pow are
+/// lanewise identical to their scalar counterparts; `fma` is a
+/// single-rounding fused multiply-add in every backend (`std::fma` ==
+/// `vfmadd`), so results never depend on the width. The build adds
+/// `-ffp-contract=off` so the compiler cannot contract scalar a*b+c into an
+/// FMA behind our back.
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -132,6 +135,19 @@ struct simd<double, W> {
     for (int i = 0; i < W; ++i) r.v[i] = c.v[i] >= 0.0 ? a.v[i] : b.v[i];
     return r;
   }
+  /// Lanewise a < b ? x : y (false on NaN, like the scalar compare).
+  friend simd select_lt(const simd& a, const simd& b, const simd& x,
+                        const simd& y) {
+    simd r;
+    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] < b.v[i] ? x.v[i] : y.v[i];
+    return r;
+  }
+  /// Lanewise correctly rounded square root (std::sqrt).
+  friend simd sqrt(const simd& a) {
+    simd r;
+    for (int i = 0; i < W; ++i) r.v[i] = std::sqrt(a.v[i]);
+    return r;
+  }
 };
 
 /// Scalar specialization: the reference every wider width must match
@@ -174,6 +190,11 @@ struct simd<double, 1> {
   friend simd select_ge_zero(const simd& c, const simd& a, const simd& b) {
     return {c.v >= 0.0 ? a.v : b.v};
   }
+  friend simd select_lt(const simd& a, const simd& b, const simd& x,
+                        const simd& y) {
+    return {a.v < b.v ? x.v : y.v};
+  }
+  friend simd sqrt(const simd& a) { return {std::sqrt(a.v)}; }
 };
 
 #if DGR_SIMD_HAS_AVX2
@@ -219,8 +240,9 @@ struct simd<double, 4> {
   friend simd operator/(const simd& a, const simd& b) {
     return {_mm256_div_pd(a.v, b.v)};
   }
+  /// Sign-bit flip, as scalar negation (0 - a would turn -(+0) into +0).
   friend simd operator-(const simd& a) {
-    return {_mm256_sub_pd(_mm256_setzero_pd(), a.v)};
+    return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))};
   }
   friend simd fma(const simd& a, const simd& b, const simd& c) {
 #if defined(__FMA__)
@@ -245,6 +267,12 @@ struct simd<double, 4> {
     const __m256d m = _mm256_cmp_pd(c.v, _mm256_setzero_pd(), _CMP_GE_OQ);
     return {_mm256_blendv_pd(b.v, a.v, m)};
   }
+  friend simd select_lt(const simd& a, const simd& b, const simd& x,
+                        const simd& y) {
+    const __m256d m = _mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ);
+    return {_mm256_blendv_pd(y.v, x.v, m)};
+  }
+  friend simd sqrt(const simd& a) { return {_mm256_sqrt_pd(a.v)}; }
 };
 #endif  // DGR_SIMD_HAS_AVX2
 
@@ -283,6 +311,31 @@ inline simd<double, W> operator/(double a, const simd<double, W>& b) {
 template <int W>
 inline simd<double, W> operator/(const simd<double, W>& a, double b) {
   return a / simd<double, W>::broadcast(b);
+}
+
+/// Lanewise std::pow(a, e): one scalar library call per lane, in every
+/// backend.
+template <int W>
+inline simd<double, W> pow(const simd<double, W>& a, double e) {
+  double x[W];
+  a.store(x);
+  for (int i = 0; i < W; ++i) x[i] = std::pow(x[i], e);
+  return simd<double, W>::load(x);
+}
+
+/// The scalar forms of the lanewise ops a point body needs beyond
+/// arithmetic, so one body instantiates at Real and at every pack width
+/// (with `using std::sqrt; using std::pow;` in the body for those two).
+inline double select_lt(double a, double b, double x, double y) {
+  return a < b ? x : y;
+}
+/// c in every lane of S (S = Real or a dgr::simd pack).
+template <class S>
+inline S splat(double c) {
+  if constexpr (std::is_same_v<S, double>)
+    return c;
+  else
+    return S::broadcast(c);
 }
 
 /// Widest backend the build compiled real vector instructions for.

@@ -27,9 +27,9 @@ struct SolverConfig {
   /// GPU analogue launches one block per octant).
   int chunk_octants = 64;
   mesh::UnzipMethod unzip_method = mesh::UnzipMethod::kLoopOverOctants;
-  /// SIMD pack width of the patch RHS: 0 = the runtime width selected by
-  /// DGR_SIMD (see simd_active_width), 1 = the staged scalar kernel, 4 =
-  /// the packed kernel; RhsPipeline rejects any other value. Results are
+  /// SIMD pack width of the patch RHS pack kernel: 0 = the runtime width
+  /// selected by DGR_SIMD (see simd_active_width), 1 = scalar packs, 4 =
+  /// 4-wide packs; RhsPipeline rejects any other value. Results are
   /// bitwise identical at every width and thread count.
   int simd_width = 0;
 };

@@ -176,8 +176,9 @@ void init_puncture(const Mesh& m, BssnState& s) {
                       s);
 }
 
-/// One (backend, threads, SIMD width) combination. Width 1 runs the staged
-/// scalar RHS, width 4 the packed one.
+/// One (backend, threads, SIMD width) combination. The RHS and Psi4 run
+/// the same pack bodies at both widths: simd<double, 1> at width 1,
+/// simd<double, 4> at width 4.
 struct Row {
   Backend backend;
   int threads;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "fd/stencils.hpp"
 
@@ -48,6 +50,27 @@ TEST(Fornberg, WeightsExactOnPolynomials) {
     const Real exact = deg == 0 ? 0.0 : deg * std::pow(0.4, deg - 1);
     EXPECT_NEAR(s, exact, 1e-10) << "degree " << deg;
   }
+}
+
+TEST(Fornberg, ConstantTablesEqualRuntimeWeightsBitwise) {
+  // kStencilWeights is evaluated at compile time; every table must hold the
+  // bits a runtime call gives, Fornberg roundoff included.
+  std::vector<Real> c7 = {-3, -2, -1, 0, 1, 2, 3};
+  const auto w1 = fornberg_weights(0.0, c7, 1);
+  const auto w2 = fornberg_weights(0.0, c7, 2);
+  const auto up = fornberg_weights(0.0, {-1, 0, 1, 2, 3}, 1);
+  Real up_neg[5], ko[7];
+  for (int i = 0; i < 5; ++i) up_neg[i] = -up[4 - i];
+  const Real b[7] = {1, -6, 15, -20, 15, -6, 1};
+  for (int i = 0; i < 7; ++i) ko[i] = b[i] / 64.0;
+  const StencilWeights& W = kStencilWeights;
+  EXPECT_EQ(std::memcmp(W.w1, w1.data(), sizeof(W.w1)), 0);
+  EXPECT_EQ(std::memcmp(W.w2, w2.data(), sizeof(W.w2)), 0);
+  EXPECT_EQ(std::memcmp(W.up_pos, up.data(), sizeof(W.up_pos)), 0);
+  EXPECT_EQ(std::memcmp(W.up_neg, up_neg, sizeof(W.up_neg)), 0);
+  EXPECT_EQ(std::memcmp(W.ko, ko, sizeof(W.ko)), 0);
+  // The roundoff the tables must keep: w1's centre weight is not 0.
+  EXPECT_EQ(W.w1[3], -0x1.5555555555555p-54);
 }
 
 /// Fill a patch with f evaluated on a unit-spacing lattice scaled by h.

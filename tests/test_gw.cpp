@@ -200,8 +200,9 @@ TEST(Psi4, FlatSpaceIsZero) {
 }
 
 /// Psi4 the per-octant way, composed from public calls: a single-octant
-/// unzip of all 24 variables, the full RHS derivative stage, the Psi4 point
-/// body on its metric derivatives, and an owner zip of each field.
+/// unzip of all 24 variables, the staged derivative stage,
+/// bssn_gather_point and the Psi4 point body at Real on every interior
+/// point, and an owner zip of each field.
 void reference_psi4_field(const Mesh& m, const BssnState& s,
                           const bssn::BssnParams& prm, Real* re, Real* im) {
   const auto in = s.cptrs();
@@ -213,12 +214,21 @@ void reference_psi4_field(const Mesh& m, const BssnState& s,
   Real* outs_re[1] = {re};
   Real* outs_im[1] = {im};
   bssn::DerivWorkspace ws;
+  bssn::AlgebraInputs<Real> q;
   for (OctIndex e = 0; e < static_cast<OctIndex>(m.num_octants()); ++e) {
     m.unzip(in.data(), bssn::kNumVars, e, e + 1, patches.data());
     const mesh::PatchGeom geom = m.patch_geom(e);
     bssn::bssn_deriv_stage(pin, geom.h, ws);
-    psi4_patch(pin, geom, prm, bssn::MetricDerivs(ws), pre.data(),
-               pim.data());
+    for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
+      for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj)
+        for (int ii = mesh::kPad; ii < mesh::kPad + mesh::kR; ++ii) {
+          const int p = mesh::patch_idx(ii, jj, kk);
+          bssn::bssn_gather_point(pin, ws, p, prm, q);
+          const Real pos[3] = {geom.origin[0] + ii * geom.h,
+                               geom.origin[1] + jj * geom.h,
+                               geom.origin[2] + kk * geom.h};
+          psi4_point(q, pos, pre[p], pim[p]);
+        }
     m.zip(pre.data(), 1, e, e + 1, outs_re);
     m.zip(pim.data(), 1, e, e + 1, outs_im);
   }
@@ -253,15 +263,18 @@ TEST(Psi4, ChunkedFieldIsBitwiseEqualToPerOctantReference) {
   std::vector<Real> ref_re(n), ref_im(n);
   reference_psi4_field(*m, ctx.state(), scfg.bssn, ref_re.data(),
                        ref_im.data());
-  for (int threads : {1, 2, 7}) {
-    exec::ThreadPool::set_global_threads(threads);
-    std::vector<Real> re(n, -1.0), im(n, -1.0);
-    compute_psi4_field(*m, ctx.state(), scfg.bssn, re.data(), im.data());
-    EXPECT_EQ(std::memcmp(re.data(), ref_re.data(), n * sizeof(Real)), 0)
-        << "threads " << threads;
-    EXPECT_EQ(std::memcmp(im.data(), ref_im.data(), n * sizeof(Real)), 0)
-        << "threads " << threads;
-  }
+  for (int width : {1, 4})
+    for (int threads : {1, 2, 7}) {
+      exec::ThreadPool::set_global_threads(threads);
+      exec_space::ExecSpace es = exec_space::ExecSpace::host();
+      es.set_vector_policy({width});
+      std::vector<Real> re(n, -1.0), im(n, -1.0);
+      compute_psi4_field(*m, ctx.state(), scfg.bssn, re.data(), im.data(), es);
+      EXPECT_EQ(std::memcmp(re.data(), ref_re.data(), n * sizeof(Real)), 0)
+          << "width " << width << " threads " << threads;
+      EXPECT_EQ(std::memcmp(im.data(), ref_im.data(), n * sizeof(Real)), 0)
+          << "width " << width << " threads " << threads;
+    }
   exec::ThreadPool::set_global_threads(1);
 }
 

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -181,15 +182,23 @@ TEST(Protocol, ParseRequestRejectsMalformedLines) {
 
 TEST(Protocol, EvolveRejectsNonFiniteOrNegativeEps) {
   // The regrid tolerance is checked at parse, before admission, rather
-  // than by solver::evolve once the job runs.
+  // than by solver::evolve once the job runs. So is every other real
+  // field: each of these ran to a 0-step waveform, to t_final = inf, or
+  // on NaN data before it was checked.
   const ensemble::ScenarioConfig d = tiny_scenario();
-  EXPECT_THROW(parse_request("EVOLVE eps=nan", d), Error);
-  EXPECT_THROW(parse_request("EVOLVE eps=inf", d), Error);
-  EXPECT_THROW(parse_request("EVOLVE eps=-1", d), Error);
+  for (const char* field :
+       {"eps=nan", "eps=inf", "eps=-1", "cfl=nan", "cfl=0", "cfl=-0.25",
+        "cfl=inf", "half=nan", "half=-16", "ko=nan", "ko=-0.1", "s1x=nan",
+        "s2z=1.5", "radius=nan", "radius=0", "radius=8", "q=0.5", "q=inf",
+        "sep=0", "sep=nan", "base=2 finest=1"})
+    EXPECT_THROW(parse_request(std::string("EVOLVE ") + field, d), Error)
+        << field;
   ensemble::ScenarioConfig bad = d;
   bad.eps = -1e-3;
   EXPECT_THROW(parse_request(format_evolvex(bad), d), Error);
+  EXPECT_THROW(ensemble::run_scenario(bad), Error);
   EXPECT_EQ(parse_request("EVOLVE eps=0", d).cfg.eps, 0.0);
+  EXPECT_NO_THROW(parse_request("EVOLVE ko=0 s1x=0.6 s1y=0.8 radius=7.9", d));
 }
 
 TEST(Protocol, EvolvexRejectsOutOfBoundsConfigs) {
@@ -206,6 +215,26 @@ TEST(Protocol, EvolvexRejectsOutOfBoundsConfigs) {
   bad = defaults;
   bad.regrid_every = 0;
   EXPECT_THROW(parse_request(format_evolvex(bad), defaults), Error);
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int k = 0; k < 12; ++k) {
+    bad = defaults;
+    switch (k) {
+      case 0: bad.cfl = nan; break;
+      case 1: bad.cfl = 0; break;
+      case 2: bad.cfl = -0.25; break;
+      case 3: bad.cfl = inf; break;
+      case 4: bad.domain_half = nan; break;
+      case 5: bad.domain_half = -16; break;
+      case 6: bad.ko_sigma = nan; break;
+      case 7: bad.spin1[0] = nan; break;
+      case 8: bad.extraction_radius = nan; break;
+      case 9: bad.q = 0.5; break;
+      case 10: bad.separation = 0; break;
+      case 11: bad.base_level = 3; break;  // finest 2 < base
+    }
+    EXPECT_THROW(parse_request(format_evolvex(bad), defaults), Error) << k;
+  }
   EXPECT_NO_THROW(parse_request(format_evolvex(defaults), defaults));
 }
 
@@ -599,6 +628,30 @@ TEST(Server, MetricsVerbServesPrometheusTextFromLiveRegistry) {
   server.request_shutdown();
   server.wait();
   obs::install_metrics(nullptr);
+  // The wall-clock wait is a timing summary: this registry has timing on.
+  const auto wait = reg.summary("serve.wait_us");
+  ASSERT_TRUE(wait.has_value());
+  EXPECT_EQ(wait->count, 2u);
+}
+
+TEST(Server, RegistryWithTimingOffRecordsNoWaitTime) {
+  // A registry with timing off keeps only deterministic rows: no wall-clock
+  // summary of the served EVOLVE may reach it.
+  obs::MetricsRegistry reg;
+  obs::install_metrics(&reg);
+  ServeConfig cfg;
+  cfg.socket_path = test_socket("telemetry_untimed");
+  cfg.defaults = tiny_scenario();
+  Server server(cfg);
+  server.start();
+  Client c;
+  c.connect(cfg.socket_path);
+  ASSERT_EQ(fields(c.request("EVOLVE")).at(""), "OK");
+  server.request_shutdown();
+  server.wait();
+  obs::install_metrics(nullptr);
+  EXPECT_GT(reg.counter("serve.requests"), 0u);
+  EXPECT_FALSE(reg.summary("serve.wait_us").has_value());
 }
 
 TEST(Server, MetricsVerbWithoutRegistryIsJustEnd) {

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -125,6 +128,48 @@ TEST(Simd, SelectGeZero) {
   for (int i = 0; i < 4; ++i)
     EXPECT_EQ(r[i], select_ge_zero(P1::broadcast(c[i]), P1::broadcast(10.0),
                                    P1::broadcast(20.0))[0]);
+}
+
+/// Bits of a double, so NaN payloads and signed zeros compare exactly.
+std::uint64_t bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+TEST(Simd, NegSqrtPowSelectLtAreBitwiseEqualToScalarOnEdgeValues) {
+  // Every lane of every op against its scalar form, at widths 4 and 1, on
+  // signed zeros, subnormals, infinities, NaN and ordinary values.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> xs = {0.0,  -0.0, sub, -sub,  3 * sub, inf,
+                                  -inf, nan,  -nan, 2.25, -1.5,    1e-300};
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+      // Lanes: (x, y), (y, x), (x, x), (y, y).
+      const double x = xs[i], y = xs[j];
+      const double as[4] = {x, y, x, y}, bs[4] = {y, x, x, y};
+      const P4 a = P4::load(as), b = P4::load(bs);
+      const P4 sel = select_lt(a, b, P4::broadcast(1.0), P4::broadcast(2.0));
+      const P4 neg = -a, rt = sqrt(a), pw = pow(a, -1.5);
+      for (int l = 0; l < 4; ++l) {
+        const P1 a1 = P1::broadcast(as[l]), b1 = P1::broadcast(bs[l]);
+        EXPECT_EQ(bits(neg[l]), bits(-as[l])) << as[l];
+        EXPECT_EQ(bits(rt[l]), bits(std::sqrt(as[l]))) << as[l];
+        EXPECT_EQ(bits(pw[l]), bits(std::pow(as[l], -1.5))) << as[l];
+        EXPECT_EQ(sel[l], as[l] < bs[l] ? 1.0 : 2.0) << as[l] << " " << bs[l];
+        EXPECT_EQ(bits((-a1)[0]), bits(-as[l]));
+        EXPECT_EQ(bits(sqrt(a1)[0]), bits(std::sqrt(as[l])));
+        EXPECT_EQ(bits(pow(a1, -1.5)[0]), bits(std::pow(as[l], -1.5)));
+        EXPECT_EQ(select_lt(a1, b1, P1::broadcast(1.0), P1::broadcast(2.0))[0],
+                  select_lt(as[l], bs[l], 1.0, 2.0));
+        EXPECT_EQ(select_lt(as[l], bs[l], 1.0, 2.0),
+                  as[l] < bs[l] ? 1.0 : 2.0);
+      }
+    }
+  EXPECT_EQ(splat<double>(2.5), 2.5);
+  for (int l = 0; l < 4; ++l) EXPECT_EQ(splat<P4>(2.5)[l], 2.5);
 }
 
 TEST(Simd, WidthSelection) {
