@@ -12,7 +12,8 @@
 /// derivatives can be formed by composing two first-derivative sweeps.
 
 #include <algorithm>
-#include <vector>
+#include <array>
+#include <cstddef>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -27,17 +28,19 @@ using mesh::kR;
 using mesh::patch_idx;
 
 /// Fornberg's algorithm: weights of the m-th derivative at evaluation point
-/// x0 for the given node offsets. Exact for polynomials up to degree
-/// nodes.size()-1. constexpr, so the tables below are evaluated from it at
-/// compile time: the coefficients have this one source.
-constexpr std::vector<Real> fornberg_weights(Real x0,
-                                             const std::vector<Real>& nodes,
-                                             int m) {
+/// x0 for the N given node offsets. Exact for polynomials up to degree N-1.
+/// constexpr, so the tables below are evaluated from it at compile time:
+/// the coefficients have this one source. Fixed-size arrays keep it a
+/// constant expression without constexpr std::vector.
+template <std::size_t N>
+constexpr std::array<Real, N> fornberg_weights(Real x0, const Real (&nodes)[N],
+                                               int m) {
   // B. Fornberg, "Generation of finite difference formulas on arbitrarily
-  // spaced grids", Math. Comp. 51 (1988). Direct transcription.
-  const int n = static_cast<int>(nodes.size()) - 1;
+  // spaced grids", Math. Comp. 51 (1988). Direct transcription; column k of
+  // c holds the k-th derivative's weights, so columns past m stay unused.
+  const int n = static_cast<int>(N) - 1;
   DGR_CHECK(n >= m && m >= 0);
-  std::vector<std::vector<Real>> c(n + 1, std::vector<Real>(m + 1, 0.0));
+  Real c[N][N] = {};
   Real c1 = 1.0;
   Real c4 = nodes[0] - x0;
   c[0][0] = 1.0;
@@ -60,7 +63,7 @@ constexpr std::vector<Real> fornberg_weights(Real x0,
     }
     c1 = c2;
   }
-  std::vector<Real> w(n + 1);
+  std::array<Real, N> w{};
   for (int i = 0; i <= n; ++i) w[i] = c[i][m];
   return w;
 }
@@ -83,14 +86,14 @@ struct StencilWeights {
 /// Being constants, every weight folds into the kernels that read it.
 inline constexpr StencilWeights kStencilWeights = [] {
   StencilWeights s{};
-  const std::vector<Real> c7 = {-3, -2, -1, 0, 1, 2, 3};
-  const std::vector<Real> a1 = fornberg_weights(0.0, c7, 1);
-  const std::vector<Real> a2 = fornberg_weights(0.0, c7, 2);
+  const Real c7[7] = {-3, -2, -1, 0, 1, 2, 3};
+  const std::array<Real, 7> a1 = fornberg_weights(0.0, c7, 1);
+  const std::array<Real, 7> a2 = fornberg_weights(0.0, c7, 2);
   for (int i = 0; i < 7; ++i) {
     s.w1[i] = a1[i];
     s.w2[i] = a2[i];
   }
-  const std::vector<Real> up = fornberg_weights(0.0, {-1, 0, 1, 2, 3}, 1);
+  const std::array<Real, 5> up = fornberg_weights(0.0, {-1, 0, 1, 2, 3}, 1);
   for (int i = 0; i < 5; ++i) s.up_pos[i] = up[i];
   // Mirror: d/dx with nodes -3..1 is minus the reversed positive stencil.
   for (int i = 0; i < 5; ++i) s.up_neg[i] = -s.up_pos[4 - i];

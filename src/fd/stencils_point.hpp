@@ -50,28 +50,22 @@ inline P d2_point(const Real* u, int p, int axis, Real inv_h2) {
                            inv_h2);
 }
 
-/// Fused 4th-order upwind derivative at p along `axis`: the one-sided
-/// contraction the sign of `beta` picks — bitwise identical to the scalar
-/// branch in d1_upwind (both sides accumulate from zero in the sweep's
-/// order). A pack evaluates both sides and selects lanewise; a 1-lane
-/// pack branches, as the sweep does.
+/// Fused 4th-order upwind derivative at p along `axis`: both one-sided
+/// contractions are evaluated and the lanewise sign of `beta` selects one —
+/// bitwise identical to the scalar branch in d1_upwind (both sides
+/// accumulate from zero in the sweep's order).
 template <class P>
 inline P upwind_point(const Real* u, const P& beta, int p, int axis,
                       Real inv_h) {
   const StencilWeights& W = kStencilWeights;
   const int s = axis_stride(axis);
-  const auto side = [&](const Real* w, int t0) {
-    P acc = P::zero();
-    for (int t = 0; t < 5; ++t)
-      acc = acc + P::broadcast(w[t]) * P::load(u + p + (t0 + t) * s);
-    return acc;
-  };
-  if constexpr (P::width == 1)
-    return (beta[0] >= 0 ? side(W.up_pos, -1) : side(W.up_neg, -3)) *
-           P::broadcast(inv_h);
-  else
-    return select_ge_zero(beta, side(W.up_pos, -1), side(W.up_neg, -3)) *
-           P::broadcast(inv_h);
+  P pos = P::zero();
+  for (int t = -1; t <= 3; ++t)
+    pos = pos + P::broadcast(W.up_pos[t + 1]) * P::load(u + p + t * s);
+  P neg = P::zero();
+  for (int t = -3; t <= 1; ++t)
+    neg = neg + P::broadcast(W.up_neg[t + 3]) * P::load(u + p + t * s);
+  return select_ge_zero(beta, pos, neg) * P::broadcast(inv_h);
 }
 
 /// Fused Kreiss–Oliger dissipation at p, all three axes summed, scaled by

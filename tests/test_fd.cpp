@@ -41,11 +41,11 @@ TEST(Fornberg, Centered6thOrderSecondDerivative) {
 
 TEST(Fornberg, WeightsExactOnPolynomials) {
   // Degree-6 exactness of the 7-node first-derivative weights at x0 = 0.4.
-  std::vector<Real> nodes = {-3, -2, -1, 0, 1, 2, 3};
+  const Real nodes[7] = {-3, -2, -1, 0, 1, 2, 3};
   auto w = fornberg_weights(0.4, nodes, 1);
   for (int deg = 0; deg <= 6; ++deg) {
     Real s = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i)
+    for (int i = 0; i < 7; ++i)
       s += w[i] * std::pow(nodes[i], deg);
     const Real exact = deg == 0 ? 0.0 : deg * std::pow(0.4, deg - 1);
     EXPECT_NEAR(s, exact, 1e-10) << "degree " << deg;
@@ -54,11 +54,13 @@ TEST(Fornberg, WeightsExactOnPolynomials) {
 
 TEST(Fornberg, ConstantTablesEqualRuntimeWeightsBitwise) {
   // kStencilWeights is evaluated at compile time; every table must hold the
-  // bits a runtime call gives, Fornberg roundoff included.
-  std::vector<Real> c7 = {-3, -2, -1, 0, 1, 2, 3};
-  const auto w1 = fornberg_weights(0.0, c7, 1);
-  const auto w2 = fornberg_weights(0.0, c7, 2);
-  const auto up = fornberg_weights(0.0, {-1, 0, 1, 2, 3}, 1);
+  // bits a runtime call gives, Fornberg roundoff included. The volatile
+  // evaluation point keeps these calls out of constant folding.
+  volatile Real x0 = 0.0;
+  const Real c7[7] = {-3, -2, -1, 0, 1, 2, 3};
+  const auto w1 = fornberg_weights(x0, c7, 1);
+  const auto w2 = fornberg_weights(x0, c7, 2);
+  const auto up = fornberg_weights(x0, {-1, 0, 1, 2, 3}, 1);
   Real up_neg[5], ko[7];
   for (int i = 0; i < 5; ++i) up_neg[i] = -up[4 - i];
   const Real b[7] = {1, -6, 15, -20, 15, -6, 1};
