@@ -7,6 +7,8 @@
 /// parameters") — shapes and ratios are the reproduction target, not
 /// absolute numbers.
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +60,8 @@ inline void note(const std::string& text) {
 /// `bench.host_seconds`, so single- vs multi-thread runs of the same bench
 /// are directly comparable; all modeled "ours" values stay bitwise
 /// identical across thread counts (the src/exec determinism contract).
+/// It also records the process's peak resident set as `bench.peak_rss_mb`
+/// (getrusage ru_maxrss at destruction), a report-only row.
 class Reporter {
  public:
   Reporter(std::string name, int argc, char** argv) : name_(std::move(name)) {
@@ -96,6 +100,9 @@ class Reporter {
     metric("threads", double(exec::lanes()));
     metric("simd_width", double(simd_active_width()));
     metric("host_seconds", wall_.seconds());
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    metric("peak_rss_mb", double(ru.ru_maxrss) / 1024.0);  // Linux: KiB
     if (obs::metrics() == &metrics_) obs::install_metrics(nullptr);
     if (obs::trace() == trace_.get()) obs::install_trace(nullptr);
     if (enabled_) write();

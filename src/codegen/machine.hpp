@@ -52,7 +52,6 @@ class CompiledKernel {
   const SpillStats& stats() const { return stats_; }
   Strategy strategy() const { return strategy_; }
   int num_regs() const { return num_regs_; }
-  std::size_t num_micro_ops() const { return ops_.size(); }
 
   /// Execute at one point: `inputs` indexed by input_id, `outputs` by the
   /// position in the original outputs vector.

@@ -9,7 +9,6 @@
 /// modeled A100 kernel times and roofline points.
 
 #include <cstdint>
-#include <string>
 
 namespace dgr {
 
@@ -27,26 +26,6 @@ struct OpCounts {
 
   OpCounts& operator+=(const OpCounts& o);
   friend OpCounts operator+(OpCounts a, const OpCounts& b) { return a += b; }
-};
-
-/// A named scoped accumulator: kernels add their counts to the active scope.
-/// Single-threaded by design (the simulated GPU executes blocks serially).
-class CounterScope {
- public:
-  explicit CounterScope(std::string name) : name_(std::move(name)) {}
-
-  void add(const OpCounts& c) { total_ += c; }
-  void add_flops(std::uint64_t f) { total_.flops += f; }
-  void add_read(std::uint64_t b) { total_.bytes_read += b; }
-  void add_write(std::uint64_t b) { total_.bytes_written += b; }
-
-  const OpCounts& total() const { return total_; }
-  const std::string& name() const { return name_; }
-  void reset() { total_ = OpCounts{}; }
-
- private:
-  std::string name_;
-  OpCounts total_;
 };
 
 }  // namespace dgr

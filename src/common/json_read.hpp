@@ -31,11 +31,8 @@ struct JValue {
   std::vector<JValue> arr;
   std::map<std::string, JValue> obj;
 
-  bool is_null() const { return kind == Kind::kNull; }
   bool is_num() const { return kind == Kind::kNum; }
-  bool is_str() const { return kind == Kind::kStr; }
   bool is_arr() const { return kind == Kind::kArr; }
-  bool is_obj() const { return kind == Kind::kObj; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JValue* get(const std::string& key) const {

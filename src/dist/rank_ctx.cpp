@@ -26,8 +26,7 @@ RankCtx::RankCtx(int rank, std::shared_ptr<const mesh::Mesh> mesh,
       mesh_(std::move(mesh)),
       maps_(std::move(maps)),
       owned_begin_(part.owned_begin(rank)),
-      owned_end_(part.owned_end(rank)),
-      pipeline_(mesh_, scfg) {
+      owned_end_(part.owned_end(rank)) {
   DGR_CHECK(maps_.rank == rank_);
   interior_runs_ = runs_of(maps_.interior);
   boundary_runs_ = runs_of(maps_.boundary);
@@ -35,6 +34,7 @@ RankCtx::RankCtx(int rank, std::shared_ptr<const mesh::Mesh> mesh,
     if (part.rank_of(mesh_->dof_owner(d)) == rank_) owned_dofs_.push_back(d);
   u_.resize(mesh_->num_dofs());
   if (alloc_stages) {
+    pipeline_.emplace(mesh_, scfg);
     for (auto& k : k_) k.resize(mesh_->num_dofs());
     stage_.resize(mesh_->num_dofs());
   }
@@ -165,14 +165,21 @@ void RankCtx::finish_exchange_depth(SimComm& comm, bssn::BssnState& u,
                         depth_recv_[static_cast<std::size_t>(slot)]);
 }
 
+solver::RhsPipeline& RankCtx::pipeline() {
+  DGR_CHECK_MSG(pipeline_, "rank " << rank_
+                                   << " was built schedule-only (no "
+                                      "alloc_stages): it has no RHS pipeline");
+  return *pipeline_;
+}
+
 void RankCtx::compute_rhs_interior(const bssn::BssnState& u,
                                    bssn::BssnState& rhs) {
-  pipeline_.compute(u, rhs, interior_runs_, nullptr);
+  pipeline().compute(u, rhs, interior_runs_, nullptr);
 }
 
 void RankCtx::compute_rhs_boundary(const bssn::BssnState& u,
                                    bssn::BssnState& rhs) {
-  pipeline_.compute(u, rhs, boundary_runs_, nullptr);
+  pipeline().compute(u, rhs, boundary_runs_, nullptr);
 }
 
 }  // namespace dgr::dist

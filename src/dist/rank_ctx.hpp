@@ -10,6 +10,7 @@
 /// result bitwise-identical to the single-rank pipeline.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bssn/state.hpp"
@@ -22,8 +23,9 @@ namespace dgr::dist {
 
 class RankCtx {
  public:
-  /// `alloc_stages` allocates the RK scratch states (k1..k4 and the stage
-  /// vector); schedule-only runs skip them.
+  /// `alloc_stages` builds what executing the RK steps needs: the RHS
+  /// pipeline (with its patch buffers) and the RK scratch states (k1..k4
+  /// and the stage vector). Schedule-only runs skip them all.
   RankCtx(int rank, std::shared_ptr<const mesh::Mesh> mesh,
           const comm::RankPartition& part, comm::ExchangeMaps maps,
           const solver::SolverConfig& scfg, bool alloc_stages);
@@ -61,6 +63,7 @@ class RankCtx {
 
   /// RHS over the interior octants only (safe while the halo is in
   /// flight) / over the boundary octants only (requires finished halo).
+  /// Both throw dgr::Error on a rank built without `alloc_stages`.
   void compute_rhs_interior(const bssn::BssnState& u, bssn::BssnState& rhs);
   void compute_rhs_boundary(const bssn::BssnState& u, bssn::BssnState& rhs);
 
@@ -81,6 +84,7 @@ class RankCtx {
   void finish_exchange_depth(SimComm& comm, bssn::BssnState& u, int slot);
 
  private:
+  solver::RhsPipeline& pipeline();
   void post_exchange_lists(SimComm& comm, const bssn::BssnState& u, int tag,
                            const std::vector<std::vector<DofIndex>>& send_to,
                            const std::vector<std::vector<DofIndex>>& recv_from);
@@ -94,7 +98,7 @@ class RankCtx {
   std::size_t owned_begin_ = 0, owned_end_ = 0;
   std::vector<DofIndex> owned_dofs_;
   std::vector<solver::OctRange> interior_runs_, boundary_runs_;
-  solver::RhsPipeline pipeline_;
+  std::optional<solver::RhsPipeline> pipeline_;  // only with alloc_stages
   bssn::BssnState u_, k_[4], stage_;
   // In-flight exchange bookkeeping.
   std::vector<SimComm::Request> pending_;

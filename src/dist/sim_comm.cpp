@@ -256,20 +256,6 @@ double SimComm::allreduce_min(const std::vector<double>& contrib) {
   return *std::min_element(contrib.begin(), contrib.end());
 }
 
-double SimComm::allreduce_max(const std::vector<double>& contrib) {
-  DGR_CHECK(contrib.size() == stats_.size());
-  reduce_clocks(sizeof(double));
-  return *std::max_element(contrib.begin(), contrib.end());
-}
-
-double SimComm::allreduce_sum(const std::vector<double>& contrib) {
-  DGR_CHECK(contrib.size() == stats_.size());
-  reduce_clocks(sizeof(double));
-  double s = 0;
-  for (double v : contrib) s += v;
-  return s;
-}
-
 SimComm::Payload SimComm::allgather(const std::vector<Payload>& contrib) {
   DGR_CHECK(contrib.size() == stats_.size());
   const double sync = max_clock();

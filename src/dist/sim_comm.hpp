@@ -123,8 +123,6 @@ class SimComm {
   /// Collectives. The lockstep driver passes every rank's contribution at
   /// once; all clocks synchronize to max(clock) + modeled collective time.
   double allreduce_min(const std::vector<double>& contrib);
-  double allreduce_max(const std::vector<double>& contrib);
-  double allreduce_sum(const std::vector<double>& contrib);
 
   /// Allgather of variable-length per-rank payloads (ring schedule: every
   /// rank receives each other rank's block once). Returns the payloads

@@ -12,8 +12,9 @@
 ///   kSerial   | caller thread, chunk order  | OpCounts slots
 ///   kPool     | src/exec work-stealing pool | OpCounts slots + worker
 ///             | (exec::for_each_chunk)      | trace spans (spec.label)
-///   kSimGpu   | simgpu GpuRuntime::         | OpCounts slots + kernel
-///             | launch_range                | records, modeled time,
+///   kSimGpu   | the same pool, then one     | OpCounts slots + worker
+///             | GpuRuntime::book per sweep  | spans (spec.name), kernel
+///             |                             | records, modeled time,
 ///             |                             | gpu.* metrics
 ///
 /// On every backend a labelled sweep runs inside one obs::ScopedSpan named
@@ -23,18 +24,17 @@
 /// ExecSpace::serial(), ExecSpace::simgpu(rt), or ExecSpace::host() (the
 /// pool), which every solver path defaults to.
 ///
-/// Determinism is enforced here, in exactly one place: every backend
-/// partitions [0, n) into the same fixed grain-based chunks (a function of
-/// the problem only — see exec/parallel.hpp), per-chunk OpCounts land in
-/// slots indexed by chunk, and slots are merged in chunk order.
+/// Determinism is enforced here, in exactly one place: range_for is the
+/// one chunk loop of every backend. It partitions [0, n) into the same
+/// fixed grain-based chunks (a function of the problem only — see
+/// exec/parallel.hpp), gives each chunk its own OpCounts slot in a vector
+/// local to the sweep, and merges the slots in chunk order; on simgpu it
+/// then books the merged counts as one launch on the space's GpuRuntime.
 /// Consequently every sweep is bitwise identical across backends, thread
 /// counts, and scheduling — the contract pinned by the determinism matrix
-/// in tests/test_exec_space.cpp.
-///
-/// Per-chunk OpCounts slots for the host backends come from a ScratchArena
-/// (zero steady-state heap allocations, like launch_range's); the simgpu
-/// backend delegates to GpuRuntime::launch_range, which owns its arena and
-/// kernel records.
+/// in tests/test_exec_space.cpp. Because the slots belong to the sweep, a
+/// kernel body may open another sweep on the driver thread without
+/// touching the outer sweep's slots.
 ///
 /// The inner-loop vector policy plugs the dgr::simd pack layer in:
 /// VectorPolicy carries the SIMD dispatch width (0 = the runtime DGR_SIMD
@@ -107,28 +107,6 @@ class TeamMember {
   int vector_width_;
 };
 
-namespace detail {
-
-/// Per-chunk OpCounts slots for the host backends, served from a
-/// thread-local ScratchArena so a steady-state sweep loop performs zero
-/// heap allocations; falls back to the heap when a kernel body (illegally
-/// but survivably) nests another sweep on the same thread.
-class HostSlots {
- public:
-  explicit HostSlots(std::size_t n);
-  ~HostSlots();
-  HostSlots(const HostSlots&) = delete;
-  HostSlots& operator=(const HostSlots&) = delete;
-  OpCounts* data() { return data_; }
-
- private:
-  OpCounts* data_;
-  bool from_arena_;
-  std::vector<OpCounts> fallback_;
-};
-
-}  // namespace detail
-
 /// A backend handle: copyable, trivially cheap, safe to hold by value. The
 /// simgpu flavor borrows its GpuRuntime (the runtime must outlive the
 /// space).
@@ -163,24 +141,20 @@ class ExecSpace {
 
   /// Run body(chunk_begin, chunk_end, OpCounts&) over the fixed grain-based
   /// chunks of [0, n), inside a span named spec.label (when set). Per-chunk
-  /// counts land in slots indexed by chunk and
-  /// are merged in chunk order into *counts (when non-null) — and, on the
-  /// simgpu backend, into the named kernel's record and modeled time.
+  /// counts land in slots indexed by chunk and are merged in chunk order
+  /// into *counts (when non-null) — and, on the simgpu backend, booked as
+  /// one launch of spec.name (an empty sweep books a zero-count launch).
   /// Chunks must write disjoint outputs.
   template <class Body>
   void range_for(const LaunchSpec& spec, std::int64_t n, std::int64_t grain,
                  OpCounts* counts, Body&& body) const {
     std::optional<obs::ScopedSpan> span;
     if (spec.label) span.emplace(spec.label, "exec");
-    if (backend_ == Backend::kSimGpu) {
-      rt_->launch_range(spec.name, spec.blocks, spec.stream, n, grain, body,
-                        counts);
-      return;
-    }
+    const bool gpu = backend_ == Backend::kSimGpu;
     if (grain < 1) grain = 1;
     const std::int64_t nc = exec::num_chunks(0, n, grain);
-    if (nc == 0) return;
-    detail::HostSlots slots(static_cast<std::size_t>(nc));
+    if (nc == 0 && !gpu) return;
+    std::vector<OpCounts> slots(static_cast<std::size_t>(nc));
     OpCounts* sp = slots.data();
     if (backend_ == Backend::kSerial) {
       for (std::int64_t c = 0; c < nc; ++c)
@@ -191,10 +165,12 @@ class ExecSpace {
           [&](std::int64_t c, std::int64_t b, std::int64_t e) {
             body(b, e, sp[c]);
           },
-          spec.label);
+          gpu ? spec.name : spec.label);
     }
-    if (counts)
-      for (std::int64_t c = 0; c < nc; ++c) *counts += sp[c];
+    OpCounts total;
+    for (const OpCounts& c : slots) total += c;
+    if (counts) *counts += total;
+    if (gpu) rt_->book(spec.name, spec.blocks, spec.stream, total);
   }
 
   /// Hierarchical flavor: body(TeamMember&, chunk_begin, chunk_end,

@@ -169,10 +169,6 @@ class Mesh {
   /// whose output is zipped needs to evaluate.
   RowMask owned_rows(OctIndex e) const { return owned_rows_[e]; }
 
-  /// Flops spent resolving hanging points when loading octant e (2 per
-  /// interpolation-rule term) — charged to the octant-to-patch counters.
-  std::uint64_t hanging_flops(OctIndex e) const { return hanging_flops_[e]; }
-
  private:
   void build_points();
   void build_hanging_rules();
@@ -212,6 +208,8 @@ class Mesh {
   std::vector<detail::ZipRun> zip_runs_;
   std::vector<std::size_t> zip_begin_;
   std::vector<RowMask> owned_rows_;  // per octant
+  // Flops spent resolving hanging points when loading octant e (2 per
+  // interpolation-rule term), charged to the octant-to-patch counters.
   std::vector<std::uint64_t> hanging_flops_;  // per octant
   // Transient point map, alive between build_points() and
   // build_hanging_rules() only.

@@ -3,10 +3,9 @@
 /// \brief The flight recorder: an always-on, lock-light, per-thread ring
 /// buffer of recent trace spans and instants, dumped as Perfetto-loadable
 /// Chrome trace JSON when something goes wrong — SIGSEGV/SIGABRT, a
-/// fault-injection recovery in src/dist, a drained SHUTDOWN of the serve
-/// daemon, or an operator DUMP request. It turns "the daemon hung/died"
-/// into a readable last-N-milliseconds timeline without anyone having
-/// arranged tracing in advance.
+/// drained SHUTDOWN of the serve daemon, or an operator DUMP request. It
+/// turns "the daemon hung/died" into a readable last-N-milliseconds
+/// timeline without anyone having arranged tracing in advance.
 ///
 /// Design. Each thread owns a fixed-capacity ring of POD entries
 /// (overwriting oldest first; default ~64 KiB per thread, DGR_FLIGHTREC_KB

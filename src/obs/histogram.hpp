@@ -50,7 +50,6 @@ class Histogram {
   bool empty() const { return count_ == 0; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  std::uint64_t bucket_count(int i) const { return buckets_[i]; }
 
   /// Inclusive lower / exclusive upper bound of bucket `i` (exact:
   /// ldexp of 2^(k/4) mantissa constants).

@@ -93,10 +93,6 @@ class MetricsRegistry {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
-  bool has_gauge(const std::string& name) const {
-    std::lock_guard<std::mutex> lk(m_);
-    return gauges_.count(name) > 0;
-  }
   double gauge(const std::string& name) const {
     std::lock_guard<std::mutex> lk(m_);
     auto it = gauges_.find(name);

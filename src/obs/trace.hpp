@@ -58,10 +58,6 @@ class TraceSession {
   /// worker lane emits its parallel-region and RAII spans on (src/exec).
   int worker_track(int lane);
 
-  std::size_t num_tracks() const {
-    std::lock_guard<std::mutex> lk(m_);
-    return tracks_.size();
-  }
   Clock track_domain(int track) const {
     std::lock_guard<std::mutex> lk(m_);
     return tracks_[track].domain;
@@ -88,12 +84,6 @@ class TraceSession {
                   double ts_us, std::uint64_t id);
   void flow_end(int track, const std::string& name, const std::string& cat,
                 double ts_us, std::uint64_t id);
-
-  /// Fresh process-unique flow id.
-  std::uint64_t next_flow_id() {
-    std::lock_guard<std::mutex> lk(m_);
-    return ++flow_seq_;
-  }
 
   std::size_t event_count() const {
     std::lock_guard<std::mutex> lk(m_);
@@ -138,7 +128,6 @@ class TraceSession {
   std::vector<Event> events_;
   std::vector<std::string> processes_;  // pid order (pid = index + 1)
   std::vector<int> worker_tracks_;      // per lane, -1 until created
-  std::uint64_t flow_seq_ = 0;
   int host_track_ = -1;
 };
 

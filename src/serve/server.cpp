@@ -253,7 +253,7 @@ void Server::handle_connection(int fd) {
   bool open = true;
   while (open && !stopped_.load()) {
     // Only read from the socket while no complete line is buffered: a
-    // pipelined burst larger than max_batch is answered batch by batch
+    // pipelined burst larger than kMaxBatch is answered batch by batch
     // from buf without ever blocking in recv() on a client that is
     // waiting for those very responses.
     std::size_t nl;
@@ -285,12 +285,11 @@ void Server::handle_connection(int fd) {
     }
     if (!open) break;
 
-    // Batch: up to max_batch complete lines from buf; the remainder is
+    // Batch: up to kMaxBatch complete lines from buf; the remainder is
     // processed on the next iteration before any further recv().
     std::vector<std::string> lines;
-    const int max_batch = cfg_.max_batch < 1 ? 1 : cfg_.max_batch;
     while (!overlong && nl != std::string::npos &&
-           static_cast<int>(lines.size()) < max_batch) {
+           static_cast<int>(lines.size()) < kMaxBatch) {
       if (nl - head > kMaxRequestLineBytes) {
         overlong = true;
         break;

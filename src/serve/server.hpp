@@ -61,12 +61,13 @@ inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 /// Most connections open at once; also the listen() backlog.
 inline constexpr int kMaxConnections = 64;
 
+/// Most request lines pulled from one socket read into a single batch.
+inline constexpr int kMaxBatch = 64;
+
 struct ServeConfig {
   std::string socket_path = "/tmp/dgr_serve.sock";
   /// Admission bound: max admitted EVOLVEs awaiting a response.
   int queue_max = 64;
-  /// Max request lines pulled from one socket read into a single batch.
-  int max_batch = 64;
   ensemble::EnsembleConfig ensemble;
   /// Defaults applied to EVOLVE requests with omitted fields.
   ensemble::ScenarioConfig defaults;

@@ -48,9 +48,10 @@ std::vector<oct::RemeshFlag> flags_from_errors(const mesh::Mesh& mesh,
                                                const std::vector<Real>& err,
                                                const RegridConfig& cfg);
 
-/// Full regrid step: estimate, remesh the octree (keeping 2:1 balance),
-/// rebuild the mesh, and transfer the state. Returns nullptr if the grid is
-/// unchanged (caller keeps the old mesh).
+/// Regrid the mesh: estimate, remesh the octree (keeping 2:1 balance) and
+/// rebuild the mesh. Returns the new mesh, or nullptr if the grid is
+/// unchanged (caller keeps the old mesh). The state is not transferred;
+/// the caller moves it onto the new mesh (transfer_state).
 std::shared_ptr<mesh::Mesh> regrid_mesh(const mesh::Mesh& mesh,
                                         const bssn::BssnState& state,
                                         const RegridConfig& cfg);

@@ -271,5 +271,24 @@ TEST(DistEvolve, ScheduleOnlyModeExecutesExchanges) {
   }
 }
 
+TEST(RankCtx, ScheduleOnlyRankBuildsNoPipeline) {
+  // A rank built without stages (execute = false) holds no RHS pipeline,
+  // so both compute calls throw instead of running; a rank built with
+  // stages computes.
+  auto m = puncture_mesh();
+  BssnState u, rhs;
+  init_puncture(*m, u);
+  rhs.resize(m->num_dofs());
+  const auto part = comm::partition_mesh(*m, 2);
+  auto maps = comm::build_exchange_maps(*m, part);
+  const solver::SolverConfig scfg;
+  RankCtx schedule_only(0, m, part, maps[0], scfg, false);
+  EXPECT_THROW(schedule_only.compute_rhs_interior(u, rhs), Error);
+  EXPECT_THROW(schedule_only.compute_rhs_boundary(u, rhs), Error);
+  RankCtx executing(0, m, part, maps[0], scfg, true);
+  EXPECT_NO_THROW(executing.compute_rhs_interior(u, rhs));
+  EXPECT_NO_THROW(executing.compute_rhs_boundary(u, rhs));
+}
+
 }  // namespace
 }  // namespace dgr::dist

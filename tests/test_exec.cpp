@@ -1,7 +1,8 @@
 /// \file test_exec.cpp
 /// \brief The work-stealing host pool (src/exec): chunk coverage,
-/// exception propagation, nesting, the per-launch scratch arena, and the
-/// launch_range path of the simulated GPU runtime.
+/// exception propagation and nesting, and a data-parallel launch of the
+/// simulated GPU runtime (an exec_space sweep on a simgpu space) recording
+/// the same kernel record as a serial launch.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +10,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +18,7 @@
 
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
+#include "exec_space/exec_space.hpp"
 #include "simgpu/runtime.hpp"
 
 namespace dgr {
@@ -113,79 +113,10 @@ TEST(Parallel, NestedRegionsComplete) {
   exec::ThreadPool::set_global_threads(1);
 }
 
-TEST(ScratchArena, RetainsCapacityAcrossResets) {
-  simgpu::ScratchArena arena;
-  // First cycle allocates; identical later cycles must not touch the heap.
-  for (int cycle = 0; cycle < 2; ++cycle) {
-    arena.get<OpCounts>(16);
-    arena.get<double>(333);
-    arena.reset();
-  }
-  const std::uint64_t warm = arena.stats().heap_allocs;
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    OpCounts* c = arena.get<OpCounts>(16);
-    EXPECT_EQ(c[7].flops, 0u);  // slots come back default-constructed
-    double* d = arena.get<double>(333);
-    d[0] = 1.0;
-    arena.reset();
-  }
-  EXPECT_EQ(arena.stats().heap_allocs, warm);
-  EXPECT_EQ(arena.stats().requests, 4u + 20u);
-}
-
-TEST(ScratchArena, OversizeRequestThrowsCapacityExceeded) {
-  simgpu::ScratchArena arena;
-  // One slot over the representable request limit, and the wrap-around
-  // case where n * sizeof(T) would overflow size_t to a tiny byte count —
-  // both must fail loudly instead of handing back an undersized block.
-  const std::size_t over =
-      simgpu::ScratchArena::kMaxRequestBytes / sizeof(OpCounts) + 1;
-  EXPECT_THROW(arena.get<OpCounts>(over), Error);
-  EXPECT_THROW(arena.get<OpCounts>(std::numeric_limits<std::size_t>::max()),
-               Error);
-  EXPECT_THROW(arena.get<double>(simgpu::ScratchArena::kMaxRequestBytes),
-               Error);
-  // The exact limit is representable for byte-sized elements (the check is
-  // on the request form, not a smaller ad-hoc bound) ... but don't actually
-  // allocate it: the rejected requests above must leave the arena usable.
-  OpCounts* c = arena.get<OpCounts>(4);
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c[3].flops, 0u);
-  arena.reset();
-  EXPECT_EQ(arena.get<OpCounts>(4)[0].bytes_read, 0u);
-}
-
-TEST(ScratchArena, BoundarySpillKeepsRequestsDisjoint) {
-  simgpu::ScratchArena arena;
-  // 64 x 256-byte regions overflow the first 4096-byte block several times
-  // over; every region must stay disjoint and intact across the block
-  // spills (the take() pointer math regression: an alignment bump at a
-  // block boundary must move to a fresh block, never wrap within one).
-  std::vector<unsigned char*> ptrs;
-  for (int i = 0; i < 64; ++i) {
-    unsigned char* p = arena.get<unsigned char>(256);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u) << i;
-    std::memset(p, i + 1, 256);
-    ptrs.push_back(p);
-  }
-  for (int i = 0; i < 64; ++i)
-    for (int b = 0; b < 256; b += 61)
-      ASSERT_EQ(int(ptrs[std::size_t(i)][b]), i + 1)
-          << "region " << i << " byte " << b;
-}
-
-TEST(ScratchArena, SlotsAreCacheLineAligned) {
-  simgpu::ScratchArena arena;
-  auto* a = arena.get<OpCounts>(3);
-  auto* b = arena.get<OpCounts>(3);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
-  EXPECT_NE(a, b);
-}
-
-TEST(Runtime, LaunchRangeMatchesSerialLaunchBitwise) {
-  // The same work recorded through launch() (serial) and launch_range()
-  // (parallel) must produce identical KernelRecords and modeled times.
+TEST(Runtime, RangeForLaunchMatchesSerialLaunchBitwise) {
+  // The same work recorded through launch() (serial) and a sweep on a
+  // simgpu space (parallel chunks) must produce identical KernelRecords
+  // and modeled times.
   const auto work = [](std::int64_t b, std::int64_t e, OpCounts& c) {
     c.flops += 10 * std::uint64_t(e - b);
     c.bytes_read += 8 * std::uint64_t(e - b);
@@ -195,7 +126,8 @@ TEST(Runtime, LaunchRangeMatchesSerialLaunchBitwise) {
   for (int threads : {1, 2, 7}) {
     exec::ThreadPool::set_global_threads(threads);
     simgpu::GpuRuntime par;
-    par.launch_range("k", 32, 0, 1000, 64, work);
+    exec_space::ExecSpace::simgpu(par).range_for({"k", nullptr, 32, 0}, 1000,
+                                                 64, nullptr, work);
     const auto& a = serial.record("k");
     const auto& b = par.record("k");
     EXPECT_EQ(a.counts.flops, b.counts.flops) << threads;
@@ -206,27 +138,6 @@ TEST(Runtime, LaunchRangeMatchesSerialLaunchBitwise) {
               bits(par.modeled_kernel_seconds("k")))
         << threads;
   }
-  exec::ThreadPool::set_global_threads(1);
-}
-
-TEST(Runtime, SteadyStateLaunchesDoNotAllocate) {
-  exec::ThreadPool::set_global_threads(2);
-  simgpu::GpuRuntime rt;
-  const auto one = [&] {
-    rt.launch_range("k", 8, 0, 512, 16,
-                    [](std::int64_t b, std::int64_t e, OpCounts& c) {
-                      c.flops += std::uint64_t(e - b);
-                    });
-  };
-  one();  // warm-up: the arena acquires its capacity here
-  one();  // one more cycle lets a multi-block first pass coalesce
-  const std::uint64_t warm_allocs = rt.scratch_stats().heap_allocs;
-  const std::uint64_t warm_requests = rt.scratch_stats().requests;
-  for (int i = 0; i < 50; ++i) one();
-  EXPECT_EQ(rt.scratch_stats().heap_allocs, warm_allocs);
-  EXPECT_EQ(rt.scratch_stats().requests, warm_requests + 50);
-  EXPECT_EQ(rt.record("k").launches, 52);
-  EXPECT_EQ(rt.record("k").counts.flops, 52u * 512u);
   exec::ThreadPool::set_global_threads(1);
 }
 

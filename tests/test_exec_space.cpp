@@ -120,24 +120,36 @@ TEST(ExecSpacePrimitives, TeamForDeliversLaneAndVectorPolicy) {
 }
 
 TEST(ExecSpacePrimitives, NestedSweepsFallBackSafely) {
-  // A kernel body opening another sweep on the same thread must not
-  // corrupt the outer sweep's arena-backed OpCounts slots.
-  for (Backend b : {Backend::kSerial, Backend::kPool}) {
+  // A kernel body opening another sweep on the same space must not
+  // corrupt the outer sweep's OpCounts slots: outer chunks add 100 and
+  // inner chunks add 1, so an inner sweep that re-zeroed or wrote into an
+  // outer slot would show in the outer total. One lane keeps every sweep
+  // on the driver thread, where simgpu books launches.
+  exec::ThreadPool::set_global_threads(1);
+  for (Backend b : kBackends) {
     simgpu::GpuRuntime rt;
     const ExecSpace es = make_space(b, rt);
     OpCounts outer;
     es.range_for(LaunchSpec{"t-outer", "t-outer", 1, 0}, 8, 1, &outer,
                  [&](std::int64_t i0, std::int64_t i1, OpCounts& c) {
                    OpCounts inner;
-                   ExecSpace::serial().range_for(
-                       LaunchSpec{"t-inner", "t-inner", 1, 0}, 4, 1, &inner,
-                       [&](std::int64_t, std::int64_t, OpCounts& ic) {
-                         ic.flops += 1;
-                       });
+                   es.range_for(LaunchSpec{"t-inner", "t-inner", 1, 0}, 4, 1,
+                                &inner,
+                                [&](std::int64_t, std::int64_t, OpCounts& ic) {
+                                  ic.flops += 1;
+                                });
                    EXPECT_EQ(inner.flops, 4u);
-                   c.flops += std::uint64_t(i1 - i0);
+                   c.flops += 100 * std::uint64_t(i1 - i0);
                  });
-    EXPECT_EQ(outer.flops, 8u);
+    EXPECT_EQ(outer.flops, 800u) << exec_space::backend_name(b);
+    if (b == Backend::kSimGpu) {
+      ASSERT_TRUE(rt.has_kernel("t-outer"));
+      ASSERT_TRUE(rt.has_kernel("t-inner"));
+      EXPECT_EQ(rt.record("t-outer").launches, 1);
+      EXPECT_EQ(rt.record("t-outer").counts.flops, 800u);
+      EXPECT_EQ(rt.record("t-inner").launches, 8);
+      EXPECT_EQ(rt.record("t-inner").counts.flops, 32u);
+    }
   }
 }
 
@@ -157,6 +169,14 @@ TEST(ExecSpacePrimitives, SimGpuBackendRecordsKernelLaunches) {
   EXPECT_EQ(rec.stream, 2);
   EXPECT_EQ(rec.counts.flops, 96u);
   EXPECT_EQ(out.flops, 96u);  // chunk-order merge also feeds the out-param
+  // An empty sweep runs no chunk but is still one (zero-count) launch.
+  es.range_for(LaunchSpec{"t-empty", nullptr, 0, 0}, 0, 8, &out,
+               [&](std::int64_t, std::int64_t, OpCounts&) {
+                 ADD_FAILURE() << "empty sweep ran a chunk";
+               });
+  ASSERT_TRUE(rt.has_kernel("t-empty"));
+  EXPECT_EQ(rt.record("t-empty").launches, 1);
+  EXPECT_EQ(rt.record("t-empty").per_launch.at(0).flops, 0u);
 }
 
 // ------------------------------------------------- determinism matrix --

@@ -358,16 +358,15 @@ TEST(Server, BurstLargerThanMaxBatchIsFullyAnswered) {
   ServeConfig cfg;
   cfg.socket_path = test_socket("burst");
   cfg.defaults = tiny_scenario();
-  cfg.max_batch = 4;  // force several batches out of one burst
   Server server(cfg);
   server.start();
 
   Client c;
   c.connect(cfg.socket_path);
-  // One write carrying far more lines than max_batch, then wait for every
+  // One write carrying more than two batches of lines, then wait for every
   // response: the handler must keep draining its buffer between batches
   // instead of blocking in recv() on a client that is itself waiting.
-  constexpr int kPings = 10;
+  constexpr int kPings = 2 * kMaxBatch + 3;
   std::string burst;
   for (int i = 0; i < kPings; ++i) burst += "PING\n";
   c.send_line(burst + "EVOLVE");
