@@ -50,7 +50,7 @@ inline void note(const std::string& text) {
 ///     copy at the requested path, if different) — the file the perf
 ///     trajectory is regressed on.
 /// enable_trace() additionally installs an obs::TraceSession whose
-/// virtual-domain timeline is exported to `BENCH_<name>.trace.json` and
+/// virtual-time timeline is exported to `BENCH_<name>.trace.json` and
 /// referenced from the bench JSON ("trace" key). Without `--json`,
 /// everything is a no-op and the bench behaves exactly as before.
 ///
@@ -131,14 +131,13 @@ class Reporter {
     notes_.push_back(text);
   }
 
-  /// Install a TraceSession (owned by the reporter) whose `domain` timeline
-  /// is exported next to the JSON on destruction. Returns nullptr when
-  /// --json was not given.
-  obs::TraceSession* enable_trace(obs::Clock domain = obs::Clock::kVirtual) {
+  /// Install a TraceSession (owned by the reporter) whose timeline is
+  /// exported next to the JSON on destruction. Returns nullptr when --json
+  /// was not given.
+  obs::TraceSession* enable_trace() {
     if (!enabled_) return nullptr;
     if (!trace_) {
       trace_ = std::make_unique<obs::TraceSession>();
-      trace_domain_ = domain;
       obs::install_trace(trace_.get());
     }
     return trace_.get();
@@ -201,7 +200,7 @@ class Reporter {
 
   void write() {
     if (trace_ && trace_->event_count() > 0)
-      trace_written_ = trace_->write_chrome_trace(trace_path(), trace_domain_);
+      trace_written_ = trace_->write_chrome_trace(trace_path());
     const std::string body = json();
     const auto dump = [&](const std::string& path) {
       std::FILE* f = std::fopen(path.c_str(), "w");
@@ -225,7 +224,6 @@ class Reporter {
   std::vector<std::string> notes_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::TraceSession> trace_;
-  obs::Clock trace_domain_ = obs::Clock::kVirtual;
 };
 
 /// The span ledger of one call: runs `f` with a fresh timing-enabled

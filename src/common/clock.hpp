@@ -1,9 +1,8 @@
 #pragma once
 /// \file clock.hpp
-/// \brief The process-wide monotonic host clock shared by logging and
-/// observability (src/obs). Host-domain trace events and the JSON-lines log
-/// sink stamp timestamps from the same epoch, so a trace and a log of the
-/// same run can be correlated directly.
+/// \brief The process-wide monotonic host clock: obs::ScopedSpan, the
+/// flight recorder and the service's latency timers stamp from one epoch,
+/// so every host-time record of a run shares one timeline.
 
 #include <chrono>
 

@@ -1,7 +1,7 @@
 #pragma once
 /// \file json.hpp
-/// \brief Minimal JSON writing helpers shared by the log sink, the trace
-/// exporter, the metrics snapshot, and the bench reporter. Numbers are
+/// \brief Minimal JSON writing helpers shared by the trace exporter, the
+/// flight recorder, the metrics snapshot, and the bench reporter. Numbers are
 /// formatted with std::to_chars (shortest round-trip), so serialized output
 /// is deterministic for deterministic inputs.
 

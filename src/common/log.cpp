@@ -4,16 +4,13 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/clock.hpp"
 #include "common/error.hpp"
-#include "common/json.hpp"
 
 namespace dgr::log {
 
 namespace {
 bool g_level_set = false;
 Level g_level = Level::kWarn;
-std::FILE* g_json = nullptr;
 
 const char* level_name(Level l) {
   switch (l) {
@@ -66,33 +63,9 @@ Level level() {
   return g_level;
 }
 
-bool open_json_sink(const std::string& path) {
-  close_json_sink();
-  g_json = std::fopen(path.c_str(), "a");
-  return g_json != nullptr;
-}
-
-void close_json_sink() {
-  if (g_json) std::fclose(g_json);
-  g_json = nullptr;
-}
-
-bool json_sink_open() { return g_json != nullptr; }
-
 void write(Level lvl, const std::string& msg) {
   if (lvl < level()) return;
   std::fprintf(stderr, "[dgr %s] %s\n", level_name(lvl), msg.c_str());
-  if (g_json) {
-    std::string line = "{\"ts_us\":";
-    line += jsonu::num(monotonic_us());
-    line += ",\"level\":";
-    line += jsonu::quote(level_name(lvl));
-    line += ",\"msg\":";
-    line += jsonu::quote(msg);
-    line += "}\n";
-    std::fputs(line.c_str(), g_json);
-    std::fflush(g_json);
-  }
 }
 
 }  // namespace dgr::log

@@ -4,11 +4,7 @@
 ///
 /// The threshold defaults to the `DGR_LOG` environment variable
 /// (debug|info|warn|error|off, case-insensitive, or the numeric level
-/// 0..4), falling back to warn; set_level() always overrides. An optional
-/// JSON-lines sink mirrors every emitted message as
-///   {"ts_us":<t>,"level":"INFO","msg":"..."}
-/// with timestamps from dgr::monotonic_us() — the same epoch host-domain
-/// trace events (src/obs) use, so logs and traces share one clock.
+/// 0..4), falling back to warn; set_level() always overrides.
 
 #include <string>
 
@@ -22,12 +18,6 @@ Level level();
 
 /// Parse a level name or digit; returns `fallback` on unrecognized input.
 Level parse_level(const std::string& name, Level fallback = Level::kWarn);
-
-/// Open (append) a JSON-lines sink at `path`; replaces any previous sink.
-/// Returns false if the file cannot be opened.
-bool open_json_sink(const std::string& path);
-void close_json_sink();
-bool json_sink_open();
 
 void write(Level lvl, const std::string& msg);
 

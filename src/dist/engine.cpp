@@ -59,13 +59,12 @@ BssnState gather_global(SimComm& comm, Cohort& c) {
 /// Run each rank's numeric work concurrently on the host pool (ranks write
 /// only their own state vectors), one rank per chunk.
 template <class Body>
-void ranks_parallel(Cohort& c, const char* label, Body&& body) {
-  exec::parallel_for(
-      0, static_cast<std::int64_t>(c.ranks.size()), /*grain=*/1,
-      [&](std::int64_t rb, std::int64_t re) {
-        for (std::int64_t r = rb; r < re; ++r) body(*c.ranks[r]);
-      },
-      label);
+void ranks_parallel(Cohort& c, Body&& body) {
+  exec::parallel_for(0, static_cast<std::int64_t>(c.ranks.size()),
+                     /*grain=*/1, [&](std::int64_t rb, std::int64_t re) {
+                       for (std::int64_t r = rb; r < re; ++r)
+                         body(*c.ranks[r]);
+                     });
 }
 
 void rhs_eval(SimComm& comm, Cohort& c, const DistConfig& cfg, int tag,
@@ -78,7 +77,7 @@ void rhs_eval(SimComm& comm, Cohort& c, const DistConfig& cfg, int tag,
   for (auto& rc : c.ranks)
     rc->post_exchange(comm, use_stage ? rc->stage() : rc->state(), tag);
   if (cfg.execute)
-    ranks_parallel(c, "dist.interior", [&](RankCtx& rc) {
+    ranks_parallel(c, [&](RankCtx& rc) {
       rc.compute_rhs_interior(use_stage ? rc.stage() : rc.state(), rc.k(ks));
     });
   for (auto& rc : c.ranks)
@@ -87,7 +86,7 @@ void rhs_eval(SimComm& comm, Cohort& c, const DistConfig& cfg, int tag,
   for (auto& rc : c.ranks)
     rc->finish_exchange(comm, use_stage ? rc->stage() : rc->state());
   if (cfg.execute)
-    ranks_parallel(c, "dist.boundary", [&](RankCtx& rc) {
+    ranks_parallel(c, [&](RankCtx& rc) {
       rc.compute_rhs_boundary(use_stage ? rc.stage() : rc.state(), rc.k(ks));
     });
   for (auto& rc : c.ranks)
@@ -180,8 +179,7 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
   // Engine-level virtual track: step/regrid/checkpoint/recovery instants
   // and the octant counter, alongside the per-rank tracks of each SimComm.
   obs::TraceSession* tr = obs::trace();
-  const int eng =
-      tr ? tr->add_track("engine", "steps", obs::Clock::kVirtual) : -1;
+  const int eng = tr ? tr->add_track("engine", "steps") : -1;
   Cohort c = make_cohort(mesh, scfg, cfg, cfg.ranks, initial);
   DistResult res;
   int tag = 0;

@@ -29,8 +29,8 @@ SimComm::SimComm(int ranks, perf::HierarchicalNetworkModel net,
     for (int r = 0; r < ranks; ++r) {
       std::string proc = "rank " + std::to_string(r);
       if (epoch > 0) proc += " (epoch " + std::to_string(epoch) + ")";
-      tracks_[r].exec = trace_->add_track(proc, "exec", obs::Clock::kVirtual);
-      tracks_[r].halo = trace_->add_track(proc, "halo", obs::Clock::kVirtual);
+      tracks_[r].exec = trace_->add_track(proc, "exec");
+      tracks_[r].halo = trace_->add_track(proc, "halo");
     }
   }
 }

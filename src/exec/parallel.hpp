@@ -23,9 +23,9 @@
 /// chunk is rethrown on the caller after the region completes; remaining
 /// chunks are skipped.
 ///
-/// Observability: helpers emit one span per region on their per-worker
-/// host-domain trace track ("exec" / "worker N") when a TraceSession is
-/// installed and the region carries a label.
+/// A region records nothing itself: callers time it with an
+/// obs::ScopedSpan around the call (exec_space::ExecSpace::range_for does),
+/// which keeps src/exec below src/obs.
 
 #include <algorithm>
 #include <atomic>
@@ -35,9 +35,7 @@
 #include <memory>
 #include <mutex>
 
-#include "common/clock.hpp"
 #include "exec/pool.hpp"
-#include "obs/obs.hpp"
 
 namespace dgr::exec {
 
@@ -68,7 +66,7 @@ struct RegionState {
 /// contract above.
 template <class Body>
 void for_each_chunk(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    Body&& body, const char* label = nullptr) {
+                    Body&& body) {
   if (end <= begin) return;
   if (grain < 1) grain = 1;
   const std::int64_t nc = num_chunks(begin, end, grain);
@@ -86,15 +84,9 @@ void for_each_chunk(std::int64_t begin, std::int64_t end, std::int64_t grain,
   // wakes after the region closed claims no chunk and never touches it.
   auto* bp = &body;
 
-  const auto drain = [st, begin, end, grain, nc, bp, label](bool helper) {
-    obs::TraceSession* tr = helper ? obs::trace() : nullptr;
-    int track = -1;
+  const auto drain = [st, begin, end, grain, nc, bp] {
     std::int64_t c;
     while ((c = st->next.fetch_add(1, std::memory_order_relaxed)) < nc) {
-      if (tr && label && track < 0) {
-        track = tr->worker_track(this_lane());
-        tr->span_begin(track, label, "exec", monotonic_us());
-      }
       if (!st->failed.load(std::memory_order_relaxed)) {
         try {
           (*bp)(c, begin + c * grain, std::min(end, begin + (c + 1) * grain));
@@ -109,13 +101,12 @@ void for_each_chunk(std::int64_t begin, std::int64_t end, std::int64_t grain,
         st->cv.notify_all();
       }
     }
-    if (track >= 0) tr->span_end(track, monotonic_us());
   };
 
   const int helpers =
       static_cast<int>(std::min<std::int64_t>(pool.threads() - 1, nc - 1));
-  for (int h = 0; h < helpers; ++h) pool.submit([drain] { drain(true); });
-  drain(false);
+  for (int h = 0; h < helpers; ++h) pool.submit(drain);
+  drain();
   {
     std::unique_lock<std::mutex> lk(st->m);
     st->cv.wait(lk, [&] {
@@ -129,11 +120,11 @@ void for_each_chunk(std::int64_t begin, std::int64_t end, std::int64_t grain,
 /// [begin, end) in parallel.
 template <class Body>
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  Body&& body, const char* label = nullptr) {
-  for_each_chunk(
-      begin, end, grain,
-      [&](std::int64_t, std::int64_t b, std::int64_t e) { body(b, e); },
-      label);
+                  Body&& body) {
+  for_each_chunk(begin, end, grain,
+                 [&](std::int64_t, std::int64_t b, std::int64_t e) {
+                   body(b, e);
+                 });
 }
 
 }  // namespace dgr::exec

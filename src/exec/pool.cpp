@@ -4,18 +4,18 @@
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
-#include "obs/obs.hpp"
 
 namespace dgr::exec {
 
 namespace {
 thread_local ThreadPool* tl_pool = nullptr;
+thread_local int tl_lane = 0;  ///< bound by run(); 0 off the pool
 
 std::mutex g_pool_m;
 std::unique_ptr<ThreadPool> g_pool;
 }  // namespace
 
-int this_lane() { return obs::thread_lane(); }
+int this_lane() { return tl_lane; }
 
 ThreadPool::ThreadPool(int threads) : lanes_(threads < 1 ? 1 : threads) {
   const int nworkers = lanes_ - 1;
@@ -82,7 +82,7 @@ bool ThreadPool::try_pop(int widx, std::function<void()>& out) {
 }
 
 void ThreadPool::run(int widx) {
-  obs::bind_thread_lane(widx + 1);
+  tl_lane = widx + 1;
   tl_pool = this;
   for (;;) {
     std::function<void()> task;

@@ -9,7 +9,7 @@
 /// region participates in it (it drains chunks like a worker), so
 /// `--threads 4` means four concurrent execution lanes, not 4 workers plus
 /// a blocked driver. this_lane() identifies the executing lane and indexes
-/// per-lane scratch state (derivative workspaces, scratch arenas). One
+/// per-lane scratch state (derivative workspaces). One
 /// external driver thread at a time may open parallel regions — the
 /// solver, benches, and tests are all single-driver, and lane 0 is shared
 /// by whichever external thread is driving.

@@ -18,8 +18,8 @@
 /// sweep simply pass counts == nullptr (the merged counts are dropped, the
 /// simgpu backend still records them into the kernel's record). The
 /// LaunchSpec of each sweep carries the pinned simgpu kernel-record name
-/// AND the pinned host trace label, so kernel records, modeled times, and
-/// worker spans are all unchanged from the pre-exec_space tree.
+/// AND the pinned span label, so kernel records, modeled times, and ledger
+/// rows are all unchanged from the pre-exec_space tree.
 ///
 /// Split axes (bitwise-determinism rationale, unchanged): octant-to-patch
 /// splits by VARIABLE (per-var unzip work is independent; an octant split

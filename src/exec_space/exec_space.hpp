@@ -10,15 +10,15 @@
 ///   backend   | execution engine            | instrumentation
 ///   ----------+-----------------------------+---------------------------
 ///   kSerial   | caller thread, chunk order  | OpCounts slots
-///   kPool     | src/exec work-stealing pool | OpCounts slots + worker
-///             | (exec::for_each_chunk)      | trace spans (spec.label)
-///   kSimGpu   | the same pool, then one     | OpCounts slots + worker
-///             | GpuRuntime::book per sweep  | spans (spec.name), kernel
-///             |                             | records, modeled time,
+///   kPool     | src/exec work-stealing pool | OpCounts slots
+///             | (exec::for_each_chunk)      |
+///   kSimGpu   | the same pool, then one     | OpCounts slots, kernel
+///             | GpuRuntime::book per sweep  | records, modeled time,
 ///             |                             | gpu.* metrics
 ///
 /// On every backend a labelled sweep runs inside one obs::ScopedSpan named
-/// by spec.label: its row in the per-layer ledger (obs/obs.hpp).
+/// by spec.label, opened on the calling thread: its row in the per-layer
+/// ledger and its slice in the flight recorder (obs/obs.hpp).
 ///
 /// A caller picks the backend by the space it passes in:
 /// ExecSpace::serial(), ExecSpace::simgpu(rt), or ExecSpace::host() (the
@@ -160,12 +160,10 @@ class ExecSpace {
       for (std::int64_t c = 0; c < nc; ++c)
         body(c * grain, std::min<std::int64_t>(n, (c + 1) * grain), sp[c]);
     } else {
-      exec::for_each_chunk(
-          0, n, grain,
-          [&](std::int64_t c, std::int64_t b, std::int64_t e) {
-            body(b, e, sp[c]);
-          },
-          gpu ? spec.name : spec.label);
+      exec::for_each_chunk(0, n, grain,
+                           [&](std::int64_t c, std::int64_t b, std::int64_t e) {
+                             body(b, e, sp[c]);
+                           });
     }
     OpCounts total;
     for (const OpCounts& c : slots) total += c;

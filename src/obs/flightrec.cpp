@@ -118,12 +118,9 @@ void append_event(std::string& out, const Entry& e, int tid, bool& first) {
   if (!first) out += ",\n";
   first = false;
   out += "{\"name\":" + quote(e.name ? e.name : "?") + ",\"cat\":" +
-         quote(e.cat ? e.cat : "host") + ",\"ph\":\"";
-  out += e.ph;
-  out += "\",\"pid\":1,\"tid\":" + num(tid) + ",\"ts\":" + num(e.ts_us);
-  if (e.ph == 'X') out += ",\"dur\":" + num(e.dur_us);
-  if (e.ph == 'i') out += ",\"s\":\"t\"";
-  out += "}";
+         quote(e.cat ? e.cat : "host") + ",\"ph\":\"X\",\"pid\":1,\"tid\":" +
+         num(tid) + ",\"ts\":" + num(e.ts_us) + ",\"dur\":" + num(e.dur_us) +
+         "}";
 }
 
 /// Collect one ring's live entries oldest-first into `out` (reader side of
@@ -164,12 +161,7 @@ std::size_t capacity_entries() {
 void record_span(const char* name, const char* cat, double ts_us,
                  double dur_us) {
   if (!enabled()) return;
-  push(my_ring(), Entry{ts_us, dur_us, name, cat, 'X'});
-}
-
-void record_instant(const char* name, const char* cat, double ts_us) {
-  if (!enabled()) return;
-  push(my_ring(), Entry{ts_us, 0.0, name, cat, 'i'});
+  push(my_ring(), Entry{ts_us, dur_us, name, cat});
 }
 
 std::size_t recorded_entries() {
@@ -254,20 +246,12 @@ void crash_dump(const char* path) {
     const std::uint64_t n = head < cap ? head : cap;
     for (std::uint64_t i = head - n; i < head; ++i) {
       const Entry e = r->entries[i % cap];
-      int len;
-      if (e.ph == 'X') {
-        len = std::snprintf(buf, sizeof buf,
-                            "%s{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                            "\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}",
-                            first ? "" : ",\n", e.name ? e.name : "?",
-                            e.cat ? e.cat : "host", r->tid, e.ts_us, e.dur_us);
-      } else {
-        len = std::snprintf(buf, sizeof buf,
-                            "%s{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\","
-                            "\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%.3f}",
-                            first ? "" : ",\n", e.name ? e.name : "?",
-                            e.cat ? e.cat : "host", r->tid, e.ts_us);
-      }
+      const int len = std::snprintf(
+          buf, sizeof buf,
+          "%s{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
+          "\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}",
+          first ? "" : ",\n", e.name ? e.name : "?", e.cat ? e.cat : "host",
+          r->tid, e.ts_us, e.dur_us);
       if (len > 0 && std::size_t(len) < sizeof buf) {
         emit(buf, std::size_t(len));
         first = false;

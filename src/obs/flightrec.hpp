@@ -1,11 +1,13 @@
 #pragma once
 /// \file flightrec.hpp
 /// \brief The flight recorder: an always-on, lock-light, per-thread ring
-/// buffer of recent trace spans and instants, dumped as Perfetto-loadable
+/// buffer of recently closed host spans, dumped as Perfetto-loadable
 /// Chrome trace JSON when something goes wrong — SIGSEGV/SIGABRT, a
 /// drained SHUTDOWN of the serve daemon, or an operator DUMP request. It
 /// turns "the daemon hung/died" into a readable last-N-milliseconds
-/// timeline without anyone having arranged tracing in advance.
+/// timeline without anyone having arranged tracing in advance, and it is
+/// the process's one host timeline: a ring sized by DGR_FLIGHTREC_KB to
+/// hold a whole run dumps that run's every span, one tid per thread.
 ///
 /// Design. Each thread owns a fixed-capacity ring of POD entries
 /// (overwriting oldest first; default ~64 KiB per thread, DGR_FLIGHTREC_KB
@@ -17,10 +19,10 @@
 /// recorder — string literals in practice; that is what keeps recording
 /// allocation-free.
 ///
-/// obs::ScopedSpan feeds the recorder automatically (in addition to any
-/// installed TraceSession), so the solver, the distributed engine, the
-/// ensemble driver, and the serve front-end are covered by their existing
-/// instrumentation. DGR_FLIGHTREC=off disables recording entirely.
+/// obs::ScopedSpan feeds the recorder automatically, so the solver, the
+/// distributed engine, the ensemble driver, and the serve front-end are
+/// covered by their existing instrumentation. DGR_FLIGHTREC=off disables
+/// recording entirely.
 ///
 /// Crash dumps (crash_dump / the installed signal handler) use only
 /// snprintf into a stack buffer plus write(2) — no allocation, no
@@ -34,13 +36,12 @@
 
 namespace dgr::obs::flightrec {
 
-/// One recorded event. ph 'X' = complete span (ts + dur), 'i' = instant.
+/// One closed span, dumped as a complete ('X') event: start + duration.
 struct Entry {
   double ts_us = 0;
   double dur_us = 0;
   const char* name = nullptr;  ///< static string (see file comment)
   const char* cat = nullptr;   ///< static string
-  char ph = 'X';
 };
 
 /// Recording enabled? Parsed once from DGR_FLIGHTREC (anything but "off"
@@ -53,11 +54,10 @@ void set_enabled(bool on);
 void set_capacity_bytes(std::size_t bytes);
 std::size_t capacity_entries();
 
-/// Record on the calling thread's ring. No-ops when disabled. `name` and
-/// `cat` must be static strings.
+/// Record a closed span on the calling thread's ring. No-op when
+/// disabled. `name` and `cat` must be static strings.
 void record_span(const char* name, const char* cat, double ts_us,
                  double dur_us);
-void record_instant(const char* name, const char* cat, double ts_us);
 
 /// Total entries currently held across all rings (capped by capacity).
 std::size_t recorded_entries();

@@ -8,17 +8,11 @@
 namespace dgr::obs {
 
 int TraceSession::add_track(const std::string& process,
-                            const std::string& thread, Clock domain) {
+                            const std::string& thread) {
   std::lock_guard<std::mutex> lk(m_);
-  return add_track_locked(process, thread, domain);
-}
-
-int TraceSession::add_track_locked(const std::string& process,
-                                   const std::string& thread, Clock domain) {
   Track t;
   t.process = process;
   t.thread = thread;
-  t.domain = domain;
   // pid: index of the process name in first-seen order (1-based); tid:
   // 1-based row count within that process.
   int pid = 0;
@@ -35,23 +29,6 @@ int TraceSession::add_track_locked(const std::string& process,
   t.tid = tid;
   tracks_.push_back(t);
   return static_cast<int>(tracks_.size()) - 1;
-}
-
-int TraceSession::host_track() {
-  std::lock_guard<std::mutex> lk(m_);
-  if (host_track_ < 0)
-    host_track_ = add_track_locked("host", "main", Clock::kHost);
-  return host_track_;
-}
-
-int TraceSession::worker_track(int lane) {
-  std::lock_guard<std::mutex> lk(m_);
-  if (lane >= static_cast<int>(worker_tracks_.size()))
-    worker_tracks_.resize(lane + 1, -1);
-  if (worker_tracks_[lane] < 0)
-    worker_tracks_[lane] = add_track_locked(
-        "exec", "worker " + std::to_string(lane), Clock::kHost);
-  return worker_tracks_[lane];
 }
 
 void TraceSession::span_begin(int track, const std::string& name,
@@ -86,7 +63,7 @@ void TraceSession::flow_end(int track, const std::string& name,
   push({'f', track, ts_us, name, cat, id, 0, {}});
 }
 
-std::string TraceSession::chrome_json(Clock domain) const {
+std::string TraceSession::chrome_json() const {
   using jsonu::num;
   using jsonu::quote;
   std::lock_guard<std::mutex> lk(m_);
@@ -98,37 +75,25 @@ std::string TraceSession::chrome_json(Clock domain) const {
     first = false;
   };
 
-  // Exported pids are renumbered in first-seen order among THIS domain's
-  // tracks: lazily created tracks of the other domain (e.g. per-worker host
-  // rows, whose creation order depends on the thread count) must not shift
-  // the numbering — the virtual-domain export is byte-identical across
-  // thread counts, part of the determinism contract.
-  std::vector<int> pid_map(processes_.size() + 1, 0);
-  int next_pid = 0;
-  for (const Track& t : tracks_)
-    if (t.domain == domain && pid_map[t.pid] == 0) pid_map[t.pid] = ++next_pid;
-
-  // Metadata: name every process and thread of the exported domain once.
+  // Metadata: name every process and thread once.
   std::vector<bool> pid_named(processes_.size() + 1, false);
   for (const Track& t : tracks_) {
-    if (t.domain != domain) continue;
     if (!pid_named[t.pid]) {
-      emit("{\"ph\":\"M\",\"pid\":" + num(pid_map[t.pid]) +
+      emit("{\"ph\":\"M\",\"pid\":" + num(t.pid) +
            ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
            quote(t.process) + "}}");
       pid_named[t.pid] = true;
     }
-    emit("{\"ph\":\"M\",\"pid\":" + num(pid_map[t.pid]) + ",\"tid\":" +
+    emit("{\"ph\":\"M\",\"pid\":" + num(t.pid) + ",\"tid\":" +
          num(t.tid) + ",\"name\":\"thread_name\",\"args\":{\"name\":" +
          quote(t.thread) + "}}");
   }
 
   for (const Event& e : events_) {
     const Track& t = tracks_[e.track];
-    if (t.domain != domain) continue;
     std::string line = "{\"ph\":\"";
     line += e.ph;
-    line += "\",\"pid\":" + num(pid_map[t.pid]) + ",\"tid\":" + num(t.tid) +
+    line += "\",\"pid\":" + num(t.pid) + ",\"tid\":" + num(t.tid) +
             ",\"ts\":" + num(e.ts);
     if (e.ph != 'E') line += ",\"name\":" + quote(e.name);
     if (!e.cat.empty()) line += ",\"cat\":" + quote(e.cat);
@@ -154,14 +119,13 @@ std::string TraceSession::chrome_json(Clock domain) const {
   return out;
 }
 
-bool TraceSession::write_chrome_trace(const std::string& path,
-                                      Clock domain) const {
+bool TraceSession::write_chrome_trace(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     log::error("trace: cannot open " + path);
     return false;
   }
-  const std::string body = chrome_json(domain);
+  const std::string body = chrome_json();
   const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
   std::fclose(f);
   log::info("trace: wrote " + path + " (" +

@@ -683,7 +683,7 @@ TEST(Server, DumpWritesPerfettoLoadableFlightRecording) {
   Client c;
   c.connect(cfg.socket_path);
   ASSERT_EQ(fields(c.request("EVOLVE")).at(""), "OK");
-  obs::flightrec::record_instant("test.marker", "test", 1.0);
+  obs::flightrec::record_span("test.marker", "test", 1.0, 0.5);
 
   const std::string path = testing::TempDir() + "dgr_serve_flightrec_" +
                            std::to_string(::getpid()) + ".json";
@@ -702,7 +702,7 @@ TEST(Server, DumpWritesPerfettoLoadableFlightRecording) {
   bool saw_marker = false;
   for (const jsonu::JValue& e : events->arr)
     if (e.get_str("name") == "test.marker") saw_marker = true;
-  EXPECT_TRUE(saw_marker) << "instant recorded before DUMP must appear";
+  EXPECT_TRUE(saw_marker) << "span recorded before DUMP must appear";
   std::remove(path.c_str());
 
   // An unwritable destination is an explicit ERR, not a broken connection.
