@@ -35,13 +35,14 @@ int main(int argc, char** argv) {
       bench::init_bbh_state(*m, 1.0, 2.0, ctx.state());
       WallTimer t;
       ctx.rk4_step();
-      const double mb = 2.0 * chunk * bssn::kNumVars * mesh::kPatchPts *
-                        sizeof(Real) / 1e6;
+      const double mb = double(chunk) * bssn::kNumVars *
+                        (mesh::kPatchPts + mesh::kOctPts) * sizeof(Real) /
+                        1e6;
       std::printf("      %-5d | %-18.1f | %.2f\n", chunk, mb, t.seconds());
       rep.metric("chunk" + std::to_string(chunk) + "_wall_s", t.seconds());
     }
     bench::note("larger chunks amortize halo loads; memory grows linearly —");
-    bench::note("the default (64) keeps buffers ~70 MB at equal speed.");
+    bench::note("the default (64) keeps buffers ~31 MB at equal speed.");
   }
 
   // (b) unzip method end-to-end.

@@ -19,6 +19,7 @@
 #include "bssn/initial_data.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/page_array.hpp"
 #include "common/parse.hpp"
 #include "common/timer.hpp"
 #include "exec/pool.hpp"
@@ -61,7 +62,11 @@ inline void note(const std::string& text) {
 /// are directly comparable; all modeled "ours" values stay bitwise
 /// identical across thread counts (the src/exec determinism contract).
 /// It also records the process's peak resident set as `bench.peak_rss_mb`
-/// (getrusage ru_maxrss at destruction), a report-only row.
+/// (getrusage ru_maxrss at destruction) and, beside it, the bytes held in
+/// page-mapped solver buffers (dgr::PageArray) at destruction and at
+/// their high-water mark as `bench.mapped_mb` and `bench.mapped_peak_mb`.
+/// All three are report-only rows; the mapped ones are sums of buffer
+/// sizes, so they depend on neither the host nor malloc.
 class Reporter {
  public:
   Reporter(std::string name, int argc, char** argv) : name_(std::move(name)) {
@@ -103,6 +108,8 @@ class Reporter {
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     metric("peak_rss_mb", double(ru.ru_maxrss) / 1024.0);  // Linux: KiB
+    metric("mapped_mb", double(page_map::live_bytes()) / (1 << 20));
+    metric("mapped_peak_mb", double(page_map::peak_bytes()) / (1 << 20));
     if (obs::metrics() == &metrics_) obs::install_metrics(nullptr);
     if (obs::trace() == trace_.get()) obs::install_trace(nullptr);
     if (enabled_) write();

@@ -120,7 +120,8 @@ int main(int argc, char** argv) {
         std::vector<std::int32_t>(bg.outputs.begin(), bg.outputs.end()),
         codegen::Strategy::kStagedCse);
     constexpr int kVars = bssn::kNumVars;
-    std::vector<Real> in(std::size_t(kVars) * mesh::kPatchPts), out(in.size());
+    std::vector<Real> in(std::size_t(kVars) * mesh::kPatchPts);
+    std::vector<Real> out(std::size_t(kVars) * mesh::kOctPts);
     for (int v = 0; v < kVars; ++v)
       for (int p = 0; p < mesh::kPatchPts; ++p)
         in[std::size_t(v) * mesh::kPatchPts + p] =
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
     Real* po[kVars];
     for (int v = 0; v < kVars; ++v) {
       pi[v] = &in[std::size_t(v) * mesh::kPatchPts];
-      po[v] = &out[std::size_t(v) * mesh::kPatchPts];
+      po[v] = &out[std::size_t(v) * mesh::kOctPts];
     }
     mesh::PatchGeom geom{{0, 0, 0}, 0.05};
     bssn::BssnParams prm;

@@ -97,7 +97,8 @@ void bssn_constraints_patch(const Real* const in[kNumVars], Real h,
   const Real inv_h2 = 1.0 / (h * h);
   AlgebraInputs<P> q;
   P H, M[3];
-  for_each_row_pack<W>(mesh::kAllRows, [&](int p, int, int, int, int live) {
+  for_each_row_pack<W>(mesh::kAllRows,
+                       [&](int p, int, int, int, int, int live) {
     bssn_gather_pack_metric(in, inner, p, inv_h, inv_h2, chi_floor, q);
     bssn_constraints_point(q, H, M);
     H.store_partial(ham + p, live);

@@ -117,9 +117,10 @@ void bssn_gather_pack_gauge(const Real* const in[kNumVars],
 }
 
 /// Visit the W-point packs that cover the interior x-rows in `rows`, row by
-/// row: body(p, i, j, k, live) with p = patch_idx(i, j, k) the pack's first
-/// point and `live` its lanes inside the row. The pack kernels store only
-/// the live lanes.
+/// row: body(p, o, i, j, k, live) with p = patch_idx(i, j, k) the pack's
+/// first point in the input patch, o = oct_idx(i - kPad, j - kPad,
+/// k - kPad) the same point in a 7^3 output block, and `live` its lanes
+/// inside the row. The pack kernels store only the live lanes.
 template <int W, class Body>
 void for_each_row_pack(mesh::RowMask rows, Body&& body) {
   using mesh::kPad;
@@ -128,7 +129,8 @@ void for_each_row_pack(mesh::RowMask rows, Body&& body) {
     for (int jj = kPad; jj < kPad + kR; ++jj) {
       if (!mesh::has_row(rows, jj - kPad, kk - kPad)) continue;
       for (int i0 = 0; i0 < kR; i0 += W)
-        body(mesh::patch_idx(kPad + i0, jj, kk), kPad + i0, jj, kk,
+        body(mesh::patch_idx(kPad + i0, jj, kk),
+             mesh::oct_idx(i0, jj - kPad, kk - kPad), kPad + i0, jj, kk,
              i0 + W <= kR ? W : kR - i0);
     }
 }

@@ -15,6 +15,7 @@ using mesh::kPad;
 using mesh::kPatch;
 using mesh::kPatchPts;
 using mesh::kR;
+using mesh::oct_idx;
 using mesh::patch_idx;
 
 MixedInnerSweeps::MixedInnerSweeps()
@@ -78,11 +79,12 @@ void sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
                                  std::abs(std::abs(z) - half_extent) < eps;
         if (!on_boundary) continue;
         const int p = patch_idx(ii, jj, kk);
+        const int o = oct_idx(ii - kPad, jj - kPad, kk - kPad);
         const Real r = std::sqrt(x * x + y * y + z * z);
         for (int v = 0; v < kNumVars; ++v) {
           const Real du =
               (x * grad(v, 0, p) + y * grad(v, 1, p) + z * grad(v, 2, p)) / r;
-          out[v][p] = -var_wave_speed(v) *
+          out[v][o] = -var_wave_speed(v) *
                       (du + (in[v][p] - var_asymptotic(v)) / r);
         }
       }
@@ -189,10 +191,10 @@ void bssn_algebraic_stage(const Real* const in[kNumVars],
     for (int jj = kPad; jj < kPad + kR; ++jj) {
       if (!mesh::has_row(rows, jj - kPad, kk - kPad)) continue;
       for (int ii = kPad; ii < kPad + kR; ++ii) {
-        const int p = patch_idx(ii, jj, kk);
-        bssn_gather_point(in, ws, p, prm, q);
+        bssn_gather_point(in, ws, patch_idx(ii, jj, kk), prm, q);
         bssn_algebra_point(q, aprm, rhs_pt);
-        for (int v = 0; v < kNumVars; ++v) out[v][p] = rhs_pt[v];
+        const int o = oct_idx(ii - kPad, jj - kPad, kk - kPad);
+        for (int v = 0; v < kNumVars; ++v) out[v][o] = rhs_pt[v];
       }
     }
   if (prm.sommerfeld)
@@ -225,10 +227,10 @@ void bssn_rhs_patch_packed(const Real* const in[kNumVars],
                               P::broadcast(prm.ko_sigma)};
   AlgebraInputs<P> q;
   P rhs[kNumVars];
-  for_each_row_pack<W>(rows, [&](int p, int, int, int, int live) {
+  for_each_row_pack<W>(rows, [&](int p, int o, int, int, int, int live) {
     bssn_gather_pack(in, ws.inner, p, inv_h, inv_h2, prm.chi_floor, q);
     bssn_algebra_point(q, aprm, rhs);
-    for (int v = 0; v < kNumVars; ++v) rhs[v].store_partial(out[v] + p, live);
+    for (int v = 0; v < kNumVars; ++v) rhs[v].store_partial(out[v] + o, live);
   });
   if (prm.sommerfeld) bssn_sommerfeld(in, out, geom, half_extent, rows);
   if (counts) {

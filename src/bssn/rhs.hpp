@@ -5,6 +5,13 @@
 /// evaluations) followed by the algebraic stage A (234 inputs -> 24
 /// outputs), organized in the "staged" fashion of §IV-B: each equation's
 /// algebra runs as soon as its derivatives are available at a point.
+///
+/// Output contract of every patch kernel (here, codegen's interpreter and
+/// fused kernels, gw's Psi4): the inputs in[v] are 13^3 patches
+/// (mesh::patch_idx), the outputs out[v] are 7^3 octant blocks
+/// (mesh::oct_idx, x fastest) holding the patch interior, the only points
+/// a kernel evaluates and mesh::Mesh::zip reads. A kernel given row mask
+/// `rows` writes exactly those x-rows of each block and nothing else.
 
 #include "common/counters.hpp"
 #include "common/types.hpp"
@@ -105,8 +112,8 @@ void bssn_deriv_stage(const Real* const in[kNumVars], Real h,
                       DerivWorkspace& ws, OpCounts* counts = nullptr);
 
 /// Algebraic stage A + KO + (optionally) Sommerfeld boundary overwrite.
-/// Writes rhs values on the interior x-rows of each output patch that are
-/// in `rows` (mesh::RowMask); the other points are left untouched. The
+/// Writes rhs values on the x-rows of each 7^3 output block that are in
+/// `rows` (mesh::RowMask); the other points are left untouched. The
 /// OpCounts model all 7^3 interior points whatever `rows` holds.
 /// `geom` gives the patch origin/spacing; `half_extent` the outer boundary.
 /// `ws` must hold bssn_deriv_stage of the same inputs (throws if it never
@@ -129,12 +136,13 @@ void bssn_rhs_patch(const Real* const in[kNumVars], Real* const out[kNumVars],
 
 /// Full RHS on one patch, W x-points at a time (W = 1 or 4): each 7-point
 /// interior x-row in `rows` is covered by dgr::simd<double, W> packs (at
-/// W = 4 one full pack plus one 3-lane partial pack); rows outside `rows`
-/// are skipped and left untouched. The pack gather (gather_pack.hpp)
-/// evaluates every stencil point-locally and bssn_algebra_point runs on
-/// the packs. Uses only `ws.inner`. Bitwise identical to bssn_rhs_patch on
-/// every point it writes (same stencil and algebra expressions, lanewise),
-/// and charges the same OpCounts. The solver's one RHS body.
+/// W = 4 one full pack plus one 3-lane partial pack) and stored into the
+/// same row of the 7^3 output blocks; rows outside `rows` are skipped and
+/// left untouched. The pack gather (gather_pack.hpp) evaluates every
+/// stencil point-locally and bssn_algebra_point runs on the packs. Uses
+/// only `ws.inner`. Bitwise identical to bssn_rhs_patch on every point it
+/// writes (same stencil and algebra expressions, lanewise), and charges
+/// the same OpCounts. The solver's one RHS body.
 template <int W>
 void bssn_rhs_patch_packed(const Real* const in[kNumVars],
                            Real* const out[kNumVars],
@@ -143,11 +151,11 @@ void bssn_rhs_patch_packed(const Real* const in[kNumVars],
                            OpCounts* counts = nullptr,
                            mesh::RowMask rows = mesh::kAllRows);
 
-/// Sommerfeld radiative condition: overwrites the RHS at the interior
-/// points of the x-rows in `rows` that lie on the outer boundary
-/// |x_i| = half_extent (standard moving-puncture practice). The radial
-/// derivative is the centered d1 stencil evaluated point-locally, bitwise
-/// equal to the derivative stage's gradient.
+/// Sommerfeld radiative condition: overwrites the RHS in the 7^3 output
+/// blocks at the points of the x-rows in `rows` that lie on the outer
+/// boundary |x_i| = half_extent (standard moving-puncture practice). The
+/// radial derivative is the centered d1 stencil evaluated point-locally,
+/// bitwise equal to the derivative stage's gradient.
 void bssn_sommerfeld(const Real* const in[kNumVars], Real* const out[kNumVars],
                      const mesh::PatchGeom& geom, Real half_extent,
                      mesh::RowMask rows = mesh::kAllRows);

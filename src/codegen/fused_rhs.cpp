@@ -1,5 +1,7 @@
 #include "codegen/fused_rhs.hpp"
 
+#include <algorithm>
+
 #include "bssn/gather_pack.hpp"
 #include "codegen/bssn_graph.hpp"
 #include "simd/simd.hpp"
@@ -46,7 +48,7 @@ void bssn_rhs_patch_fused(const Real* const in[kNumVars],
                           const mesh::PatchGeom& geom, Real half_extent,
                           const bssn::BssnParams& params,
                           const CompiledKernel& kernel, FusedWorkspace& ws,
-                          OpCounts* counts, int width) {
+                          OpCounts* counts, int width, mesh::RowMask rows) {
   if (width == 0) width = simd_active_width();
   DGR_CHECK_MSG(width == 1 || width == 4,
                 "fused RHS width must be 0, 1 or 4, got " << width);
@@ -80,18 +82,19 @@ void bssn_rhs_patch_fused(const Real* const in[kNumVars],
   kernel.run_block(ws.in_soa.data(), ws.out_soa.data(), kOct, width,
                    ws.spill.data());
 
-  // Stage 4: scatter back to patch layout, then the (scalar, hence
+  // Stage 4: copy the rows in `rows` of each SoA column block (already in
+  // the 7^3 block order) to the output blocks, then the (scalar, hence
   // width-independent) Sommerfeld boundary overwrite.
-  for (int kk = kPad; kk < kPad + kR; ++kk)
-    for (int jj = kPad; jj < kPad + kR; ++jj)
-      for (int ii = kPad; ii < kPad + kR; ++ii) {
-        const int p = patch_idx(ii, jj, kk);
-        const int col =
-            ((kk - kPad) * kR + (jj - kPad)) * kR + (ii - kPad);
-        for (int v = 0; v < kNumVars; ++v)
-          out[v][p] = ws.out_soa[std::size_t(v) * kOct + col];
-      }
-  if (params.sommerfeld) bssn::bssn_sommerfeld(in, out, geom, half_extent);
+  for (int k = 0; k < kR; ++k)
+    for (int j = 0; j < kR; ++j) {
+      if (!mesh::has_row(rows, j, k)) continue;
+      const int o = mesh::oct_idx(0, j, k);
+      for (int v = 0; v < kNumVars; ++v)
+        std::copy_n(ws.out_soa.data() + std::size_t(v) * kOct + o, kR,
+                    out[v] + o);
+    }
+  if (params.sommerfeld)
+    bssn::bssn_sommerfeld(in, out, geom, half_extent, rows);
 
   if (counts) {
     const std::uint64_t pts = kOct;

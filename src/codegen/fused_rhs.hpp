@@ -30,7 +30,9 @@ struct FusedWorkspace {
   FusedWorkspace();
 };
 
-/// Full RHS on one patch through the fused SIMD path. Semantics match
+/// Full RHS on one patch through the fused SIMD path, into the x-rows
+/// `rows` of the 7^3 output blocks (bssn/rhs.hpp's output contract; the
+/// gather and the algebra still cover all 343 points). Semantics match
 /// `bssn_rhs_patch` evaluated with the kernel's scheduled algebra,
 /// including the Sommerfeld boundary overwrite when `params.sommerfeld` is
 /// set. `width` selects the SIMD pack width (1 or 4; 0 = the active runtime
@@ -40,6 +42,7 @@ void bssn_rhs_patch_fused(const Real* const in[bssn::kNumVars],
                           const mesh::PatchGeom& geom, Real half_extent,
                           const bssn::BssnParams& params,
                           const CompiledKernel& kernel, FusedWorkspace& ws,
-                          OpCounts* counts = nullptr, int width = 0);
+                          OpCounts* counts = nullptr, int width = 0,
+                          mesh::RowMask rows = mesh::kAllRows);
 
 }  // namespace dgr::codegen

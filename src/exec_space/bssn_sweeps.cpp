@@ -8,6 +8,7 @@ namespace dgr::exec_space {
 
 using bssn::BssnState;
 using bssn::kNumVars;
+using mesh::kOctPts;
 using mesh::kPatchPts;
 
 void sweep_octant_to_patch(const ExecSpace& es, const mesh::Mesh& mesh,
@@ -54,10 +55,8 @@ void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
           const Real* pin[kNumVars];
           Real* pout[kNumVars];
           for (int v = 0; v < kNumVars; ++v) {
-            const std::size_t off =
-                patch_offset(e - begin, v, kNumVars, kPatchPts);
-            pin[v] = patch_in + off;
-            pout[v] = patch_out + off;
+            pin[v] = patch_in + patch_offset(e - begin, v, kNumVars, kPatchPts);
+            pout[v] = patch_out + patch_offset(e - begin, v, kNumVars, kOctPts);
           }
           kernel(pin, pout, mesh.patch_geom(e), half, *d.params, ws, &c,
                  mesh.owned_rows(e));
@@ -66,13 +65,13 @@ void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
 }
 
 void sweep_patch_to_octant(const ExecSpace& es, const mesh::Mesh& mesh,
-                           const Real* patches, OctIndex begin, OctIndex end,
+                           const Real* blocks, OctIndex begin, OctIndex end,
                            Real* const* fields, OpCounts* counts) {
   const LaunchSpec spec{"patch-to-octant", "zip",
                         std::uint64_t(end - begin) * kNumVars, 0};
   es.range_for(spec, end - begin, /*grain=*/8, counts,
                [&](std::int64_t eb, std::int64_t ee, OpCounts& c) {
-                 mesh.zip(patches + patch_offset(eb, 0, kNumVars, kPatchPts),
+                 mesh.zip(blocks + patch_offset(eb, 0, kNumVars, kOctPts),
                           kNumVars, begin + static_cast<OctIndex>(eb),
                           begin + static_cast<OctIndex>(ee), fields, &c);
                });

@@ -80,25 +80,27 @@ struct RhsDispatch {
   std::vector<codegen::FusedWorkspace>* fws = nullptr;
 };
 
-/// Patch RHS of octants [begin, end) from `patch_in` into `patch_out`,
-/// split by octant. One body, bssn_rhs_patch_packed, runs at the space's
-/// resolved vector width (1 or 4), with bitwise identical results and
-/// OpCounts at both; the staged kernel is only its test oracle. Each octant
-/// evaluates only its mesh.owned_rows(e): the x-rows holding a DOF it
-/// owns, the only ones sweep_patch_to_octant reads. The other interior
-/// points of `patch_out` are left unwritten and keep stale values; read
-/// patch_out through the zip only. The OpCounts still model all 7^3 points
-/// per octant (the paper's GPU kernel). Kernel "bssn-rhs", host label
-/// "rhs".
+/// Patch RHS of octants [begin, end) from the 13^3 patches `patch_in`
+/// (unzip layout) into the 7^3 output blocks `patch_out` (layout
+/// [octant][var][kOctPts], mesh::oct_idx), split by octant. One body,
+/// bssn_rhs_patch_packed, runs at the space's resolved vector width (1 or
+/// 4), with bitwise identical results and OpCounts at both; the staged
+/// kernel is only its test oracle. Each octant evaluates only its
+/// mesh.owned_rows(e): the x-rows holding a DOF it owns, the only ones
+/// sweep_patch_to_octant reads. The other rows of its blocks are left
+/// unwritten (zero in a fresh buffer, else an earlier chunk's values);
+/// read patch_out through the zip only. The OpCounts still model all 7^3
+/// points per octant (the paper's GPU kernel). Kernel "bssn-rhs", host
+/// label "rhs".
 void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
                const RhsDispatch& d, OctIndex begin, OctIndex end,
                const Real* patch_in, Real* patch_out, OpCounts* counts);
 
-/// Patch-to-octant scatter (zip) of octants [begin, end), split by octant
-/// (owner-DOF writes are disjoint). Kernel "patch-to-octant", host label
-/// "zip".
+/// Patch-to-octant scatter (zip) of octants [begin, end) from their 7^3
+/// output blocks (sweep_rhs's layout), split by octant (owner-DOF writes
+/// are disjoint). Kernel "patch-to-octant", host label "zip".
 void sweep_patch_to_octant(const ExecSpace& es, const mesh::Mesh& mesh,
-                           const Real* patches, OctIndex begin, OctIndex end,
+                           const Real* blocks, OctIndex begin, OctIndex end,
                            Real* const* fields, OpCounts* counts);
 
 // ------------------------------------------------------ RK4 AXPY family --

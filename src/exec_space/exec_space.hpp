@@ -61,8 +61,9 @@ const char* backend_name(Backend b);
 
 /// Patch-block element offset of (octant-in-chunk o, variable v) with nvar
 /// variables of npts points each: [o][v][p], x fastest — the layout
-/// mesh::unzip/zip produce and consume. Shared by every current backend
-/// (the simulated device executes on the host).
+/// mesh::unzip produces (npts = kPatchPts) and mesh::zip consumes (npts =
+/// kOctPts). Shared by every current backend (the simulated device
+/// executes on the host).
 constexpr std::size_t patch_offset(std::int64_t o, int v, std::size_t nvar,
                                    std::size_t npts) {
   return (static_cast<std::size_t>(o) * nvar + static_cast<std::size_t>(v)) *

@@ -183,10 +183,6 @@ void psi4_point(const AlgebraInputs<S>& q, const S pos[3], S& out_re,
 template void psi4_point(const AlgebraInputs<Real>&, const Real[3], Real&,
                          Real&);
 
-namespace {
-
-/// Psi4 on the owned rows of one metric patch block, W points at a time,
-/// into the 13^3 buffers re and im.
 template <int W>
 void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
                 Real chi_floor, mesh::RowMask rows, MixedInnerSweeps& inner,
@@ -196,7 +192,8 @@ void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
   const Real inv_h = 1.0 / geom.h;
   const Real inv_h2 = 1.0 / (geom.h * geom.h);
   AlgebraInputs<P> q;
-  for_each_row_pack<W>(rows, [&](int p, int ii, int jj, int kk, int live) {
+  for_each_row_pack<W>(rows, [&](int p, int o, int ii, int jj, int kk,
+                                 int live) {
     bssn_gather_pack_metric(in, inner, p, inv_h, inv_h2, chi_floor, q);
     Real x[W];
     for (int l = 0; l < W; ++l) x[l] = geom.origin[0] + (ii + l) * geom.h;
@@ -205,12 +202,17 @@ void psi4_patch(const Real* const in[kNumVars], const mesh::PatchGeom& geom,
                       P::broadcast(geom.origin[2] + kk * geom.h)};
     P pre, pim;
     psi4_point(q, pos, pre, pim);
-    pre.store_partial(re + p, live);
-    pim.store_partial(im + p, live);
+    pre.store_partial(re + o, live);
+    pim.store_partial(im + o, live);
   });
 }
 
-}  // namespace
+template void psi4_patch<1>(const Real* const[kNumVars],
+                            const mesh::PatchGeom&, Real, mesh::RowMask,
+                            MixedInnerSweeps&, Real*, Real*);
+template void psi4_patch<4>(const Real* const[kNumVars],
+                            const mesh::PatchGeom&, Real, mesh::RowMask,
+                            MixedInnerSweeps&, Real*, Real*);
 
 void compute_psi4_field(const mesh::Mesh& mesh, const BssnState& state,
                         const BssnParams& params, Real* re, Real* im,
@@ -219,10 +221,10 @@ void compute_psi4_field(const mesh::Mesh& mesh, const BssnState& state,
   const Real* fields[nv];
   for (int s = 0; s < nv; ++s) fields[s] = state.field(kMetricVars[s]);
   Real* const outs[2] = {re, im};
-  // Per-lane scratch: the inner sweeps and one Re/Im patch pair.
+  // Per-lane scratch: the inner sweeps and one Re/Im block pair.
   struct Lane {
     MixedInnerSweeps inner;
-    std::vector<Real> out = std::vector<Real>(2 * kPatchPts);
+    std::vector<Real> out = std::vector<Real>(2 * mesh::kOctPts);
   };
   std::vector<Lane> lanes(static_cast<std::size_t>(space.max_lanes()));
   std::vector<Real> patches(std::size_t(kPsi4ChunkOctants) * nv * kPatchPts);
@@ -252,7 +254,8 @@ void compute_psi4_field(const mesh::Mesh& mesh, const BssnState& state,
             const OctIndex e = begin + static_cast<OctIndex>(o);
             const mesh::PatchGeom geom = mesh.patch_geom(e);
             patch(pin, geom, params.chi_floor, mesh.owned_rows(e),
-                  lane.inner, lane.out.data(), lane.out.data() + kPatchPts);
+                  lane.inner, lane.out.data(),
+                  lane.out.data() + mesh::kOctPts);
             mesh.zip(lane.out.data(), 2, e, e + 1, outs, &c);
           }
         });

@@ -36,6 +36,16 @@ template <class S>
 void psi4_point(const bssn::AlgebraInputs<S>& q, const S pos[3], S& re,
                 S& im);
 
+/// Psi4 of one metric patch block (inputs as bssn::metric_patch_inputs
+/// lays them out), W = 1 or 4 points at a time, on the x-rows `rows` of
+/// the 7^3 blocks re and im (bssn/rhs.hpp's output contract); `inner` is
+/// the lane's scratch.
+template <int W>
+void psi4_patch(const Real* const in[bssn::kNumVars],
+                const mesh::PatchGeom& geom, Real chi_floor,
+                mesh::RowMask rows, bssn::MixedInnerSweeps& inner, Real* re,
+                Real* im);
+
 /// Octants per compute_psi4_field chunk: the chunk's 17-variable patch
 /// block is 2.4 MB, next to 0.39 MB of inner sweeps per lane.
 inline constexpr OctIndex kPsi4ChunkOctants = 8;

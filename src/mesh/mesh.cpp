@@ -200,16 +200,15 @@ void Mesh::build_points() {
             if (rec.owner == e) {
               owned_rows_[e] |= RowMask(1) << (k * kR + j);
               // Extend e's last run when this point continues it in both
-              // the patch (the same x-row) and the DOF numbering.
-              const int p = patch_idx(i + kPad, j + kPad, k + kPad);
+              // the block and the DOF numbering (also across x-rows).
               detail::ZipRun* last = zip_runs_.size() > zip_begin_.back()
                                          ? &zip_runs_.back()
                                          : nullptr;
-              if (last && last->patch + last->n == p &&
+              if (last && last->block + last->n == local &&
                   last->dof + last->n == rec.dof)
                 ++last->n;
               else
-                zip_runs_.push_back({rec.dof, p, 1});
+                zip_runs_.push_back({rec.dof, local, 1});
             }
           } else {
             if (rec.hidx < 0) {
@@ -657,7 +656,7 @@ void Mesh::gather_patch(const Real* field, OctIndex b, Real* patch,
       }
 }
 
-void Mesh::zip(const Real* patches, int nvar, OctIndex begin, OctIndex end,
+void Mesh::zip(const Real* blocks, int nvar, OctIndex begin, OctIndex end,
                Real* const* fields, OpCounts* counts) const {
   DGR_CHECK(begin >= 0 && end <= static_cast<OctIndex>(num_octants()) &&
             begin <= end);
@@ -666,12 +665,12 @@ void Mesh::zip(const Real* patches, int nvar, OctIndex begin, OctIndex end,
     const detail::ZipRun* r0 = zip_runs_.data() + zip_begin_[b];
     const detail::ZipRun* r1 = zip_runs_.data() + zip_begin_[b + 1];
     for (int v = 0; v < nvar; ++v) {
-      const Real* patch = patches +
+      const Real* block = blocks +
                           (static_cast<std::size_t>(b - begin) * nvar + v) *
-                              kPatchPts;
+                              kOctPts;
       Real* field = fields[v];
       for (const detail::ZipRun* r = r0; r != r1; ++r) {
-        const Real* s = patch + r->patch;
+        const Real* s = block + r->block;
         Real* d = field + r->dof;
         for (int i = 0; i < r->n; ++i) d[i] = s[i];
         moved += std::uint64_t(r->n);

@@ -54,10 +54,11 @@ struct ScatterBox {
 };
 
 /// `n` owned DOFs dof, dof + 1, ... that an octant's zip copies from the
-/// consecutive patch indices patch, patch + 1, ... (one x-row at most).
+/// consecutive block indices block, block + 1, ... (oct_idx order, so a
+/// run may continue across x-rows).
 struct ZipRun {
   DofIndex dof;
-  std::int32_t patch;
+  std::int32_t block;
   std::int32_t n;
 };
 }  // namespace detail
@@ -142,13 +143,16 @@ class Mesh {
                    UnzipMethod method = UnzipMethod::kLoopOverOctants,
                    OpCounts* counts = nullptr) const;
 
-  /// Patch-to-octant for octants [begin, end): copy interior (non-padding)
-  /// points of each patch back to the zipped fields. Each DOF is written
-  /// only by its owner octant (finest touching octant, SFC-first tie-break),
-  /// so the result is deterministic. The write set of an octant is stored
-  /// as runs of consecutive patch indices onto consecutive DOFs, and each
-  /// run is one copy; only points in owned_rows(b) are read.
-  void zip(const Real* patches, int nvar, OctIndex begin, OctIndex end,
+  /// Patch-to-octant for octants [begin, end): copy each octant's 7^3
+  /// output blocks back to the zipped fields. `blocks` is laid out
+  /// [(e - begin) * nvar + v] * kOctPts, x fastest (oct_idx): the patch
+  /// kernels write only the 7^3 interior of a patch, so that is all a
+  /// block holds. Each DOF is written only by its owner octant (finest
+  /// touching octant, SFC-first tie-break), so the result is
+  /// deterministic. The write set of an octant is stored as runs of
+  /// consecutive block indices onto consecutive DOFs, and each run is one
+  /// copy; only points in owned_rows(b) are read.
+  void zip(const Real* blocks, int nvar, OctIndex begin, OctIndex end,
            Real* const* fields, OpCounts* counts = nullptr) const;
 
   /// Convenience: full-mesh unzip/zip roundtrip helpers used by tests.

@@ -20,12 +20,11 @@ GpuBssnSolver::GpuBssnSolver(std::shared_ptr<mesh::Mesh> mesh,
                              perf::MachineModel model)
     : runtime_(std::move(model)),
       ctx_(std::move(mesh), config, exec_space::ExecSpace::simgpu(runtime_)) {
-  // Device allocations: 6 state-sized vectors + the chunked patch buffers
-  // (owned by the context and its pipeline, priced here).
+  // Device allocations: 6 state-sized vectors + the chunk's input patches
+  // and output blocks (owned by the context and its pipeline, priced here).
   runtime_.device_alloc(6 * state_bytes(ctx_.mesh()));
-  const std::size_t cap =
-      std::size_t(config.chunk_octants) * kNumVars * kPatchPts;
-  runtime_.device_alloc(2 * cap * sizeof(Real));
+  const std::size_t slots = std::size_t(config.chunk_octants) * kNumVars;
+  runtime_.device_alloc(slots * (kPatchPts + mesh::kOctPts) * sizeof(Real));
 }
 
 void GpuBssnSolver::upload(const BssnState& state) {

@@ -24,10 +24,10 @@ RhsPipeline::RhsPipeline(std::shared_ptr<const mesh::Mesh> mesh,
   DGR_CHECK(mesh_ != nullptr);
   DGR_CHECK(config_.chunk_octants > 0);
   space_.set_vector_policy({config_.simd_width});  // throws unless 0, 1, 4
-  const std::size_t cap =
-      static_cast<std::size_t>(config_.chunk_octants) * kNumVars * kPatchPts;
-  patch_in_.resize(cap);
-  patch_out_.resize(cap);
+  const std::size_t slots =
+      static_cast<std::size_t>(config_.chunk_octants) * kNumVars;
+  patch_in_.resize(slots * kPatchPts);
+  patch_out_.resize(slots * kOctPts);
 }
 
 void RhsPipeline::set_mesh(std::shared_ptr<const mesh::Mesh> mesh) {

@@ -14,6 +14,7 @@
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
 #include "common/counters.hpp"
+#include "common/page_array.hpp"
 #include "exec_space/exec_space.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/subcycle_index.hpp"
@@ -71,7 +72,11 @@ class RhsPipeline {
   /// One derivative workspace per execution lane: the RHS sweep body
   /// indexes this by TeamMember::lane().
   std::vector<bssn::DerivWorkspace> ws_;
-  std::vector<Real> patch_in_, patch_out_;
+  /// A chunk's input patches (13^3 per variable) and output blocks (7^3
+  /// per variable, mesh::oct_idx). Page-mapped: a page becomes resident
+  /// only when a chunk writes it, so a dist rank holds only the pages of
+  /// the octants it runs.
+  PageArray<Real> patch_in_, patch_out_;
 };
 
 class BssnCtx {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bssn/algebra.hpp"
@@ -17,6 +18,7 @@
 #include "bssn/initial_data.hpp"
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
+#include "common/page_array.hpp"
 #include "common/rng.hpp"
 #include "solver/bssn_ctx.hpp"
 
@@ -154,14 +156,15 @@ TEST(BssnRhs, PackedKernelIsBitwiseEqualToStagedKernel) {
           in[v * mesh::kPatchPts + p] =
               var_asymptotic(v) +
               (v >= kBeta0 && v < kBeta0 + 3 ? 0.3 : 0.01) * rng.uniform(-1, 1);
-      std::vector<Real> out_s(in.size(), 12345.0), out_p(in.size(), 12345.0);
+      const std::size_t nout = std::size_t(kNumVars) * mesh::kOctPts;
+      std::vector<Real> out_s(nout, 12345.0), out_p(nout, 12345.0);
       const Real* pi[kNumVars];
       Real* ps[kNumVars];
       Real* pp[kNumVars];
       for (int v = 0; v < kNumVars; ++v) {
         pi[v] = &in[v * mesh::kPatchPts];
-        ps[v] = &out_s[v * mesh::kPatchPts];
-        pp[v] = &out_p[v * mesh::kPatchPts];
+        ps[v] = &out_s[v * mesh::kOctPts];
+        pp[v] = &out_p[v * mesh::kOctPts];
       }
       BssnParams prm;
       prm.chi_floor = 1.0;  // chi = 1 +- 0.01: about half the points floored
@@ -197,8 +200,8 @@ TEST(BssnRhs, PackedKernelIsBitwiseEqualToStagedKernel) {
            {&ws_p.grad, &ws_p.agrad, &ws_p.hess, &ws_p.ko, &ws_p.scratch})
         EXPECT_TRUE(staged->empty());
       EXPECT_FALSE(ws_s.grad.empty());
-      // Whole patches, padding included: the pack kernel writes exactly the
-      // interior points, with the same bits.
+      // Whole 7^3 output blocks: the pack kernel writes every point, with
+      // the same bits.
       ASSERT_EQ(std::memcmp(out_p.data(), out_s.data(),
                             out_s.size() * sizeof(Real)),
                 0);
@@ -352,6 +355,238 @@ TEST(BssnConstraints, NormsAreBitwiseEqualToFullDerivativeStageReference) {
   EXPECT_EQ(norms.mom_l2, std::sqrt(mom_sq / npts));
   EXPECT_EQ(norms.ham_linf, ham_linf);
   EXPECT_EQ(norms.mom_linf, mom_linf);
+}
+
+// ------------------------------------------------- page-mapped storage --
+
+/// Whether every element of [p, p + n) is +0.0, bit for bit.
+bool all_zero_bits(const Real* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Real zero = 0.0;
+    if (std::memcmp(&p[i], &zero, sizeof(Real)) != 0) return false;
+  }
+  return true;
+}
+
+/// Random values with a signed zero and a NaN, so a copy that went through
+/// arithmetic instead of the bits would show.
+void fill_awkward(Real* p, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) p[i] = rng.uniform(-1, 1);
+  p[0] = -0.0;
+  p[n - 1] = std::nan("");
+}
+
+TEST(PageArray, ResizeHandsOutZeroPages) {
+  PageArray<Real> a(1000);
+  EXPECT_TRUE(all_zero_bits(a.data(), a.size()));
+  fill_awkward(a.data(), a.size(), 3);
+  a.resize(1000);
+  EXPECT_TRUE(all_zero_bits(a.data(), a.size()));
+  fill_awkward(a.data(), a.size(), 4);
+  a.resize(5000);
+  ASSERT_EQ(a.size(), 5000u);
+  EXPECT_TRUE(all_zero_bits(a.data(), a.size()));
+}
+
+TEST(PageArray, CopiesAreDeepAndBitwise) {
+  PageArray<Real> a(777);
+  fill_awkward(a.data(), a.size(), 5);
+  const PageArray<Real> b(a);
+  ASSERT_EQ(b.size(), a.size());
+  EXPECT_NE(b.data(), a.data());
+  EXPECT_EQ(std::memcmp(b.data(), a.data(), a.size() * sizeof(Real)), 0);
+  PageArray<Real> c(10), d(777);  // assignment across and at equal sizes
+  c = a;
+  d = a;
+  a[1] = 42.0;
+  for (const PageArray<Real>* x : {&b, &std::as_const(c), &std::as_const(d)}) {
+    ASSERT_EQ(x->size(), 777u);
+    EXPECT_NE((*x)[1], 42.0);
+    EXPECT_EQ(std::memcmp(x->data() + 2, a.data() + 2, 775 * sizeof(Real)),
+              0);
+  }
+}
+
+TEST(PageArray, MoveLeavesAnEmptySource) {
+  PageArray<Real> a(100);
+  a[7] = 3.5;
+  const Real* p = a.data();
+  PageArray<Real> b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(b.data(), p);
+  EXPECT_EQ(b[7], 3.5);
+  PageArray<Real> c(5);
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.data(), nullptr);
+  EXPECT_EQ(c.data(), p);
+  EXPECT_EQ(c.size(), 100u);
+}
+
+TEST(PageArray, SelfAssignmentAndSizeZero) {
+  PageArray<Real> a(64);
+  fill_awkward(a.data(), a.size(), 6);
+  const PageArray<Real> ref(a);
+  PageArray<Real>& alias = a;
+  a = alias;
+  EXPECT_EQ(std::memcmp(a.data(), ref.data(), a.size() * sizeof(Real)), 0);
+  a = std::move(alias);
+  EXPECT_EQ(std::memcmp(a.data(), ref.data(), a.size() * sizeof(Real)), 0);
+  PageArray<Real> z(0);
+  EXPECT_TRUE(z.empty());
+  EXPECT_EQ(z.data(), nullptr);
+  const PageArray<Real> zc(z);
+  EXPECT_TRUE(zc.empty());
+  a = z;
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.data(), nullptr);
+  a.resize(0);
+  EXPECT_TRUE(a.empty());
+}
+
+TEST(PageArray, LiveAndPeakBytesCountElementSizes) {
+  const std::size_t before = page_map::live_bytes();
+  {
+    PageArray<Real> a(1000);
+    const PageArray<Real> b(a);
+    EXPECT_EQ(page_map::live_bytes(), before + 2 * 1000 * sizeof(Real));
+    EXPECT_GE(page_map::peak_bytes(), page_map::live_bytes());
+    a.resize(10);
+    EXPECT_EQ(page_map::live_bytes(), before + 1010 * sizeof(Real));
+  }
+  EXPECT_EQ(page_map::live_bytes(), before);
+}
+
+TEST(BssnStateStorage, ResizeZeroes) {
+  BssnState s(1000);
+  EXPECT_TRUE(all_zero_bits(s.field(0), kNumVars * s.num_dofs()));
+  fill_awkward(s.field(0), kNumVars * s.num_dofs(), 7);
+  s.resize(1000);
+  EXPECT_TRUE(all_zero_bits(s.field(0), kNumVars * s.num_dofs()));
+  s.resize(321);
+  ASSERT_EQ(s.num_dofs(), 321u);
+  EXPECT_TRUE(all_zero_bits(s.field(0), kNumVars * s.num_dofs()));
+}
+
+TEST(BssnStateStorage, CopiesAreDeepAndBitwise) {
+  BssnState a(500);
+  for (int v = 0; v < kNumVars; ++v) fill_awkward(a.field(v), 500, 10 + v);
+  const BssnState b(a);
+  BssnState c(3), d(500);
+  c = a;
+  d = a;
+  a.field(kK)[9] = 42.0;
+  for (const BssnState* x : {&b, &std::as_const(c), &std::as_const(d)}) {
+    ASSERT_EQ(x->num_dofs(), 500u);
+    EXPECT_NE(x->field(0), a.field(0));
+    EXPECT_NE(x->field(kK)[9], 42.0);
+    for (int v = 0; v < kNumVars; ++v) {
+      if (v == kK) continue;
+      EXPECT_EQ(std::memcmp(x->field(v), a.field(v), 500 * sizeof(Real)), 0)
+          << var_name(v);
+    }
+  }
+}
+
+TEST(BssnStateStorage, MoveLeavesAnEmptySource) {
+  BssnState a(200);
+  a.field(kAlpha)[3] = 0.5;
+  const Real* p = a.field(kAlpha);
+  BssnState b(std::move(a));
+  EXPECT_EQ(a.num_dofs(), 0u);
+  EXPECT_EQ(a.field(0), nullptr);
+  EXPECT_EQ(b.field(kAlpha), p);
+  EXPECT_EQ(b.field(kAlpha)[3], 0.5);
+  BssnState c(7);
+  c = std::move(b);
+  EXPECT_EQ(b.num_dofs(), 0u);
+  EXPECT_EQ(b.field(0), nullptr);
+  EXPECT_EQ(c.num_dofs(), 200u);
+  EXPECT_EQ(c.field(kAlpha), p);
+}
+
+TEST(BssnStateStorage, SelfAssignmentAndSizeZero) {
+  BssnState a(50);
+  for (int v = 0; v < kNumVars; ++v) fill_awkward(a.field(v), 50, 40 + v);
+  const BssnState ref(a);
+  BssnState& alias = a;
+  a = alias;
+  a = std::move(alias);
+  ASSERT_EQ(a.num_dofs(), 50u);
+  EXPECT_EQ(std::memcmp(a.field(0), ref.field(0),
+                        kNumVars * 50 * sizeof(Real)),
+            0);
+  const BssnState z(0);
+  EXPECT_EQ(z.num_dofs(), 0u);
+  EXPECT_EQ(z.max_abs(), 0.0);
+  a = z;
+  EXPECT_EQ(a.num_dofs(), 0u);
+  EXPECT_EQ(a.max_abs_diff(z), 0.0);
+}
+
+TEST(BssnStateStorage, FieldsAreContiguousAndDisjoint) {
+  constexpr std::size_t nd = 333;
+  BssnState s(nd);
+  const auto p = s.ptrs();
+  const auto cp = std::as_const(s).cptrs();
+  for (int v = 0; v < kNumVars; ++v) {
+    EXPECT_EQ(s.field(v), s.field(0) + v * nd) << var_name(v);
+    EXPECT_EQ(p[v], s.field(v));
+    EXPECT_EQ(cp[v], s.field(v));
+  }
+  // Writing one field leaves every other one untouched.
+  for (int v = 0; v < kNumVars; ++v)
+    std::fill(s.field(v), s.field(v) + nd, Real(v + 1));
+  for (int v = 0; v < kNumVars; ++v)
+    for (std::size_t d = 0; d < nd; ++d)
+      ASSERT_EQ(s.field(v)[d], Real(v + 1)) << var_name(v) << " dof " << d;
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// One element past the last field lies in the mapping's page-rounding tail
+// (24 * 1000 * 8 bytes is not a page multiple), which is poisoned: the
+// overflow must be reported as it would be on the heap.
+TEST(BssnStateStorageDeathTest, WritePastTheLastFieldIsReported) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        BssnState s(1000);
+        volatile Real* last = s.field(kNumVars - 1);
+        last[s.num_dofs()] = 1.0;
+      },
+      "use-after-poison");
+}
+#endif
+
+TEST(BssnCtxMemory, MapsExactlyTheStagesAndThePipelineBuffers) {
+  // Six state-sized buffers (u, four RK stages, the stage input) and one
+  // chunk's input patches (13^3) and output blocks (7^3) per variable.
+  const auto m = uniform_mesh(2, 4.0);
+  const std::size_t nd = m->num_dofs();
+  for (int chunk : {64, 5}) {
+    SolverConfig cfg;
+    cfg.chunk_octants = chunk;
+    const std::size_t before = page_map::live_bytes();
+    {
+      BssnCtx ctx(m, cfg);
+      EXPECT_EQ(page_map::live_bytes() - before,
+                6 * kNumVars * nd * sizeof(Real) +
+                    std::size_t(chunk) * kNumVars *
+                        (mesh::kPatchPts + mesh::kOctPts) * sizeof(Real))
+          << "chunk " << chunk;
+      // Initial data and a step map nothing more.
+      set_minkowski(*m, ctx.state());
+      ctx.rk4_step();
+      EXPECT_EQ(page_map::live_bytes() - before,
+                6 * kNumVars * nd * sizeof(Real) +
+                    std::size_t(chunk) * kNumVars *
+                        (mesh::kPatchPts + mesh::kOctPts) * sizeof(Real))
+          << "chunk " << chunk;
+    }
+    EXPECT_EQ(page_map::live_bytes(), before) << "chunk " << chunk;
+  }
 }
 
 TEST(BssnInitialData, MakeBinaryProperties) {

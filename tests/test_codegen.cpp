@@ -232,7 +232,8 @@ TEST(InterpRhs, MatchesCompiledRhsOnPatch) {
   const CompiledKernel k(bg.graph, roots, Strategy::kBinaryReduce);
 
   std::vector<Real> in(std::size_t(kNumVars) * mesh::kPatchPts);
-  std::vector<Real> out_a(in.size()), out_b(in.size());
+  std::vector<Real> out_a(std::size_t(kNumVars) * mesh::kOctPts),
+      out_b(out_a.size());
   Rng rng(5);
   for (int v = 0; v < kNumVars; ++v)
     for (int p = 0; p < mesh::kPatchPts; ++p)
@@ -243,8 +244,8 @@ TEST(InterpRhs, MatchesCompiledRhsOnPatch) {
   Real* pb[kNumVars];
   for (int v = 0; v < kNumVars; ++v) {
     pi[v] = &in[v * mesh::kPatchPts];
-    pa[v] = &out_a[v * mesh::kPatchPts];
-    pb[v] = &out_b[v * mesh::kPatchPts];
+    pa[v] = &out_a[v * mesh::kOctPts];
+    pb[v] = &out_b[v * mesh::kOctPts];
   }
   mesh::PatchGeom geom{{0, 0, 0}, 0.1};
   BssnParams prm;
@@ -254,15 +255,12 @@ TEST(InterpRhs, MatchesCompiledRhsOnPatch) {
   bssn_rhs_patch(pi, pa, geom, 1e9, prm, ws);
   bssn_rhs_patch_interp(pi, pb, geom, prm, ws, k);
   for (int v = 0; v < kNumVars; ++v)
-    for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
-      for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj)
-        for (int ii = mesh::kPad; ii < mesh::kPad + mesh::kR; ++ii) {
-          const int p = mesh::patch_idx(ii, jj, kk);
-          const Real a = out_a[v * mesh::kPatchPts + p];
-          const Real b = out_b[v * mesh::kPatchPts + p];
-          ASSERT_NEAR(b, a, 1e-10 * (1 + std::abs(a)))
-              << var_name(v) << " @" << ii << "," << jj << "," << kk;
-        }
+    for (int o = 0; o < mesh::kOctPts; ++o) {
+      const Real a = out_a[v * mesh::kOctPts + o];
+      const Real b = out_b[v * mesh::kOctPts + o];
+      ASSERT_NEAR(b, a, 1e-10 * (1 + std::abs(a)))
+          << var_name(v) << " @" << o;
+    }
 }
 
 TEST(Machine, RunBlockBitwiseEqualsRunAtEveryWidth) {
@@ -306,8 +304,8 @@ TEST(FusedRhs, BitwiseEqualsInterpAtEveryWidth) {
   const CompiledKernel k(bg.graph, roots, Strategy::kStagedCse);
 
   std::vector<Real> in(std::size_t(kNumVars) * mesh::kPatchPts);
-  std::vector<Real> out_i(in.size(), 0), out_f1(in.size(), 0),
-      out_f4(in.size(), 0);
+  const std::size_t nout = std::size_t(kNumVars) * mesh::kOctPts;
+  std::vector<Real> out_i(nout, 0), out_f1(nout, 0), out_f4(nout, 0);
   Rng rng(17);
   for (int v = 0; v < kNumVars; ++v)
     for (int p = 0; p < mesh::kPatchPts; ++p)
@@ -319,9 +317,9 @@ TEST(FusedRhs, BitwiseEqualsInterpAtEveryWidth) {
   Real* po_f4[kNumVars];
   for (int v = 0; v < kNumVars; ++v) {
     pi[v] = &in[v * mesh::kPatchPts];
-    po_i[v] = &out_i[v * mesh::kPatchPts];
-    po_f1[v] = &out_f1[v * mesh::kPatchPts];
-    po_f4[v] = &out_f4[v * mesh::kPatchPts];
+    po_i[v] = &out_i[v * mesh::kOctPts];
+    po_f1[v] = &out_f1[v * mesh::kOctPts];
+    po_f4[v] = &out_f4[v * mesh::kOctPts];
   }
   mesh::PatchGeom geom{{0, 0, 0}, 0.1};
   BssnParams prm;
@@ -332,17 +330,11 @@ TEST(FusedRhs, BitwiseEqualsInterpAtEveryWidth) {
   bssn_rhs_patch_fused(pi, po_f1, geom, 1e9, prm, k, fws, nullptr, 1);
   bssn_rhs_patch_fused(pi, po_f4, geom, 1e9, prm, k, fws, nullptr, 4);
   for (int v = 0; v < kNumVars; ++v)
-    for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
-      for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj)
-        for (int ii = mesh::kPad; ii < mesh::kPad + mesh::kR; ++ii) {
-          const int p = mesh::patch_idx(ii, jj, kk);
-          ASSERT_EQ(out_f1[v * mesh::kPatchPts + p],
-                    out_i[v * mesh::kPatchPts + p])
-              << "w1 " << var_name(v) << " @" << ii << "," << jj << "," << kk;
-          ASSERT_EQ(out_f4[v * mesh::kPatchPts + p],
-                    out_i[v * mesh::kPatchPts + p])
-              << "w4 " << var_name(v) << " @" << ii << "," << jj << "," << kk;
-        }
+    for (int o = 0; o < mesh::kOctPts; ++o) {
+      const std::size_t i = std::size_t(v) * mesh::kOctPts + o;
+      ASSERT_EQ(out_f1[i], out_i[i]) << "w1 " << var_name(v) << " @" << o;
+      ASSERT_EQ(out_f4[i], out_i[i]) << "w4 " << var_name(v) << " @" << o;
+    }
 }
 
 TEST(FusedRhs, SommerfeldMatchesCompiledBoundaryHandling) {
@@ -357,7 +349,8 @@ TEST(FusedRhs, SommerfeldMatchesCompiledBoundaryHandling) {
   const CompiledKernel k(bg.graph, roots, Strategy::kStagedCse);
 
   std::vector<Real> in(std::size_t(kNumVars) * mesh::kPatchPts);
-  std::vector<Real> out_c(in.size(), 0), out_f(in.size(), 0);
+  const std::size_t nout = std::size_t(kNumVars) * mesh::kOctPts;
+  std::vector<Real> out_c(nout, 0), out_f(nout, 0);
   Rng rng(23);
   for (int v = 0; v < kNumVars; ++v)
     for (int p = 0; p < mesh::kPatchPts; ++p)
@@ -368,8 +361,8 @@ TEST(FusedRhs, SommerfeldMatchesCompiledBoundaryHandling) {
   Real* po_f[kNumVars];
   for (int v = 0; v < kNumVars; ++v) {
     pi[v] = &in[v * mesh::kPatchPts];
-    po_c[v] = &out_c[v * mesh::kPatchPts];
-    po_f[v] = &out_f[v * mesh::kPatchPts];
+    po_c[v] = &out_c[v * mesh::kOctPts];
+    po_f[v] = &out_f[v * mesh::kOctPts];
   }
   // Geometry placing the patch's ii = 9 face exactly on the outer boundary.
   const Real h = 0.1, half = 2.0;
@@ -383,9 +376,9 @@ TEST(FusedRhs, SommerfeldMatchesCompiledBoundaryHandling) {
   for (int v = 0; v < kNumVars; ++v)
     for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
       for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj) {
-        const int p = mesh::patch_idx(9, jj, kk);
-        ASSERT_EQ(out_f[v * mesh::kPatchPts + p],
-                  out_c[v * mesh::kPatchPts + p])
+        const int o = mesh::oct_idx(9 - mesh::kPad, jj - mesh::kPad,
+                                    kk - mesh::kPad);
+        ASSERT_EQ(out_f[v * mesh::kOctPts + o], out_c[v * mesh::kOctPts + o])
             << var_name(v) << " @9," << jj << "," << kk;
         ++boundary_pts;
       }
@@ -398,12 +391,12 @@ TEST(FusedRhs, OpCountsAccumulate) {
   std::vector<std::int32_t> roots(bg.outputs.begin(), bg.outputs.end());
   const CompiledKernel k(bg.graph, roots, Strategy::kStagedCse);
   std::vector<Real> in(std::size_t(kNumVars) * mesh::kPatchPts, 1.0);
-  std::vector<Real> out(in.size());
+  std::vector<Real> out(std::size_t(kNumVars) * mesh::kOctPts);
   const Real* pi[kNumVars];
   Real* po[kNumVars];
   for (int v = 0; v < kNumVars; ++v) {
     pi[v] = &in[v * mesh::kPatchPts];
-    po[v] = &out[v * mesh::kPatchPts];
+    po[v] = &out[v * mesh::kOctPts];
   }
   mesh::PatchGeom geom{{0, 0, 0}, 0.1};
   BssnParams prm;

@@ -1,26 +1,33 @@
 /// \file test_exec_space.cpp
 /// \brief The exec_space backend-equivalence contract: the layer's
 /// primitives (range_for, team_for, OpCounts slot merge) behave identically
-/// on every backend, and the determinism matrix pins every sweep family
-/// bitwise across (backend, threads, SIMD width) rows on a minimal
+/// on every backend, every patch kernel the sweeps run keeps the 7^3
+/// output-block contract, and the determinism matrix pins every sweep
+/// family bitwise across (backend, threads, SIMD width) rows on a minimal
 /// two-depth mesh. tests/test_determinism.cpp holds the end-to-end pins.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bssn/initial_data.hpp"
+#include "codegen/bssn_graph.hpp"
+#include "codegen/fused_rhs.hpp"
+#include "codegen/interp_rhs.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "exec/pool.hpp"
 #include "exec_space/bssn_sweeps.hpp"
 #include "exec_space/exec_space.hpp"
 #include "gw/psi4.hpp"
+#include "mesh_fixtures.hpp"
 #include "simgpu/gpu_bssn.hpp"
 #include "solver/evolution.hpp"
 
@@ -151,6 +158,156 @@ TEST(ExecSpacePrimitives, NestedSweepsFallBackSafely) {
       EXPECT_EQ(rt.record("t-inner").counts.flops, 32u);
     }
   }
+}
+
+/// The output contract of every patch kernel (bssn/rhs.hpp): given an
+/// octant's owned-row mask, a kernel writes exactly those x-rows of its 7^3
+/// output blocks and nothing else, and the pack kernel at both widths is
+/// bitwise equal to the staged kernel there. Each distinct (mask, outer
+/// boundary) case of the adaptive and boundary-jump meshes runs once, with
+/// the octant's geometry, so the Sommerfeld overwrite is masked too.
+TEST(BlockContract, EveryPatchKernelWritesExactlyTheOwnedRows) {
+  using bssn::kNumVars;
+  using mesh::kOctPts;
+  using mesh::kPatchPts;
+  using mesh::kR;
+  std::vector<Real> in(std::size_t(kNumVars) * kPatchPts);
+  Rng rng(53);
+  for (int v = 0; v < kNumVars; ++v)
+    for (int p = 0; p < kPatchPts; ++p)
+      in[std::size_t(v) * kPatchPts + p] =
+          bssn::var_asymptotic(v) +
+          (v >= bssn::kBeta0 && v < bssn::kBeta0 + 3 ? 0.3 : 0.01) *
+              rng.uniform(-1, 1);
+  const Real* pin[kNumVars];
+  for (int v = 0; v < kNumVars; ++v) pin[v] = &in[std::size_t(v) * kPatchPts];
+  bssn::BssnParams prm;
+  prm.ko_sigma = 0.3;
+  const auto bg = codegen::build_bssn_algebra_graph();
+  const codegen::CompiledKernel staged_cse(
+      bg.graph, std::vector<std::int32_t>(bg.outputs.begin(), bg.outputs.end()),
+      codegen::Strategy::kStagedCse);
+  bssn::DerivWorkspace ws;
+  codegen::FusedWorkspace fws;
+  bssn::MixedInnerSweeps inner;
+
+  using Run = std::function<void(Real* const*, const mesh::PatchGeom&, Real,
+                                 mesh::RowMask)>;
+  struct Kernel {
+    const char* name;
+    int blocks;  // output blocks written per octant
+    Run run;
+  };
+  const Kernel kernels[] = {
+      {"pack w1", kNumVars,
+       [&](Real* const* out, const mesh::PatchGeom& g, Real half,
+           mesh::RowMask rows) {
+         bssn::bssn_rhs_patch_packed<1>(pin, out, g, half, prm, ws, nullptr,
+                                        rows);
+       }},
+      {"pack w4", kNumVars,
+       [&](Real* const* out, const mesh::PatchGeom& g, Real half,
+           mesh::RowMask rows) {
+         bssn::bssn_rhs_patch_packed<4>(pin, out, g, half, prm, ws, nullptr,
+                                        rows);
+       }},
+      {"staged", kNumVars,
+       [&](Real* const* out, const mesh::PatchGeom& g, Real half,
+           mesh::RowMask rows) {
+         bssn::bssn_rhs_patch(pin, out, g, half, prm, ws, nullptr, rows);
+       }},
+      {"interp", kNumVars,
+       [&](Real* const* out, const mesh::PatchGeom& g, Real,
+           mesh::RowMask rows) {
+         codegen::bssn_rhs_patch_interp(pin, out, g, prm, ws, staged_cse,
+                                        nullptr, rows);
+       }},
+      {"fused w1", kNumVars,
+       [&](Real* const* out, const mesh::PatchGeom& g, Real half,
+           mesh::RowMask rows) {
+         codegen::bssn_rhs_patch_fused(pin, out, g, half, prm, staged_cse,
+                                       fws, nullptr, 1, rows);
+       }},
+      {"fused w4", kNumVars,
+       [&](Real* const* out, const mesh::PatchGeom& g, Real half,
+           mesh::RowMask rows) {
+         codegen::bssn_rhs_patch_fused(pin, out, g, half, prm, staged_cse,
+                                       fws, nullptr, 4, rows);
+       }},
+      {"psi4 w1", 2,
+       [&](Real* const* out, const mesh::PatchGeom& g, Real,
+           mesh::RowMask rows) {
+         gw::psi4_patch<1>(pin, g, prm.chi_floor, rows, inner, out[0],
+                           out[1]);
+       }},
+      {"psi4 w4", 2,
+       [&](Real* const* out, const mesh::PatchGeom& g, Real,
+           mesh::RowMask rows) {
+         gw::psi4_patch<4>(pin, g, prm.chi_floor, rows, inner, out[0],
+                           out[1]);
+       }},
+  };
+
+  constexpr Real kSentinel = 12345.0;
+  const auto is_sentinel = [&](const Real& x) {
+    return std::memcmp(&x, &kSentinel, sizeof(Real)) == 0;
+  };
+  const std::pair<const char*, mesh::Mesh> meshes[] = {
+      {"adaptive", mesh::make_adaptive_mesh()},
+      {"boundary_jump", mesh::make_boundary_jump_mesh()},
+  };
+  int partial_masks = 0, boundary_cases = 0;
+  for (const auto& [name, m] : meshes) {
+    const Real half = m.domain().half_extent;
+    std::map<std::pair<mesh::RowMask, bool>, OctIndex> cases;
+    for (OctIndex e = 0; e < OctIndex(m.num_octants()); ++e) {
+      const mesh::PatchGeom g = m.patch_geom(e);
+      bool boundary = false;
+      for (int a = 0; a < 3; ++a)
+        for (const Real x : {g.origin[a] + mesh::kPad * g.h,
+                             g.origin[a] + (mesh::kPad + kR - 1) * g.h})
+          boundary = boundary || std::abs(std::abs(x) - half) < 1e-9 * half;
+      cases.emplace(std::make_pair(m.owned_rows(e), boundary), e);
+    }
+    for (const auto& [key, e] : cases) {
+      const mesh::RowMask rows = key.first;
+      partial_masks += rows != mesh::kAllRows;
+      boundary_cases += key.second;
+      const mesh::PatchGeom g = m.patch_geom(e);
+      std::map<std::string, std::vector<Real>> got;
+      for (const Kernel& k : kernels) {
+        const std::string what = std::string(name) + " octant " +
+                                 std::to_string(e) + " " + k.name;
+        // 24 blocks plus one guard block that no kernel may touch.
+        std::vector<Real> buf(std::size_t(kNumVars + 1) * kOctPts, kSentinel);
+        Real* out[kNumVars];
+        for (int v = 0; v < kNumVars; ++v)
+          out[v] = &buf[std::size_t(v) * kOctPts];
+        k.run(out, g, half, rows);
+        for (int v = 0; v <= kNumVars; ++v)
+          for (int kz = 0; kz < kR; ++kz)
+            for (int jy = 0; jy < kR; ++jy)
+              for (int ix = 0; ix < kR; ++ix) {
+                const bool want = v < k.blocks && mesh::has_row(rows, jy, kz);
+                const Real& x = buf[std::size_t(v) * kOctPts +
+                                    mesh::oct_idx(ix, jy, kz)];
+                ASSERT_EQ(!is_sentinel(x), want)
+                    << what << " block " << v << " point " << ix << "," << jy
+                    << "," << kz;
+              }
+        got[k.name] = std::move(buf);
+      }
+      const std::string what =
+          std::string(name) + " octant " + std::to_string(e);
+      for (const char* pack : {"pack w1", "pack w4"})
+        ASSERT_EQ(std::memcmp(got[pack].data(), got["staged"].data(),
+                              got["staged"].size() * sizeof(Real)),
+                  0)
+            << what << " " << pack << " vs staged";
+    }
+  }
+  EXPECT_GT(partial_masks, 0);
+  EXPECT_GT(boundary_cases, 0);
 }
 
 TEST(ExecSpacePrimitives, SimGpuBackendRecordsKernelLaunches) {
@@ -317,10 +474,10 @@ void sweep_rhs_all_rows(const ExecSpace& es, const Mesh& m,
           const Real* in[bssn::kNumVars];
           Real* out[bssn::kNumVars];
           for (int v = 0; v < bssn::kNumVars; ++v) {
-            const std::size_t off = exec_space::patch_offset(
-                o, v, bssn::kNumVars, mesh::kPatchPts);
-            in[v] = pin + off;
-            out[v] = pout + off;
+            in[v] = pin + exec_space::patch_offset(o, v, bssn::kNumVars,
+                                                   mesh::kPatchPts);
+            out[v] = pout + exec_space::patch_offset(o, v, bssn::kNumVars,
+                                                     mesh::kOctPts);
           }
           const OctIndex e = begin + static_cast<OctIndex>(o);
           bssn::bssn_rhs_patch(in, out, m.patch_geom(e),
@@ -341,10 +498,10 @@ BssnState rhs_eval(const ExecSpace& es, const Mesh& m, const BssnState& u,
   std::vector<bssn::DerivWorkspace> ws(
       static_cast<std::size_t>(es.max_lanes()));
   const exec_space::RhsDispatch d{&prm, nullptr, &ws, nullptr};
-  const std::size_t block =
-      std::size_t(chunk) * bssn::kNumVars * mesh::kPatchPts;
-  // Unwritten patch points hold NaN until a chunk leaves stale values.
-  std::vector<Real> pin(block), pout(block, std::nan(""));
+  const std::size_t slots = std::size_t(chunk) * bssn::kNumVars;
+  // Unwritten block points hold NaN until a chunk leaves stale values.
+  std::vector<Real> pin(slots * mesh::kPatchPts);
+  std::vector<Real> pout(slots * mesh::kOctPts, std::nan(""));
   BssnState rhs;
   rhs.resize(m.num_dofs());
   const auto in = u.cptrs();

@@ -207,7 +207,7 @@ void reference_psi4_field(const Mesh& m, const BssnState& s,
                           const bssn::BssnParams& prm, Real* re, Real* im) {
   const auto in = s.cptrs();
   std::vector<Real> patches(bssn::kNumVars * mesh::kPatchPts);
-  std::vector<Real> pre(mesh::kPatchPts), pim(mesh::kPatchPts);
+  std::vector<Real> pre(mesh::kOctPts), pim(mesh::kOctPts);  // 7^3 blocks
   const Real* pin[bssn::kNumVars];
   for (int v = 0; v < bssn::kNumVars; ++v)
     pin[v] = &patches[v * mesh::kPatchPts];
@@ -222,12 +222,14 @@ void reference_psi4_field(const Mesh& m, const BssnState& s,
     for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
       for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj)
         for (int ii = mesh::kPad; ii < mesh::kPad + mesh::kR; ++ii) {
-          const int p = mesh::patch_idx(ii, jj, kk);
-          bssn::bssn_gather_point(pin, ws, p, prm, q);
+          bssn::bssn_gather_point(pin, ws, mesh::patch_idx(ii, jj, kk), prm,
+                                  q);
           const Real pos[3] = {geom.origin[0] + ii * geom.h,
                                geom.origin[1] + jj * geom.h,
                                geom.origin[2] + kk * geom.h};
-          psi4_point(q, pos, pre[p], pim[p]);
+          const int o = mesh::oct_idx(ii - mesh::kPad, jj - mesh::kPad,
+                                      kk - mesh::kPad);
+          psi4_point(q, pos, pre[o], pim[o]);
         }
     m.zip(pre.data(), 1, e, e + 1, outs_re);
     m.zip(pim.data(), 1, e, e + 1, outs_im);

@@ -15,6 +15,7 @@
 #include "mesh/interp.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/sampling.hpp"
+#include "mesh_fixtures.hpp"
 
 namespace dgr::mesh {
 namespace {
@@ -22,45 +23,6 @@ namespace {
 using oct::Domain;
 using oct::Octree;
 using oct::TreeNode;
-
-Mesh make_uniform_mesh(int level, Real half = 1.0) {
-  return Mesh(Octree::uniform(level), Domain{half});
-}
-
-/// Two-level mesh: root split once, child 0 split again (balanced).
-Mesh make_two_level_mesh(Real half = 1.0) {
-  std::vector<TreeNode> leaves;
-  for (int c = 1; c < 8; ++c) leaves.push_back(TreeNode{}.child(c));
-  for (int c = 0; c < 8; ++c) leaves.push_back(TreeNode{}.child(0).child(c));
-  return Mesh(Octree{leaves}, Domain{half});
-}
-
-Mesh make_adaptive_mesh(Real half = 1.0) {
-  Octree t = Octree::build(
-      [&](const TreeNode& n) {
-        // Refine around an off-center point for an irregular structure.
-        const oct::Coord c = oct::kDomainSize / 4;
-        return n.contains_point(c, c / 2, c / 4) && n.level < 4
-                   ? oct::Refine::kSplit
-                   : oct::Refine::kKeep;
-      },
-      4);
-  return Mesh(t.balanced(), Domain{half});
-}
-
-/// Level-2 mesh whose octants on the x = -1 face with y < 0 are split once
-/// more: the coarse-fine jump at y = 0 runs into the outer boundary.
-Mesh make_boundary_jump_mesh(Real half = 1.0) {
-  Octree t = Octree::build(
-      [](const TreeNode& n) {
-        const bool fine_zone = n.x == 0 && n.y < oct::kDomainSize / 2;
-        return n.level < 2 || (n.level < 3 && fine_zone)
-                   ? oct::Refine::kSplit
-                   : oct::Refine::kKeep;
-      },
-      3);
-  return Mesh(t.balanced(), Domain{half});
-}
 
 // ---------------------------------------------------------------- interp --
 
@@ -287,18 +249,13 @@ TEST(MeshBuild, O2nEntriesValid) {
 TEST(MeshBuild, EveryDofHasExactlyOneOwnerWrite) {
   Mesh m = make_adaptive_mesh();
   std::vector<Real> field(m.num_dofs(), 0.0);
-  // zip from patches of all-ones marks each dof exactly once if write sets
-  // partition the DOFs.
-  std::vector<Real> patches(m.num_octants() * kPatchPts, 1.0);
+  // zip from 7^3 blocks of all-ones marks each dof exactly once if write
+  // sets partition the DOFs. zip overwrites, so check coverage: after the
+  // zip every dof must be 1.
+  std::vector<Real> blocks(m.num_octants() * kOctPts, 1.0);
   Real* fp = field.data();
-  std::vector<Real> counted(m.num_dofs(), 0.0);
-  Real* cp = counted.data();
-  // Accumulate by zipping a field of ones into `counted` with += semantics
-  // emulated: zip overwrites, so instead check coverage: after zip all dofs
-  // must be 1.
-  m.zip(patches.data(), 1, 0, OctIndex(m.num_octants()), &fp);
+  m.zip(blocks.data(), 1, 0, OctIndex(m.num_octants()), &fp);
   for (Real v : field) EXPECT_EQ(v, 1.0);
-  (void)cp;
 }
 
 // ------------------------------------------------------------ unzip/zip --
@@ -388,6 +345,20 @@ INSTANTIATE_TEST_SUITE_P(Methods, UnzipExactness,
                                       : "LoopOverPatches";
                          });
 
+/// The 7^3 interior block of each of `slots` 13^3 patches: the layout the
+/// patch kernels write and zip reads.
+std::vector<Real> interior_blocks(const std::vector<Real>& patches,
+                                  std::size_t slots) {
+  std::vector<Real> blocks(slots * kOctPts);
+  for (std::size_t s = 0; s < slots; ++s)
+    for (int k = 0; k < kR; ++k)
+      for (int j = 0; j < kR; ++j)
+        for (int i = 0; i < kR; ++i)
+          blocks[s * kOctPts + oct_idx(i, j, k)] =
+              patches[s * kPatchPts + patch_idx(i + kPad, j + kPad, k + kPad)];
+  return blocks;
+}
+
 TEST(UnzipZip, RoundTripIsIdentityOnRandomField) {
   Mesh m = make_adaptive_mesh();
   Rng rng(11);
@@ -396,9 +367,10 @@ TEST(UnzipZip, RoundTripIsIdentityOnRandomField) {
   const Real* fp = field.data();
   std::vector<Real> patches(m.num_octants() * kPatchPts, 0.0);
   m.unzip_all(&fp, 1, patches.data());
+  const std::vector<Real> blocks = interior_blocks(patches, m.num_octants());
   std::vector<Real> out(m.num_dofs(), -7.0);
   Real* op = out.data();
-  m.zip(patches.data(), 1, 0, OctIndex(m.num_octants()), &op);
+  m.zip(blocks.data(), 1, 0, OctIndex(m.num_octants()), &op);
   for (std::size_t d = 0; d < m.num_dofs(); ++d)
     EXPECT_EQ(out[d], field[d]) << "dof " << d;
 }
@@ -683,17 +655,17 @@ TEST(UnzipZip, RunZipIsBitwiseEqualToPerDofReference) {
       {"adaptive", make_adaptive_mesh()},
       {"boundary_jump", make_boundary_jump_mesh()},
   };
-  constexpr Real kUnwritten = 7.0;  // outside the patch values' range
+  constexpr Real kUnwritten = 7.0;  // outside the block values' range
   for (const auto& [name, m] : meshes)
     for (int nvar : {1, 2, 24}) {
       const OctIndex n = OctIndex(m.num_octants());
       const std::size_t nd = m.num_dofs();
       Rng rng(37);
-      std::vector<Real> patches(std::size_t(n) * nvar * kPatchPts);
-      for (auto& x : patches) x = rng.uniform(-1, 1);
-      for (std::size_t p = 0; p < patches.size(); p += 11) patches[p] = -0.0;
+      std::vector<Real> blocks(std::size_t(n) * nvar * kOctPts);
+      for (auto& x : blocks) x = rng.uniform(-1, 1);
+      for (std::size_t p = 0; p < blocks.size(); p += 11) blocks[p] = -0.0;
 
-      // Reference: every DOF read from its owner's patch through o2n.
+      // Reference: every DOF read from its owner's block through o2n.
       std::vector<Real> ref(std::size_t(nvar) * nd, kUnwritten);
       std::uint64_t ref_moved = 0;
       for (OctIndex e = 0; e < n; ++e) {
@@ -705,8 +677,8 @@ TEST(UnzipZip, RunZipIsBitwiseEqualToPerDofReference) {
               if (d < 0 || m.dof_owner(d) != e) continue;
               for (int v = 0; v < nvar; ++v) {
                 ref[v * nd + d] =
-                    patches[(std::size_t(e) * nvar + v) * kPatchPts +
-                            patch_idx(i + kPad, j + kPad, k + kPad)];
+                    blocks[(std::size_t(e) * nvar + v) * kOctPts +
+                           oct_idx(i, j, k)];
                 ++ref_moved;
               }
             }
@@ -718,7 +690,7 @@ TEST(UnzipZip, RunZipIsBitwiseEqualToPerDofReference) {
       for (int v = 0; v < nvar; ++v) fp[v] = &got[v * nd];
       OpCounts c;
       for (OctIndex b = 0; b < n; b += 5)
-        m.zip(&patches[std::size_t(b) * nvar * kPatchPts], nvar, b,
+        m.zip(&blocks[std::size_t(b) * nvar * kOctPts], nvar, b,
               std::min<OctIndex>(b + 5, n), fp.data(), &c);
 
       const std::string what = std::string(name) + " nvar " +
