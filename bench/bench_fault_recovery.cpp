@@ -97,7 +97,6 @@ int main(int argc, char** argv) {
 
   // Faulted run: nfaults fail-stops spread over the mid-run window.
   dist::DistConfig faulty = base;
-  faulty.faults.enabled = nfaults > 0;
   for (int i = 0; i < nfaults; ++i) {
     const double frac =
         nfaults == 1 ? 0.55 : 0.3 + 0.5 * double(i) / double(nfaults - 1);

@@ -12,7 +12,6 @@
 
 #include "bench_common.hpp"
 #include "codegen/bssn_graph.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "codegen/interp_rhs.hpp"
 #include "common/timer.hpp"
 #include "simd/simd.hpp"
@@ -142,97 +141,22 @@ int main(int argc, char** argv) {
 
   // Per-variant memory profile from the kernels' exact op counters: one RHS
   // evaluation each, reported as bytes moved per flop (the roofline x-axis
-  // reciprocal). The fused SoA kernel skips the 210-array derivative store/
-  // reload round trip, which is what shrinks its bytes/FLOP.
-  codegen::FusedWorkspace fws;
+  // reciprocal).
   const char* vkeys[] = {"sympygr_cse", "binary_reduce", "staged_cse"};
   const char* vnames[] = {"sympygr-cse", "binary-reduce", "staged-cse"};
   std::printf("\n  %-16s | %-10s | %-11s | %-10s\n", "variant", "Mflop/oct",
               "MB/oct", "bytes/FLOP");
-  OpCounts vc[4];
-  for (int s = 0; s < 4; ++s) {
-    if (s < 3)
-      bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[s], &vc[s]);
-    else
-      bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, kernels[2], fws, &vc[s]);
-    const double bpf = double(vc[s].bytes_moved()) / double(vc[s].flops);
-    const char* key = s < 3 ? vkeys[s] : "staged_fused_simd";
-    rep.metric(std::string("bytes_per_flop_") + key, bpf);
-    std::printf("  %-16s | %-10.2f | %-11.2f | %-10.3f\n",
-                s < 3 ? vnames[s] : "staged-fused", 1e-6 * double(vc[s].flops),
-                1e-6 * double(vc[s].bytes_moved()), bpf);
+  for (int s = 0; s < 3; ++s) {
+    OpCounts vc;
+    bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[s], &vc);
+    const double bpf = double(vc.bytes_moved()) / double(vc.flops);
+    rep.metric(std::string("bytes_per_flop_") + vkeys[s], bpf);
+    std::printf("  %-16s | %-10.2f | %-11.2f | %-10.3f\n", vnames[s],
+                1e-6 * double(vc.flops), 1e-6 * double(vc.bytes_moved()), bpf);
   }
 
-  // Staged+CSE through the scalar per-point interpreter vs the fused SoA
-  // kernel at the active SIMD width. The target column is the 2x floor set
-  // when the fused kernel was introduced, not a paper figure. The two calls
-  // alternate one by one, as in the compiled block above, and the speedup
-  // is the median of the per-pair ratios, with its quartiles.
-  std::printf("\n  fused SoA kernel, width %d (%s):\n", wact,
-              simd_backend_name(wact));
-  std::printf(
-      "  octants | staged-cse scalar | fused-simd | speedup [q1, q3] "
-      "(target 2.00)\n");
-  for (int noct : {8, 16, 32}) {
-    double t_scalar = 0, t_fused = 0;
-    std::vector<double> ratios;
-    for (int e = 0; e < noct * 10; ++e) {
-      WallTimer ts;
-      bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[2]);
-      const double interp = ts.milliseconds();
-      WallTimer tf;
-      bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, kernels[2], fws, nullptr,
-                           wact);
-      const double fused = tf.milliseconds();
-      t_scalar += interp / noct;
-      t_fused += fused / noct;
-      ratios.push_back(interp / fused);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const double med = quantile(ratios, 0.5), q1 = quantile(ratios, 0.25),
-                 q3 = quantile(ratios, 0.75);
-    const std::string oc = std::to_string(noct);
-    rep.pair("fused_simd_speedup_" + oc, 2.0, med, "x");
-    rep.metric("fused_simd_speedup_" + oc + "_q1", q1);
-    rep.metric("fused_simd_speedup_" + oc + "_q3", q3);
-    rep.metric("staged_scalar_ms_per_octant_" + oc, t_scalar);
-    rep.metric("fused_simd_ms_per_octant_" + oc, t_fused);
-    std::printf("  %-7d | %-17.2f | %-10.2f | %.2f [%.2f, %.2f]\n", noct,
-                t_scalar, t_fused, med, q1, q3);
-  }
-
-  // Bitwise smoke: the fused kernel at the active width must reproduce both
-  // its own width-1 run and the interpreted staged+CSE reference exactly on
-  // every point of the 7^3 output blocks. Each call writes into a
-  // sentinel-filled buffer, so a point a kernel leaves unwritten shows up
-  // as a mismatch, and the bit patterns are compared, so a NaN or a signed
-  // zero cannot pass by comparing equal.
-  {
-    const auto run = [&](auto&& kernel) {
-      std::fill(out.begin(), out.end(), 12345.0);
-      kernel();
-      return out;
-    };
-    const std::vector<Real> ref = run(
-        [&] { bssn_rhs_patch_interp(pi, po, geom, prm, ws, kernels[2]); });
-    const std::vector<Real> w1 = run([&] {
-      bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, kernels[2], fws, nullptr,
-                           1);
-    });
-    const std::vector<Real> wa = run([&] {
-      bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, kernels[2], fws, nullptr,
-                           wact);
-    });
-    const std::size_t bytes = out.size() * sizeof(Real);
-    const bool identical = std::memcmp(wa.data(), ref.data(), bytes) == 0 &&
-                           std::memcmp(wa.data(), w1.data(), bytes) == 0;
-    rep.metric("simd_bitwise_identical", identical ? 1.0 : 0.0);
-    std::printf("  bitwise vs scalar reference: %s\n",
-                identical ? "IDENTICAL" : "MISMATCH");
-  }
   bench::note("compiled kernel: the same algebra template instantiated at a");
   bench::note("4-wide pack over the pack gather; bitwise-identical to its");
-  bench::note("scalar body. fused kernel: the same gather feeding the");
-  bench::note("register machine, bitwise-identical to the scalar interpreter.");
+  bench::note("scalar body.");
   return 0;
 }

@@ -11,8 +11,7 @@
 /// (Psi4, the constraints) read: values and gradients of the 17
 /// kMetricVars and Hessians of chi and gt_ij. The gauge part gathers the
 /// rest (alpha, beta^i, B^i and their derivatives, advection and KO terms).
-/// The RHS pack kernel (bssn_rhs_patch_packed), the register-machine SoA
-/// kernel (codegen::bssn_rhs_patch_fused), gw::compute_psi4_field and
+/// The RHS pack kernel (bssn_rhs_patch_packed), gw::compute_psi4_field and
 /// bssn::compute_constraint_norms all gather through it, so each stencil is
 /// written once. Every lane is bitwise identical to the value
 /// bssn_gather_point reads from the derivative-stage arrays at that point:

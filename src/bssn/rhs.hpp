@@ -6,8 +6,8 @@
 /// outputs), organized in the "staged" fashion of §IV-B: each equation's
 /// algebra runs as soon as its derivatives are available at a point.
 ///
-/// Output contract of every patch kernel (here, codegen's interpreter and
-/// fused kernels, gw's Psi4): the inputs in[v] are 13^3 patches
+/// Output contract of every patch kernel (here, codegen's interpreter,
+/// gw's Psi4): the inputs in[v] are 13^3 patches
 /// (mesh::patch_idx), the outputs out[v] are 7^3 octant blocks
 /// (mesh::oct_idx, x fastest) holding the patch interior, the only points
 /// a kernel evaluates and mesh::Mesh::zip reads. A kernel given row mask

@@ -32,8 +32,8 @@ int bssn_algebra_num_inputs();
 /// Visit every input slot of an AlgebraInputs `q` (const or not) in the one
 /// canonical order: f(slot, name), where name() builds the slot's input
 /// name on demand. The n-th visited slot is graph input n, so the graph
-/// builder, the packer and the fused SoA scatter (fused_rhs.cpp) all go
-/// through this function and cannot drift apart.
+/// builder and the packer both go through this function and cannot drift
+/// apart.
 template <class Q, class F>
 void visit_algebra_inputs(Q& q, F&& f) {
   using std::to_string;

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
-#include "simd/simd.hpp"
 
 namespace dgr::codegen {
 
@@ -166,64 +165,6 @@ void CompiledKernel::compile(const Graph& g,
   }
   stats_.spill_slots = num_spill_slots_;
   spill_.resize(std::max(1, num_spill_slots_));
-}
-
-namespace {
-
-/// One W-lane pass of the micro-op program over points [pos, pos+W) of an
-/// n-point SoA block. Spill slots are W-strided in `spill`. All arithmetic
-/// is elementwise, so lane l reproduces run() at point pos+l bitwise.
-template <int W>
-void run_ops_pack(const std::vector<MicroOp>& ops, const Real* in_soa,
-                  Real* out_soa, std::size_t n, std::size_t pos, Real* spill) {
-  using P = simd<Real, W>;
-  P regs[256];
-  for (const MicroOp& op : ops) {
-    switch (op.kind) {
-      case MicroOp::kLoadInput:
-        regs[op.dst] = P::load(in_soa + std::size_t(op.slot) * n + pos);
-        break;
-      case MicroOp::kLoadConst: regs[op.dst] = P::broadcast(op.cval); break;
-      case MicroOp::kLoadSpill:
-        regs[op.dst] = P::load(spill + std::size_t(op.slot) * W);
-        break;
-      case MicroOp::kStoreSpill:
-        regs[op.dst].store(spill + std::size_t(op.slot) * W);
-        break;
-      case MicroOp::kStoreOutput:
-        regs[op.dst].store(out_soa + std::size_t(op.slot) * n + pos);
-        break;
-      case MicroOp::kCompute:
-        switch (op.op) {
-          case Op::kAdd: regs[op.dst] = regs[op.a] + regs[op.b]; break;
-          case Op::kSub: regs[op.dst] = regs[op.a] - regs[op.b]; break;
-          case Op::kMul: regs[op.dst] = regs[op.a] * regs[op.b]; break;
-          case Op::kDiv: regs[op.dst] = regs[op.a] / regs[op.b]; break;
-          case Op::kNeg: regs[op.dst] = -regs[op.a]; break;
-          default: break;
-        }
-        break;
-    }
-  }
-}
-
-}  // namespace
-
-void CompiledKernel::run_block(const Real* inputs_soa, Real* outputs_soa,
-                               int n, int width, Real* spill_scratch) const {
-  DGR_CHECK(num_regs_ <= 256);
-  if (width <= 0) width = simd_active_width();
-  if (spill_scratch == nullptr) {
-    block_spill_.resize(static_cast<std::size_t>(spill_scratch_size()));
-    spill_scratch = block_spill_.data();
-  }
-  const std::size_t un = static_cast<std::size_t>(n);
-  std::size_t pos = 0;
-  if (width >= 4)
-    for (; pos + 4 <= un; pos += 4)
-      run_ops_pack<4>(ops_, inputs_soa, outputs_soa, un, pos, spill_scratch);
-  for (; pos < un; ++pos)
-    run_ops_pack<1>(ops_, inputs_soa, outputs_soa, un, pos, spill_scratch);
 }
 
 void CompiledKernel::run(const Real* inputs, Real* outputs) const {

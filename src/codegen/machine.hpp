@@ -57,22 +57,6 @@ class CompiledKernel {
   /// position in the original outputs vector.
   void run(const Real* inputs, Real* outputs) const;
 
-  /// Execute the same program at a block of n points in structure-of-arrays
-  /// layout: inputs_soa[input_id * n + p], outputs_soa[out_idx * n + p].
-  /// Points run through SIMD packs of `width` lanes (1 or 4; 0 selects the
-  /// active runtime width, see simd_active_width) with a scalar tail. Every
-  /// arithmetic micro-op is elementwise, so each point's result is bitwise
-  /// identical to a scalar run() at that point, at any width.
-  ///
-  /// `spill_scratch` must hold spill_scratch_size() Reals; pass a per-thread
-  /// buffer for concurrent calls (nullptr uses an internal buffer that is
-  /// only safe for serial use, like run()).
-  void run_block(const Real* inputs_soa, Real* outputs_soa, int n,
-                 int width = 0, Real* spill_scratch = nullptr) const;
-
-  /// Scratch Reals run_block needs for spills (sized for the widest pack).
-  int spill_scratch_size() const { return num_spill_slots_ > 0 ? num_spill_slots_ * 4 : 1; }
-
  private:
   void compile(const Graph& g, const std::vector<std::int32_t>& outputs,
                const std::vector<std::int32_t>& order);
@@ -82,8 +66,7 @@ class CompiledKernel {
   SpillStats stats_;
   std::vector<MicroOp> ops_;
   int num_spill_slots_ = 0;
-  mutable std::vector<Real> spill_;        // reused across run() calls
-  mutable std::vector<Real> block_spill_;  // reused across run_block() calls
+  mutable std::vector<Real> spill_;  // reused across run() calls
 };
 
 }  // namespace dgr::codegen

@@ -1,6 +1,7 @@
 #include "dist/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "common/error.hpp"
@@ -166,11 +167,19 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
                 "subcycle is schedule-only in the distributed engine "
                 "(execute-mode local timestepping runs through "
                 "solver::evolve)");
+  solver::validate_solver_config(scfg);
+  solver::validate_end_and_extraction(cfg.t_end, cfg.extraction_radii,
+                                      cfg.lmax, mesh->domain().half_extent);
+  DGR_CHECK_MSG(std::isfinite(cfg.sec_per_octant) && cfg.sec_per_octant >= 0,
+                "sec_per_octant must be finite and >= 0, got "
+                    << cfg.sec_per_octant);
+  DGR_CHECK_MSG(cfg.schedule_evals >= 0,
+                "schedule_evals must be >= 0, got " << cfg.schedule_evals);
   obs::ScopedSpan top("dist::evolve_distributed", "dist");
 
   FaultPlan plan(cfg.faults);
-  FaultPlan* plan_ptr = plan.enabled() ? &plan : nullptr;
-  if (cfg.execute && plan.enabled() && !plan.failures().empty())
+  FaultPlan* plan_ptr = plan.active() ? &plan : nullptr;
+  if (cfg.execute && !plan.failures().empty())
     DGR_CHECK_MSG(cfg.checkpoint_interval > 0,
                   "rank-failure injection requires checkpoint_interval > 0 "
                   "(no coordinated checkpoint to recover from)");
@@ -363,30 +372,28 @@ DistResult evolve_distributed(std::shared_ptr<const mesh::Mesh> mesh,
       // Fault check: fail every rank whose planned fail-stop instant has
       // passed on the virtual clock, then run the survivors' heartbeat
       // detector and recover once for the whole batch.
-      if (plan.enabled()) {
-        bool failed_any = false;
-        while (const auto* f = plan.pending_failure(comm->max_clock())) {
-          plan.consume_failure();
-          if (comm->alive_count() <= 1) {
-            obs::count("dist.faults.skipped");  // cannot kill the last rank
-            continue;
-          }
-          // Victim: the rank spec modulo the epoch's communicator size,
-          // advanced to the next live rank if it already died this batch.
-          int victim =
-              ((f->rank % comm->ranks()) + comm->ranks()) % comm->ranks();
-          while (!comm->alive(victim)) victim = (victim + 1) % comm->ranks();
-          comm->fail_rank(victim, f->t_virtual);
-          ++res.failures;
-          obs::count("dist.faults.rank_failures");
-          failed_any = true;
+      bool failed_any = false;
+      while (const auto* f = plan.pending_failure(comm->max_clock())) {
+        plan.consume_failure();
+        if (comm->alive_count() <= 1) {
+          obs::count("dist.faults.skipped");  // cannot kill the last rank
+          continue;
         }
-        if (failed_any) {
-          comm->detect_failures(cfg.faults.heartbeat_period,
-                                cfg.faults.heartbeat_timeout);
-          recover();
-          continue;  // resume stepping from the restored state
-        }
+        // Victim: the rank spec modulo the epoch's communicator size,
+        // advanced to the next live rank if it already died this batch.
+        int victim =
+            ((f->rank % comm->ranks()) + comm->ranks()) % comm->ranks();
+        while (!comm->alive(victim)) victim = (victim + 1) % comm->ranks();
+        comm->fail_rank(victim, f->t_virtual);
+        ++res.failures;
+        obs::count("dist.faults.rank_failures");
+        failed_any = true;
+      }
+      if (failed_any) {
+        comm->detect_failures(cfg.faults.heartbeat_period,
+                              cfg.faults.heartbeat_timeout);
+        recover();
+        continue;  // resume stepping from the restored state
       }
 
       if (cfg.do_regrid && global_step % cfg.regrid_every == 0 &&

@@ -13,10 +13,11 @@
 /// compute is advanced on the virtual clock only — this is what the
 /// scaling benches (Figs. 17, 18, 20) execute.
 ///
-/// Fault tolerance. With `faults.enabled`, a deterministic FaultPlan
-/// injects rank fail-stops (and message drops/delays, absorbed inside
-/// SimComm) at chosen virtual-clock instants. The engine takes a
-/// *coordinated checkpoint* every `checkpoint_interval` steps (gather to
+/// Fault tolerance. When `faults` holds a failure event or a positive
+/// message-fault probability, a deterministic FaultPlan injects rank
+/// fail-stops (and message drops/delays, absorbed inside SimComm) at
+/// chosen virtual-clock instants. The engine takes a *coordinated
+/// checkpoint* every `checkpoint_interval` steps (gather to
 /// the replicated global state — the same host sync point a regrid uses —
 /// then solver::save_checkpoint when `checkpoint_path` is set, else an
 /// in-memory copy). When SimComm's heartbeat detector reports a death, all
@@ -68,7 +69,7 @@ struct DistConfig {
   bool subcycle = false;
 
   /// Coordinated checkpoint every K steps (0 disables; negative is
-  /// rejected). Required (> 0) when fault injection is enabled: the step-0
+  /// rejected). Required (> 0) when `faults` holds rank failures: the step-0
   /// state always counts as the first coordinated checkpoint, later ones
   /// refresh it.
   int checkpoint_interval = 0;
@@ -77,7 +78,7 @@ struct DistConfig {
   /// load_checkpoint + checkpoint_mesh — the full on-disk restart path.
   /// Empty: the checkpoint is kept in memory.
   std::string checkpoint_path;
-  /// Fault injection plan (see fault.hpp); inert unless `enabled`.
+  /// Fault injection plan (see fault.hpp); the default injects nothing.
   FaultConfig faults;
 
   /// Psi4 recording (mirrors solver::EvolutionConfig): every

@@ -31,7 +31,7 @@ FaultPlan::FaultPlan(const FaultConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
 }
 
 const FaultConfig::RankFailure* FaultPlan::pending_failure(double now) const {
-  if (!cfg_.enabled || next_event_ >= events_.size()) return nullptr;
+  if (next_event_ >= events_.size()) return nullptr;
   const FaultConfig::RankFailure& f = events_[next_event_];
   return f.t_virtual <= now ? &f : nullptr;
 }
@@ -43,8 +43,7 @@ void FaultPlan::consume_failure() {
 
 FaultPlan::MsgFault FaultPlan::draw_msg_fault() {
   MsgFault out;
-  if (!cfg_.enabled || (cfg_.msg_drop_prob <= 0 && cfg_.msg_delay_prob <= 0))
-    return out;
+  if (cfg_.msg_drop_prob <= 0 && cfg_.msg_delay_prob <= 0) return out;
   const double u = rng_.uniform();
   if (u < cfg_.msg_drop_prob) {
     // First attempt lost; each retransmit is lost again with the same

@@ -25,10 +25,10 @@
 
 namespace dgr::dist {
 
+/// A default FaultConfig injects nothing: the plan is active only when it
+/// holds a failure event (explicit or random) or a positive drop or delay
+/// probability (FaultPlan::active).
 struct FaultConfig {
-  /// Master switch; when false the plan is inert and the engine/SimComm
-  /// fault paths are never entered.
-  bool enabled = false;
   /// Seed of the plan's deterministic stream (event generation first, then
   /// one draw per injected message).
   std::uint64_t seed = 0xD15FA17ULL;
@@ -74,7 +74,13 @@ class FaultPlan {
   explicit FaultPlan(const FaultConfig& cfg);
 
   const FaultConfig& config() const { return cfg_; }
-  bool enabled() const { return cfg_.enabled; }
+  /// Whether the plan injects anything: a failure event or a positive
+  /// message-fault probability. An inactive plan is never attached to a
+  /// SimComm.
+  bool active() const {
+    return !events_.empty() || cfg_.msg_drop_prob > 0 ||
+           cfg_.msg_delay_prob > 0;
+  }
 
   /// All failure events, sorted by time (randomized ones materialized).
   const std::vector<FaultConfig::RankFailure>& failures() const {

@@ -122,13 +122,14 @@ std::uint64_t fnv1a64(const std::string& bytes) {
   return h;
 }
 
-std::string ScenarioKey::hex() const {
+std::string hex16(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
   std::string s(16, '0');
-  for (int i = 0; i < 16; ++i)
-    s[i] = digits[(hash >> (60 - 4 * i)) & 0xf];
+  for (int i = 0; i < 16; ++i) s[i] = digits[(v >> (60 - 4 * i)) & 0xf];
   return s;
 }
+
+std::string ScenarioKey::hex() const { return hex16(hash); }
 
 ScenarioConfig scenario_from_table4(const perf::ProductionConfig& cfg) {
   ScenarioConfig s;

@@ -77,6 +77,9 @@ ScenarioConfig decode(const std::string& bytes);
 /// full canonical bytes, the hash only names entries and disk files.
 std::uint64_t fnv1a64(const std::string& bytes);
 
+/// `v` as 16 lowercase hex digits, most significant first.
+std::string hex16(std::uint64_t v);
+
 /// Cache key: canonical bytes plus their content hash (hex() names disk
 /// spill files and appears in protocol responses).
 struct ScenarioKey {

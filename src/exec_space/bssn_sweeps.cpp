@@ -38,8 +38,7 @@ void sweep_rhs(const ExecSpace& es, const mesh::Mesh& mesh,
                const RhsDispatch& d, OctIndex begin, OctIndex end,
                const Real* patch_in, Real* patch_out, OpCounts* counts) {
   DGR_CHECK_MSG(d.fused == nullptr,
-                "the register-machine RHS is not a sweep_rhs body; call "
-                "codegen::bssn_rhs_patch_fused directly");
+                "the register-machine RHS is not a sweep_rhs body");
   const Real half = mesh.domain().half_extent;
   const LaunchSpec spec{"bssn-rhs", "rhs", std::uint64_t(end - begin), 0};
   es.team_for(

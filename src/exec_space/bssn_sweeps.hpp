@@ -35,12 +35,21 @@
 
 #include "bssn/rhs.hpp"
 #include "bssn/state.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "common/counters.hpp"
 #include "exec_space/exec_space.hpp"
 #include "fd/dense_output.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/subcycle_index.hpp"
+
+/// The types of RhsDispatch's two unread members and nothing more: the
+/// register machine is not a solver path, so no codegen header reaches the
+/// solver. perfbench still fills both members in its RhsDispatch
+/// initializers; both go when it stops building an RhsDispatch (ROADMAP
+/// item 4).
+namespace dgr::codegen {
+class CompiledKernel;
+struct FusedWorkspace {};
+}  // namespace dgr::codegen
 
 namespace dgr::exec_space {
 
@@ -70,9 +79,9 @@ void sweep_octant_to_patch(const ExecSpace& es, const LaunchSpec& spec,
 /// The parameters of sweep_rhs's patch RHS plus the per-lane workspaces it
 /// indexes by TeamMember::lane(); the pack kernel reads only their
 /// `inner` sweeps, so a default-constructed DerivWorkspace is all a lane
-/// needs. `fused` and `fws` are not read: the register-machine kernel is no
-/// longer a solver path, and sweep_rhs rejects a non-null `fused`. They
-/// stay only so that existing aggregate initializers keep compiling.
+/// needs. `fused` and `fws` are never read, and sweep_rhs rejects a
+/// non-null `fused`: only perfbench's aggregate initializers still fill
+/// them.
 struct RhsDispatch {
   const bssn::BssnParams* params = nullptr;
   const codegen::CompiledKernel* fused = nullptr;

@@ -20,13 +20,6 @@ namespace dgr::serve {
 
 namespace {
 
-std::string hex16(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 0; i < 16; ++i) s[i] = digits[(v >> (60 - 4 * i)) & 0xf];
-  return s;
-}
-
 void send_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
@@ -411,23 +404,23 @@ void Server::handle_connection(int fd) {
             break;
         }
         const std::string blob = ensemble::serialize(*wf);
-        resp = "OK hash=" + hex16(p.ticket.hash) +
+        resp = "OK hash=" + ensemble::hex16(p.ticket.hash) +
                " source=" + ensemble::source_name(p.ticket.source) +
                " wait_us=" + jsonu::num(wait_us) +
                " samples=" + std::to_string(wf->psi4_22.times.size()) +
-               " digest=" + hex16(ensemble::fnv1a64(blob));
+               " digest=" + ensemble::hex16(ensemble::fnv1a64(blob));
         if (p.full) {
           resp += "\nSAMPLES " + std::to_string(wf->psi4_22.times.size());
           for (std::size_t i = 0; i < wf->psi4_22.times.size(); ++i) {
             // Bit patterns in hex: the textual stream is bitwise-faithful.
             resp += "\n" +
-                    hex16(std::bit_cast<std::uint64_t>(
+                    ensemble::hex16(std::bit_cast<std::uint64_t>(
                         wf->psi4_22.times[i])) +
                     " " +
-                    hex16(std::bit_cast<std::uint64_t>(
+                    ensemble::hex16(std::bit_cast<std::uint64_t>(
                         wf->psi4_22.values[i].real())) +
                     " " +
-                    hex16(std::bit_cast<std::uint64_t>(
+                    ensemble::hex16(std::bit_cast<std::uint64_t>(
                         wf->psi4_22.values[i].imag()));
           }
           resp += "\nEND";

@@ -1,7 +1,7 @@
 #pragma once
 /// \file simd.hpp
 /// \brief Thin explicit-SIMD wrapper `dgr::simd<double, W>` for the patch
-/// kernels (the RHS, Psi4, the constraints and the fused SoA kernel): a
+/// kernels (the RHS, Psi4 and the constraints): a
 /// fixed-width pack of doubles with elementwise
 /// load/store/arithmetic (mixed scalar–pack operands broadcast) whose
 /// per-lane results are bitwise identical to the scalar expressions they

@@ -1,6 +1,7 @@
 #include "solver/bssn_ctx.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,11 +19,18 @@ using mesh::kOctPts;
 using mesh::kPatchPts;
 using mesh::kR;
 
+void validate_solver_config(const SolverConfig& config) {
+  DGR_CHECK_MSG(std::isfinite(config.cfl) && config.cfl > 0,
+                "cfl must be finite and > 0, got " << config.cfl);
+  DGR_CHECK_MSG(config.chunk_octants > 0,
+                "chunk_octants must be > 0, got " << config.chunk_octants);
+}
+
 RhsPipeline::RhsPipeline(std::shared_ptr<const mesh::Mesh> mesh,
                          SolverConfig config, ExecSpace space)
     : mesh_(std::move(mesh)), config_(config), space_(space) {
   DGR_CHECK(mesh_ != nullptr);
-  DGR_CHECK(config_.chunk_octants > 0);
+  validate_solver_config(config_);
   space_.set_vector_policy({config_.simd_width});  // throws unless 0, 1, 4
   const std::size_t slots =
       static_cast<std::size_t>(config_.chunk_octants) * kNumVars;

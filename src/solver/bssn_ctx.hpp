@@ -35,6 +35,13 @@ struct SolverConfig {
   int simd_width = 0;
 };
 
+/// Throws dgr::Error naming the field unless `cfl` is finite and > 0 (a
+/// zero or negative step never reaches t_end; a NaN one makes a NaN state)
+/// and `chunk_octants` > 0. RhsPipeline checks its config with it before
+/// any allocation, and so does dist::evolve_distributed before it builds
+/// the ranks; RhsPipeline checks `simd_width` through the ExecSpace.
+void validate_solver_config(const SolverConfig& config);
+
 /// One contiguous run of octant indices [first, second).
 using OctRange = std::pair<OctIndex, OctIndex>;
 

@@ -1,5 +1,7 @@
 #include "solver/evolution.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "mesh/sampling.hpp"
 #include "obs/obs.hpp"
@@ -27,11 +29,25 @@ void PunctureTracker::step(const mesh::Mesh& mesh,
   }
 }
 
+void validate_end_and_extraction(Real t_end,
+                                 const std::vector<Real>& extraction_radii,
+                                 int lmax, Real half_extent) {
+  DGR_CHECK_MSG(std::isfinite(t_end) && t_end >= 0,
+                "t_end must be finite and >= 0, got " << t_end);
+  for (Real r : extraction_radii)
+    DGR_CHECK_MSG(std::isfinite(r) && r > 0 && r < half_extent,
+                  "extraction radius must be finite and in (0, "
+                      << half_extent << "), got " << r);
+  DGR_CHECK_MSG(lmax >= 2, "lmax must be >= 2, got " << lmax);
+}
+
 EvolutionResult evolve(BssnCtx& ctx, const EvolutionConfig& config,
                        PunctureTracker* tracker,
                        const std::function<void(const BssnCtx&)>& on_step) {
   DGR_CHECK(config.regrid_every > 0 && config.extract_every > 0);
   validate_regrid_config(config.regrid);
+  validate_end_and_extraction(config.t_end, config.extraction_radii,
+                              config.lmax, ctx.mesh().domain().half_extent);
   obs::ScopedSpan top("solver::evolve", "solver");
   EvolutionResult result;
 

@@ -54,6 +54,14 @@ struct EvolutionConfig {
   int lmax = 2;
 };
 
+/// Throws dgr::Error naming the field unless `t_end` is finite and >= 0,
+/// every extraction radius is finite and inside (0, half_extent) (a larger
+/// sphere samples the clamped outer boundary), and `lmax` >= 2. evolve and
+/// dist::evolve_distributed check their fields with it before any step.
+void validate_end_and_extraction(Real t_end,
+                                 const std::vector<Real>& extraction_radii,
+                                 int lmax, Real half_extent);
+
 struct EvolutionResult {
   int steps = 0;
   int regrids = 0;

@@ -11,7 +11,6 @@
 #include "bssn/algebra.hpp"
 #include "bssn/initial_data.hpp"
 #include "codegen/bssn_graph.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "codegen/interp_rhs.hpp"
 #include "codegen/machine.hpp"
 #include "common/rng.hpp"
@@ -261,153 +260,6 @@ TEST(InterpRhs, MatchesCompiledRhsOnPatch) {
       ASSERT_NEAR(b, a, 1e-10 * (1 + std::abs(a)))
           << var_name(v) << " @" << o;
     }
-}
-
-TEST(Machine, RunBlockBitwiseEqualsRunAtEveryWidth) {
-  // The SoA block executor must reproduce run() bitwise at every point, at
-  // width 1 and 4, for every schedule (spills included) — the foundation of
-  // the fused path's determinism contract.
-  const auto bg = build_bssn_algebra_graph();
-  std::vector<std::int32_t> roots(bg.outputs.begin(), bg.outputs.end());
-  const int n = 19;  // odd block size exercises the scalar tail
-  std::vector<double> soa(std::size_t(bg.num_inputs) * n);
-  Rng rng(31);
-  for (auto& v : soa) v = rng.uniform(0.5, 1.5);
-  for (Strategy s : {Strategy::kSympygrCse, Strategy::kBinaryReduce,
-                     Strategy::kStagedCse}) {
-    const CompiledKernel k(bg.graph, roots, s);
-    std::vector<double> out1(std::size_t(bssn::kNumVars) * n, -1);
-    std::vector<double> out4(out1.size(), -2);
-    k.run_block(soa.data(), out1.data(), n, /*width=*/1);
-    k.run_block(soa.data(), out4.data(), n, /*width=*/4);
-    std::vector<double> in(bg.num_inputs), ref(bssn::kNumVars);
-    for (int p = 0; p < n; ++p) {
-      for (int i = 0; i < bg.num_inputs; ++i) in[i] = soa[std::size_t(i) * n + p];
-      k.run(in.data(), ref.data());
-      for (int v = 0; v < bssn::kNumVars; ++v) {
-        ASSERT_EQ(out1[std::size_t(v) * n + p], ref[v])
-            << strategy_name(s) << " w1 var " << v << " pt " << p;
-        ASSERT_EQ(out4[std::size_t(v) * n + p], ref[v])
-            << strategy_name(s) << " w4 var " << v << " pt " << p;
-      }
-    }
-  }
-}
-
-TEST(FusedRhs, BitwiseEqualsInterpAtEveryWidth) {
-  // Patch-level: the fused SIMD path (stencils evaluated point-locally,
-  // algebra via run_block) is bitwise identical to the interp path (array
-  // sweeps + per-point run) with the same kernel, at width 1 and width 4.
-  using namespace dgr::bssn;
-  const auto bg = build_bssn_algebra_graph(0.75, 2.0, 0.1);
-  std::vector<std::int32_t> roots(bg.outputs.begin(), bg.outputs.end());
-  const CompiledKernel k(bg.graph, roots, Strategy::kStagedCse);
-
-  std::vector<Real> in(std::size_t(kNumVars) * mesh::kPatchPts);
-  const std::size_t nout = std::size_t(kNumVars) * mesh::kOctPts;
-  std::vector<Real> out_i(nout, 0), out_f1(nout, 0), out_f4(nout, 0);
-  Rng rng(17);
-  for (int v = 0; v < kNumVars; ++v)
-    for (int p = 0; p < mesh::kPatchPts; ++p)
-      in[v * mesh::kPatchPts + p] =
-          var_asymptotic(v) + 0.01 * rng.uniform(-1, 1);
-  const Real* pi[kNumVars];
-  Real* po_i[kNumVars];
-  Real* po_f1[kNumVars];
-  Real* po_f4[kNumVars];
-  for (int v = 0; v < kNumVars; ++v) {
-    pi[v] = &in[v * mesh::kPatchPts];
-    po_i[v] = &out_i[v * mesh::kOctPts];
-    po_f1[v] = &out_f1[v * mesh::kOctPts];
-    po_f4[v] = &out_f4[v * mesh::kOctPts];
-  }
-  mesh::PatchGeom geom{{0, 0, 0}, 0.1};
-  BssnParams prm;
-  prm.sommerfeld = false;  // interp path does not apply the boundary
-  DerivWorkspace ws;
-  bssn_rhs_patch_interp(pi, po_i, geom, prm, ws, k);
-  FusedWorkspace fws;
-  bssn_rhs_patch_fused(pi, po_f1, geom, 1e9, prm, k, fws, nullptr, 1);
-  bssn_rhs_patch_fused(pi, po_f4, geom, 1e9, prm, k, fws, nullptr, 4);
-  for (int v = 0; v < kNumVars; ++v)
-    for (int o = 0; o < mesh::kOctPts; ++o) {
-      const std::size_t i = std::size_t(v) * mesh::kOctPts + o;
-      ASSERT_EQ(out_f1[i], out_i[i]) << "w1 " << var_name(v) << " @" << o;
-      ASSERT_EQ(out_f4[i], out_i[i]) << "w4 " << var_name(v) << " @" << o;
-    }
-}
-
-TEST(FusedRhs, SommerfeldMatchesCompiledBoundaryHandling) {
-  // On a boundary patch the fused path applies the same Sommerfeld
-  // overwrite as bssn_algebraic_stage (the radial derivative is the same
-  // centered stencil) — boundary values must agree bitwise with the
-  // compiled path, whose boundary formula reads only derivative-stage
-  // gradients, not the algebra.
-  using namespace dgr::bssn;
-  const auto bg = build_bssn_algebra_graph(0.75, 2.0, 0.1);
-  std::vector<std::int32_t> roots(bg.outputs.begin(), bg.outputs.end());
-  const CompiledKernel k(bg.graph, roots, Strategy::kStagedCse);
-
-  std::vector<Real> in(std::size_t(kNumVars) * mesh::kPatchPts);
-  const std::size_t nout = std::size_t(kNumVars) * mesh::kOctPts;
-  std::vector<Real> out_c(nout, 0), out_f(nout, 0);
-  Rng rng(23);
-  for (int v = 0; v < kNumVars; ++v)
-    for (int p = 0; p < mesh::kPatchPts; ++p)
-      in[v * mesh::kPatchPts + p] =
-          var_asymptotic(v) + 0.01 * rng.uniform(-1, 1);
-  const Real* pi[kNumVars];
-  Real* po_c[kNumVars];
-  Real* po_f[kNumVars];
-  for (int v = 0; v < kNumVars; ++v) {
-    pi[v] = &in[v * mesh::kPatchPts];
-    po_c[v] = &out_c[v * mesh::kOctPts];
-    po_f[v] = &out_f[v * mesh::kOctPts];
-  }
-  // Geometry placing the patch's ii = 9 face exactly on the outer boundary.
-  const Real h = 0.1, half = 2.0;
-  mesh::PatchGeom geom{{half - 9 * h, 0, 0}, h};
-  BssnParams prm;  // sommerfeld on by default
-  DerivWorkspace ws;
-  bssn_rhs_patch(pi, po_c, geom, half, prm, ws);
-  FusedWorkspace fws;
-  bssn_rhs_patch_fused(pi, po_f, geom, half, prm, k, fws, nullptr, 4);
-  int boundary_pts = 0;
-  for (int v = 0; v < kNumVars; ++v)
-    for (int kk = mesh::kPad; kk < mesh::kPad + mesh::kR; ++kk)
-      for (int jj = mesh::kPad; jj < mesh::kPad + mesh::kR; ++jj) {
-        const int o = mesh::oct_idx(9 - mesh::kPad, jj - mesh::kPad,
-                                    kk - mesh::kPad);
-        ASSERT_EQ(out_f[v * mesh::kOctPts + o], out_c[v * mesh::kOctPts + o])
-            << var_name(v) << " @9," << jj << "," << kk;
-        ++boundary_pts;
-      }
-  EXPECT_EQ(boundary_pts, kNumVars * mesh::kR * mesh::kR);
-}
-
-TEST(FusedRhs, OpCountsAccumulate) {
-  using namespace dgr::bssn;
-  const auto bg = build_bssn_algebra_graph();
-  std::vector<std::int32_t> roots(bg.outputs.begin(), bg.outputs.end());
-  const CompiledKernel k(bg.graph, roots, Strategy::kStagedCse);
-  std::vector<Real> in(std::size_t(kNumVars) * mesh::kPatchPts, 1.0);
-  std::vector<Real> out(std::size_t(kNumVars) * mesh::kOctPts);
-  const Real* pi[kNumVars];
-  Real* po[kNumVars];
-  for (int v = 0; v < kNumVars; ++v) {
-    pi[v] = &in[v * mesh::kPatchPts];
-    po[v] = &out[v * mesh::kOctPts];
-  }
-  mesh::PatchGeom geom{{0, 0, 0}, 0.1};
-  BssnParams prm;
-  prm.sommerfeld = false;
-  FusedWorkspace fws;
-  OpCounts c;
-  bssn_rhs_patch_fused(pi, po, geom, 1e9, prm, k, fws, &c, 0);
-  const std::uint64_t pts = mesh::kR * mesh::kR * mesh::kR;
-  EXPECT_GT(c.flops, pts * k.stats().num_ops);  // algebra + stencil work
-  EXPECT_EQ(c.bytes_written, pts * kNumVars * sizeof(Real));
-  EXPECT_GT(c.shared_bytes, 0u);
 }
 
 }  // namespace

@@ -8,8 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bssn/initial_data.hpp"
 #include "common/error.hpp"
@@ -35,6 +40,16 @@ void init_puncture(const Mesh& m, BssnState& s) {
   s.resize(m.num_dofs());
   bssn::set_punctures(m, {{1.0, {0.05, 0.03, 0.02}, {0, 0, 0}, {0, 0, 0}}},
                       s);
+}
+
+/// The message of the dgr::Error that `f` throws, or "" if it returns.
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(SimComm, DeliversPayloadAndLogs) {
@@ -245,6 +260,51 @@ TEST(DistEvolve, InvalidCadenceIsRejectedUpFront) {
   schedule.execute = false;
   schedule.schedule_evals = 1;
   EXPECT_EQ(run(schedule).rhs_evals, 1);
+}
+
+TEST(DistEvolve, ConfigsThatCannotRunAreRejectedInBothModes) {
+  // A cfl that never reaches t_end or steps to NaN, an endless t_end, a
+  // sphere past the outer boundary, a negative virtual cost: each is
+  // rejected in both modes, naming the field, before any rank is built.
+  auto m = std::make_shared<Mesh>(Octree::uniform(1), Domain{16.0});
+  BssnState initial;
+  init_puncture(*m, initial);
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const Real inf = std::numeric_limits<Real>::infinity();
+  using Mutate = std::function<void(solver::SolverConfig&, DistConfig&)>;
+  const std::vector<std::pair<std::string, Mutate>> bad = {
+      {"cfl", [](auto& s, auto&) { s.cfl = 0; }},
+      {"cfl", [](auto& s, auto&) { s.cfl = -0.25; }},
+      {"cfl", [&](auto& s, auto&) { s.cfl = nan; }},
+      {"t_end", [&](auto&, auto& d) { d.t_end = inf; }},
+      {"t_end", [](auto&, auto& d) { d.t_end = -1; }},
+      {"radius", [](auto&, auto& d) { d.extraction_radii = {40}; }},
+      {"lmax", [](auto&, auto& d) { d.lmax = 1; }},
+      {"sec_per_octant", [](auto&, auto& d) { d.sec_per_octant = -1; }},
+      {"sec_per_octant", [&](auto&, auto& d) { d.sec_per_octant = nan; }},
+      {"schedule_evals", [](auto&, auto& d) { d.schedule_evals = -1; }},
+  };
+  const Real dt = solver::BssnCtx(m, solver::SolverConfig{}).suggested_dt();
+  for (const bool execute : {true, false}) {
+    DistConfig base;
+    base.ranks = 2;
+    base.execute = execute;
+    base.t_end = 0.5 * dt;
+    base.schedule_evals = 1;
+    const auto run = [&](const solver::SolverConfig& scfg,
+                         const DistConfig& cfg) {
+      return error_of([&] { evolve_distributed(m, initial, scfg, cfg); });
+    };
+    EXPECT_EQ(run(solver::SolverConfig{}, base), "") << execute;
+    for (const auto& [field, mutate] : bad) {
+      solver::SolverConfig scfg;
+      DistConfig cfg = base;
+      mutate(scfg, cfg);
+      const std::string what = run(scfg, cfg);
+      EXPECT_NE(what.find(field), std::string::npos)
+          << (execute ? "execute " : "schedule ") << field << ": " << what;
+    }
+  }
 }
 
 TEST(DistEvolve, ScheduleOnlyModeExecutesExchanges) {

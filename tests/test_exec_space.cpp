@@ -19,7 +19,6 @@
 
 #include "bssn/initial_data.hpp"
 #include "codegen/bssn_graph.hpp"
-#include "codegen/fused_rhs.hpp"
 #include "codegen/interp_rhs.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -188,7 +187,6 @@ TEST(BlockContract, EveryPatchKernelWritesExactlyTheOwnedRows) {
       bg.graph, std::vector<std::int32_t>(bg.outputs.begin(), bg.outputs.end()),
       codegen::Strategy::kStagedCse);
   bssn::DerivWorkspace ws;
-  codegen::FusedWorkspace fws;
   bssn::MixedInnerSweeps inner;
 
   using Run = std::function<void(Real* const*, const mesh::PatchGeom&, Real,
@@ -221,18 +219,6 @@ TEST(BlockContract, EveryPatchKernelWritesExactlyTheOwnedRows) {
            mesh::RowMask rows) {
          codegen::bssn_rhs_patch_interp(pin, out, g, prm, ws, staged_cse,
                                         nullptr, rows);
-       }},
-      {"fused w1", kNumVars,
-       [&](Real* const* out, const mesh::PatchGeom& g, Real half,
-           mesh::RowMask rows) {
-         codegen::bssn_rhs_patch_fused(pin, out, g, half, prm, staged_cse,
-                                       fws, nullptr, 1, rows);
-       }},
-      {"fused w4", kNumVars,
-       [&](Real* const* out, const mesh::PatchGeom& g, Real half,
-           mesh::RowMask rows) {
-         codegen::bssn_rhs_patch_fused(pin, out, g, half, prm, staged_cse,
-                                       fws, nullptr, 4, rows);
        }},
       {"psi4 w1", 2,
        [&](Real* const* out, const mesh::PatchGeom& g, Real,

@@ -44,7 +44,6 @@ bool file_exists(const std::string& path) {
 
 TEST(FaultPlan, SameSeedSameStreams) {
   FaultConfig fc;
-  fc.enabled = true;
   fc.random_failures = 3;
   fc.random_fail_t_min = 1.0;
   fc.random_fail_t_max = 2.0;
@@ -78,9 +77,9 @@ TEST(FaultPlan, SameSeedSameStreams) {
 
 TEST(FaultPlan, PendingFailuresConsumedInTimeOrder) {
   FaultConfig fc;
-  fc.enabled = true;
   fc.rank_failures = {{2.0, 1}, {1.0, 0}};  // out of order on purpose
   FaultPlan plan(fc);
+  EXPECT_TRUE(plan.active());
   EXPECT_EQ(plan.pending_failure(0.5), nullptr);
   const auto* f = plan.pending_failure(1.5);
   ASSERT_NE(f, nullptr);
@@ -93,16 +92,17 @@ TEST(FaultPlan, PendingFailuresConsumedInTimeOrder) {
   plan.consume_failure();
   EXPECT_EQ(plan.pending_failure(1e9), nullptr);
 
-  FaultConfig off = fc;
-  off.enabled = false;
-  FaultPlan inert(off);
+  // A default config injects nothing: no failure, no drop, no delay.
+  FaultPlan inert{FaultConfig{}};
+  EXPECT_FALSE(inert.active());
   EXPECT_EQ(inert.pending_failure(1e9), nullptr);
-  EXPECT_EQ(inert.draw_msg_fault().drops, 0);
+  const auto msg = inert.draw_msg_fault();
+  EXPECT_EQ(msg.drops, 0);
+  EXPECT_FALSE(msg.delayed);
 }
 
 TEST(SimCommFault, DroppedMessageRetransmitsWithBackoff) {
   FaultConfig fc;
-  fc.enabled = true;
   fc.msg_drop_prob = 1.0;  // every attempt up to max_retries is lost
   fc.max_retries = 2;
   fc.retry_timeout = 1e-3;
@@ -132,7 +132,6 @@ TEST(SimCommFault, DroppedMessageRetransmitsWithBackoff) {
 
 TEST(SimCommFault, DelayedMessageArrivesLateIntact) {
   FaultConfig fc;
-  fc.enabled = true;
   fc.msg_delay_prob = 1.0;
   fc.msg_delay_factor = 4.0;
   FaultPlan plan(fc);
@@ -215,7 +214,6 @@ TEST(FaultRecovery, RankFailureRecoversBitwise) {
   ASSERT_GE(clean.waves22[0].times.size(), 4u);
 
   DistConfig faulty = base;
-  faulty.faults.enabled = true;
   faulty.faults.rank_failures = {{0.6 * clean.t_virtual, 2}};
   const auto rec = evolve_distributed(m, initial, scfg, faulty);
 
@@ -272,7 +270,6 @@ TEST(FaultRecovery, DiskCheckpointRecoveryMatchesInMemory) {
   const std::string path = "/tmp/dgr_test_fault_recovery_cp.bin";
   DistConfig faulty = base;
   faulty.checkpoint_path = path;
-  faulty.faults.enabled = true;
   faulty.faults.rank_failures = {{0.6 * clean.t_virtual, 1}};
   const auto rec = evolve_distributed(m, initial, scfg, faulty);
 
@@ -309,7 +306,6 @@ TEST(FaultRecovery, MessageFaultsOnlyShiftTheClock) {
   const auto clean = evolve_distributed(m, initial, scfg, base);
 
   DistConfig lossy = base;
-  lossy.faults.enabled = true;
   lossy.faults.msg_drop_prob = 0.3;
   lossy.faults.msg_delay_prob = 0.3;
   const auto res = evolve_distributed(m, initial, scfg, lossy);
@@ -331,7 +327,6 @@ TEST(FaultRecovery, RankFailuresRequireACheckpointInterval) {
   DistConfig cfg;
   cfg.ranks = 2;
   cfg.t_end = 1e-3;
-  cfg.faults.enabled = true;
   cfg.faults.rank_failures = {{1e-6, 1}};
   ASSERT_EQ(cfg.checkpoint_interval, 0);
   EXPECT_THROW(evolve_distributed(m, initial, scfg, cfg), Error);

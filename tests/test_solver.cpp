@@ -10,7 +10,10 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "bssn/initial_data.hpp"
 #include "common/error.hpp"
@@ -36,6 +39,16 @@ SolverConfig no_bc_config() {
   cfg.bssn.sommerfeld = false;
   cfg.bssn.ko_sigma = 0.0;
   return cfg;
+}
+
+/// The message of the dgr::Error that `f` throws, or "" if it returns.
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Rk4, FourthOrderOnHomogeneousGaugeDynamics) {
@@ -410,6 +423,64 @@ TEST(Regrid, InvalidConfigIsRejectedBeforeAnyStep) {
     EXPECT_EQ(ctx.steps_taken(), 0u) << "case " << i;
   }
   EXPECT_NO_THROW(validate_regrid_config(RegridConfig{}));
+}
+
+TEST(SolverConfig, BssnCtxRejectsConfigsThatCannotRun) {
+  // A zero or negative cfl never reaches t_end and a NaN one steps to a NaN
+  // state; each is rejected, naming the field, before anything is built.
+  auto m = uniform_mesh(1, 16.0);
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const Real inf = std::numeric_limits<Real>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(SolverConfig&)>>>
+      bad = {
+          {"cfl", [](SolverConfig& c) { c.cfl = 0; }},
+          {"cfl", [](SolverConfig& c) { c.cfl = -0.25; }},
+          {"cfl", [&](SolverConfig& c) { c.cfl = nan; }},
+          {"cfl", [&](SolverConfig& c) { c.cfl = inf; }},
+          {"chunk_octants", [](SolverConfig& c) { c.chunk_octants = 0; }},
+      };
+  for (const auto& [field, mutate] : bad) {
+    SolverConfig cfg;
+    mutate(cfg);
+    const std::string what = error_of([&] { BssnCtx ctx(m, cfg); });
+    EXPECT_NE(what.find(field), std::string::npos) << field << ": " << what;
+  }
+  EXPECT_EQ(error_of([&] { BssnCtx ctx(m, SolverConfig{}); }), "");
+}
+
+TEST(Evolution, EndTimeAndExtractionAreCheckedBeforeAnyStep) {
+  // An infinite t_end never returns, and a sphere past the outer boundary
+  // would sample the clamped boundary: evolve rejects both, naming the
+  // field, before its first step.
+  auto m = uniform_mesh(1, 16.0);
+  BssnCtx ctx(m, SolverConfig{});
+  bssn::set_minkowski(*m, ctx.state());
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const Real inf = std::numeric_limits<Real>::infinity();
+  const std::vector<
+      std::pair<std::string, std::function<void(EvolutionConfig&)>>>
+      bad = {
+          {"t_end", [&](EvolutionConfig& c) { c.t_end = inf; }},
+          {"t_end", [&](EvolutionConfig& c) { c.t_end = nan; }},
+          {"t_end", [](EvolutionConfig& c) { c.t_end = -1; }},
+          {"radius", [](EvolutionConfig& c) { c.extraction_radii = {40}; }},
+          {"radius", [](EvolutionConfig& c) { c.extraction_radii = {4, 16}; }},
+          {"radius", [](EvolutionConfig& c) { c.extraction_radii = {0}; }},
+          {"radius", [&](EvolutionConfig& c) { c.extraction_radii = {nan}; }},
+          {"lmax", [](EvolutionConfig& c) { c.lmax = 1; }},
+      };
+  for (const auto& [field, mutate] : bad) {
+    EvolutionConfig ecfg;
+    ecfg.t_end = 2 * ctx.suggested_dt();
+    mutate(ecfg);
+    const std::string what = error_of([&] { evolve(ctx, ecfg, nullptr); });
+    EXPECT_NE(what.find(field), std::string::npos) << field << ": " << what;
+    EXPECT_EQ(ctx.steps_taken(), 0u) << field;
+  }
+  EvolutionConfig ok;
+  ok.t_end = 0;
+  ok.extraction_radii = {4};
+  EXPECT_EQ(evolve(ctx, ok, nullptr).steps, 0);
 }
 
 TEST(Evolution, SinglePunctureShortEvolutionStable) {

@@ -6,13 +6,12 @@
 #          on failure the -fopt-info-vec-missed reasons for the offending
 #          lines are printed and the script exits nonzero.
 #  gate 2: the explicit dgr::simd packs of the pack kernels (the RHS in
-#          src/bssn/rhs.cpp, Psi4, the constraints), the fused RHS kernel
-#          and the register machine must materialize as 256-bit ymm
-#          instructions (asm
-#          grep). The stencil reductions are hand-vectorized across
-#          points — the compiler must not reassociate them (bitwise
-#          determinism), so auto-vec reports cannot cover them; the asm is
-#          the proof the AVX2 backend is actually engaged.
+#          src/bssn/rhs.cpp, Psi4, the constraints) must materialize as
+#          256-bit ymm instructions (asm grep). The stencil reductions
+#          are hand-vectorized across points — the compiler must not
+#          reassociate them (bitwise determinism), so auto-vec reports
+#          cannot cover them; the asm is the proof the AVX2 backend is
+#          actually engaged.
 #
 # Usage: tools/check_vectorization.sh   (from anywhere inside the repo)
 set -euo pipefail
@@ -50,8 +49,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 
 # ---- gate 2: explicit packs must emit 256-bit ymm code --------------------
-for tu in src/bssn/rhs.cpp src/gw/psi4.cpp src/bssn/constraints.cpp \
-          src/codegen/fused_rhs.cpp src/codegen/machine.cpp; do
+for tu in src/bssn/rhs.cpp src/gw/psi4.cpp src/bssn/constraints.cpp; do
   "$CXX" "${FLAGS[@]}" -S "$tu" -o "$tmp/out.s"
   n=$(grep -c '%ymm' "$tmp/out.s" || true)
   if [ "$n" -lt 16 ]; then

@@ -4,8 +4,8 @@
 /// reported "loop vectorized" under `-O2 -mavx2 -fopt-info-vec-optimized`,
 /// or the gate fails the build with the compiler's -fopt-info-vec-missed
 /// reasons. The loops are the solver's compiler-vectorized hot shapes:
-/// the RK4 state updates (solver par_axpy / par_set_axpy) and the SoA
-/// gather/scatter streams of the fused RHS kernel. The stencil reductions
+/// the RK4 state updates (solver par_axpy / par_set_axpy), plus two SoA
+/// stream shapes (a scaled copy and a multiply-add). The stencil reductions
 /// themselves are deliberately NOT here: auto-vectorizing a left-associated
 /// floating-point sum requires reassociation, which would break the repo's
 /// bitwise-determinism contract — those are vectorized across points with
@@ -30,14 +30,14 @@ void set_axpy(double* __restrict y, const double* __restrict a,
   for (std::size_t d = 0; d < n; ++d) y[d] = a[d] + s * b[d];
 }
 
-/// Stride-1 SoA gather with a uniform scale (fused-kernel input staging).
+/// Stride-1 SoA gather with a uniform scale.
 void soa_gather(double* __restrict dst, const double* __restrict src,
                 double scale, std::size_t n) {
   // DGR_HOT_LOOP(soa_gather)
   for (std::size_t p = 0; p < n; ++p) dst[p] = src[p] * scale;
 }
 
-/// Elementwise ternary over SoA rows (register-machine compute-op shape).
+/// Elementwise ternary over SoA rows.
 void soa_mul_add(double* __restrict out, const double* __restrict a,
                  const double* __restrict b, const double* __restrict c,
                  std::size_t n) {
