@@ -18,6 +18,7 @@
 
 #include "bssn/initial_data.hpp"
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/page_array.hpp"
 #include "common/parse.hpp"
@@ -210,14 +211,10 @@ class Reporter {
       trace_written_ = trace_->write_chrome_trace(trace_path());
     const std::string body = json();
     const auto dump = [&](const std::string& path) {
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (!f) {
+      if (write_file_atomic(path, {body}))
+        std::printf("  [json] wrote %s\n", path.c_str());
+      else
         std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-        return;
-      }
-      std::fwrite(body.data(), 1, body.size(), f);
-      std::fclose(f);
-      std::printf("  [json] wrote %s\n", path.c_str());
     };
     dump(json_path());
     if (!out_path_.empty() && out_path_ != json_path()) dump(out_path_);

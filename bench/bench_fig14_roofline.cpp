@@ -172,10 +172,9 @@ int main(int argc, char** argv) {
     bench::note("paper's model), so both share one AI, and the explicit");
     bench::note("width-" + std::to_string(wact) +
                 " packs raise achieved GF/s. The calibrated peak is a");
-    bench::note("scalar multiply-add loop, so a pack row can sit above the");
-    bench::note("attainable column. At these AIs the host kernels sit right");
-    bench::note("of the (low) host ridge - compute bound - which is exactly");
-    bench::note("where vector units pay off.");
+    bench::note("multiply-add loop on packs of the active width, so no row");
+    bench::note("sits above its attainable column; at width 4 the ridge");
+    bench::note("moves up to the kernels' AI.");
   }
   return 0;
 }

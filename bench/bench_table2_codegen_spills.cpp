@@ -2,8 +2,10 @@
 /// \brief Regenerates Table II (and the Fig. 10 graph statistics): spill
 /// loads/stores of the three RHS code-generation variants under the
 /// 56-register budget (__launch_bounds__(343,3)), plus their measured
-/// relative speed from the register-machine interpreter.
+/// relative speed from the register-machine interpreter (the median of
+/// alternating rounds, with quartiles).
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -44,7 +46,28 @@ int main(int argc, char** argv) {
   const Strategy strategies[] = {Strategy::kSympygrCse,
                                  Strategy::kBinaryReduce,
                                  Strategy::kStagedCse};
-  double baseline_time = 0;
+  std::vector<CompiledKernel> kernels;
+  for (Strategy s : strategies) kernels.emplace_back(bg.graph, roots, s);
+
+  // The three schedules alternate round by round (a batch of 10 calls
+  // each), so host drift hits every variant alike; each speedup is the
+  // median of the per-round ratios to the baseline, with its quartiles.
+  const int rounds = 2000, batch = 10;
+  std::vector<double> ratios[3];
+  for (int r = 0; r < rounds; ++r) {
+    double t[3];
+    for (int s = 0; s < 3; ++s) {
+      WallTimer w;
+      for (int i = 0; i < batch; ++i) kernels[s].run(inputs.data(), outputs);
+      t[s] = w.seconds();
+    }
+    for (int s = 0; s < 3; ++s) ratios[s].push_back(t[0] / t[s]);
+  }
+  // Nearest-rank quantile of a sorted sample.
+  const auto quantile = [](const std::vector<double>& v, double f) {
+    return v[std::size_t(f * double(v.size() - 1) + 0.5)];
+  };
+
   std::printf(
       "  %-15s | %-23s | %-23s | %-10s | %-17s\n", "variant",
       "spill stores (bytes)", "spill loads (bytes)", "max live",
@@ -52,13 +75,9 @@ int main(int argc, char** argv) {
   std::printf("  %-15s | %-10s %-12s | %-10s %-12s | %-10s | %-8s %-8s\n", "",
               "paper", "ours", "paper", "ours", "ours", "paper", "ours");
   for (int s = 0; s < 3; ++s) {
-    const CompiledKernel k(bg.graph, roots, strategies[s]);
-    WallTimer t;
-    const int reps = 20000;
-    for (int i = 0; i < reps; ++i) k.run(inputs.data(), outputs);
-    const double per_point = t.seconds() / reps;
-    if (s == 0) baseline_time = per_point;
-    const auto& st = k.stats();
+    std::sort(ratios[s].begin(), ratios[s].end());
+    const double speedup = quantile(ratios[s], 0.5);
+    const auto& st = kernels[s].stats();
     char stores_paper[32];
     if (paper[s].stores < 0)
       std::snprintf(stores_paper, sizeof stores_paper, "%s", "(n/r)");
@@ -70,12 +89,13 @@ int main(int argc, char** argv) {
         strategy_name(strategies[s]), stores_paper,
         (unsigned long long)st.spill_store_bytes, paper[s].loads,
         (unsigned long long)st.spill_load_bytes, st.max_live,
-        paper[s].speedup, baseline_time / per_point);
+        paper[s].speedup, speedup);
     const std::string variant = strategy_name(strategies[s]);
     rep.pair("spill_loads_" + variant, paper[s].loads,
              double(st.spill_load_bytes), "bytes");
-    rep.pair("speedup_" + variant, paper[s].speedup,
-             baseline_time / per_point, "x");
+    rep.pair("speedup_" + variant, paper[s].speedup, speedup, "x");
+    rep.metric("speedup_" + variant + "_q1", quantile(ratios[s], 0.25));
+    rep.metric("speedup_" + variant + "_q3", quantile(ratios[s], 0.75));
   }
   bench::note("56 registers/thread as in __launch_bounds__(343,3);");
   bench::note("speedups measured on the register-machine interpreter, where");

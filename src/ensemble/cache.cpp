@@ -1,54 +1,20 @@
 #include "ensemble/cache.hpp"
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "obs/obs.hpp"
 
 namespace dgr::ensemble {
 
 namespace {
 
-constexpr char kSpillMagic[4] = {'D', 'S', 'P', '1'};
+constexpr std::string_view kSpillMagic = "DSP1";
 // A spill file is one waveform plus its key; anything larger is corrupt.
 constexpr std::size_t kMaxSpillBytes = std::size_t{1} << 30;
-
-std::uint64_t read_u64(const std::string& b, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[pos + i]))
-         << (8 * i);
-  return v;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-/// Atomic-by-rename spill write (the save_checkpoint pattern): payload to
-/// <path>.tmp, flush, check, rename into place; the temp file is removed
-/// on any failure so a crash never leaves a corrupt spill at `path`.
-bool write_spill(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return false;
-    f.write(body.data(), static_cast<std::streamsize>(body.size()));
-    f.flush();
-    if (!f) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -63,57 +29,39 @@ std::string WaveformCache::spill_path(const ScenarioKey& key) const {
 std::shared_ptr<const Waveform> WaveformCache::get(const ScenarioKey& key,
                                                    bool* from_disk) {
   if (from_disk) *from_disk = false;
-  {
-    std::unique_lock<std::mutex> lk(m_);
-    auto it = entries_.find(key.bytes);
-    if (it != entries_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru);  // promote to MRU
-      ++stats_.hits_memory;
-      obs::count("cache.hits_memory");
-      return it->second.wf;
-    }
-  }
+  if (auto wf = get_memory(key)) return wf;
 
+  bool spill_failed = false;
   if (!spill_dir_.empty()) {
     // Disk fault-in happens unlocked; concurrent faults of the same key
     // both insert the identical content (idempotent).
     const std::string path = spill_path(key);
-    std::ifstream f(path, std::ios::binary | std::ios::ate);
-    if (f) {
-      const auto size = static_cast<std::size_t>(f.tellg());
-      if (size >= 4 + 16 && size <= kMaxSpillBytes) {
-        std::string body(size, '\0');
-        f.seekg(0);
-        f.read(body.data(), static_cast<std::streamsize>(size));
-        if (f.gcount() == static_cast<std::streamsize>(size) &&
-            body.compare(0, 4, kSpillMagic, 4) == 0) {
-          const std::uint64_t klen = read_u64(body, 4);
-          if (klen <= size - 12 && body.compare(12, klen, key.bytes) == 0 &&
-              klen == key.bytes.size()) {
-            try {
-              auto wf = std::make_shared<const Waveform>(
-                  deserialize(body.substr(12 + klen)));
-              if (from_disk) *from_disk = true;
-              std::unique_lock<std::mutex> lk(m_);
-              ++stats_.hits_disk;
-              obs::count("cache.hits_disk");
-              insert_locked(lk, key, wf);
-              return wf;
-            } catch (const Error&) {
-              // fall through to the failure count below
-            }
-          }
-        }
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec)) {
+      std::shared_ptr<const Waveform> wf;
+      try {
+        const std::string body = read_file(path, kMaxSpillBytes);
+        ByteReader r(body, "DSP1 spill file");
+        r.magic(kSpillMagic);
+        DGR_CHECK_MSG(r.raw(r.count(1)) == key.bytes,
+                      "spill file " << path << " holds another key");
+        wf = std::make_shared<const Waveform>(deserialize(r.raw(r.left())));
+      } catch (const Error&) {
+        spill_failed = true;
       }
-      std::unique_lock<std::mutex> lk(m_);
-      ++stats_.spill_failures;
-      ++stats_.misses;
-      obs::count("cache.misses");
-      return nullptr;
+      if (wf) {
+        if (from_disk) *from_disk = true;
+        std::unique_lock<std::mutex> lk(m_);
+        ++stats_.hits_disk;
+        obs::count("cache.hits_disk");
+        insert_locked(lk, key, wf);
+        return wf;
+      }
     }
   }
 
   std::unique_lock<std::mutex> lk(m_);
+  stats_.spill_failures += spill_failed;
   ++stats_.misses;
   obs::count("cache.misses");
   return nullptr;
@@ -178,14 +126,10 @@ void WaveformCache::insert_locked(std::unique_lock<std::mutex>& lk,
   lk.unlock();
   for (const Entry& e2 : evicted) {
     if (spill_dir_.empty()) continue;
-    std::string body;
-    const std::string blob = serialize(*e2.wf);
-    body.reserve(12 + e2.key.bytes.size() + blob.size());
-    body.append(kSpillMagic, 4);
-    append_u64(body, e2.key.bytes.size());
-    body += e2.key.bytes;
-    body += blob;
-    if (write_spill(spill_path(e2.key), body)) {
+    ByteWriter head(12 + e2.key.bytes.size());
+    head.raw(kSpillMagic).u64(e2.key.bytes.size()).raw(e2.key.bytes);
+    if (write_file_atomic(spill_path(e2.key),
+                          {head.bytes(), serialize(*e2.wf)})) {
       std::lock_guard<std::mutex> lk2(m_);
       ++stats_.spills;
       obs::count("cache.spills");

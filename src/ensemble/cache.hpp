@@ -1,9 +1,9 @@
 #pragma once
 /// \file cache.hpp
 /// \brief Content-addressed waveform cache: an in-memory LRU with a byte
-/// budget, optionally spilling evicted entries to disk (the tmp+rename
-/// atomic-write pattern of checkpoint I/O) and faulting them back in on a
-/// later request. Keys are the full canonical scenario bytes — the 64-bit
+/// budget, optionally spilling evicted entries to disk (DSP1 files through
+/// common/file_io.hpp, read back under a 1 GiB bound) and faulting them
+/// back in on a later request. Keys are the full canonical scenario bytes — the 64-bit
 /// content hash only names entries and spill files, so a hash collision can
 /// never serve the wrong waveform (lookup compares the bytes, and a spill
 /// file stores the key it was written for and is verified on load).

@@ -1,9 +1,9 @@
 #include "ensemble/scenario.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "bssn/initial_data.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "gw/strain.hpp"
 #include "mesh/mesh.hpp"
@@ -14,82 +14,27 @@ namespace dgr::ensemble {
 
 namespace {
 
-constexpr char kMagic[4] = {'D', 'S', 'C', '2'};  // scenario encoding v2
-constexpr char kWaveMagic[4] = {'D', 'W', 'F', '1'};
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-/// Doubles travel as their IEEE-754 bit pattern: byte-for-byte round trip,
-/// no formatting, no locale, -0.0 and NaN payloads preserved.
-void put_real(std::string& out, Real v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-struct Reader {
-  const std::string& b;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    DGR_CHECK_MSG(pos + n <= b.size(),
-                  "truncated canonical encoding: need " << n << " bytes at "
-                                                        << pos << " of "
-                                                        << b.size());
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[pos++]))
-           << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[pos++]))
-           << (8 * i);
-    return v;
-  }
-  Real real() { return std::bit_cast<Real>(u64()); }
-};
+constexpr std::string_view kMagic = "DSC2";  // scenario encoding v2
+constexpr std::string_view kWaveMagic = "DWF1";
 
 }  // namespace
 
 std::string encode(const ScenarioConfig& cfg) {
-  std::string out;
-  out.reserve(4 + 15 * 8 + 5 * 4);
-  out.append(kMagic, 4);
-  put_real(out, cfg.q);
-  put_real(out, cfg.separation);
-  for (Real s : cfg.spin1) put_real(out, s);
-  for (Real s : cfg.spin2) put_real(out, s);
-  put_real(out, cfg.domain_half);
-  put_u32(out, static_cast<std::uint32_t>(cfg.base_level));
-  put_u32(out, static_cast<std::uint32_t>(cfg.finest_level));
-  put_real(out, cfg.eps);
-  put_u32(out, static_cast<std::uint32_t>(cfg.steps));
-  put_u32(out, static_cast<std::uint32_t>(cfg.regrid_every));
-  put_u32(out, static_cast<std::uint32_t>(cfg.extract_every));
-  put_real(out, cfg.extraction_radius);
-  put_real(out, cfg.cfl);
-  put_real(out, cfg.ko_sigma);
-  put_u32(out, cfg.subcycle ? 1u : 0u);
-  return out;
+  // Ints travel as their u32 two's-complement bits.
+  ByteWriter w(4 + 15 * 8 + 5 * 4);
+  w.raw(kMagic).real(cfg.q).real(cfg.separation);
+  for (Real s : cfg.spin1) w.real(s);
+  for (Real s : cfg.spin2) w.real(s);
+  w.real(cfg.domain_half).u32(cfg.base_level).u32(cfg.finest_level);
+  w.real(cfg.eps).u32(cfg.steps).u32(cfg.regrid_every);
+  w.u32(cfg.extract_every).real(cfg.extraction_radius).real(cfg.cfl);
+  w.real(cfg.ko_sigma).u32(cfg.subcycle);
+  return w.take();
 }
 
-ScenarioConfig decode(const std::string& bytes) {
-  DGR_CHECK_MSG(bytes.size() >= 4 && bytes.compare(0, 4, kMagic, 4) == 0,
-                "not a canonical scenario encoding (bad magic)");
-  Reader r{bytes, 4};
+ScenarioConfig decode(std::string_view bytes) {
+  ByteReader r(bytes, "DSC2 scenario encoding");
+  r.magic(kMagic);
   ScenarioConfig cfg;
   cfg.q = r.real();
   cfg.separation = r.real();
@@ -108,12 +53,11 @@ ScenarioConfig decode(const std::string& bytes) {
   const std::uint32_t sub = r.u32();
   DGR_CHECK_MSG(sub <= 1, "subcycle flag must be 0 or 1, got " << sub);
   cfg.subcycle = sub != 0;
-  DGR_CHECK_MSG(r.pos == bytes.size(),
-                "trailing bytes after canonical scenario encoding");
+  r.finish();
   return cfg;
 }
 
-std::uint64_t fnv1a64(const std::string& bytes) {
+std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : bytes) {
     h ^= c;
@@ -123,10 +67,9 @@ std::uint64_t fnv1a64(const std::string& bytes) {
 }
 
 std::string hex16(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 0; i < 16; ++i) s[i] = digits[(v >> (60 - 4 * i)) & 0xf];
-  return s;
+  char be[8];
+  for (int i = 0; i < 8; ++i) be[i] = static_cast<char>(v >> (56 - 8 * i));
+  return to_hex({be, 8});
 }
 
 std::string ScenarioKey::hex() const { return hex16(hash); }
@@ -162,33 +105,22 @@ std::size_t Waveform::byte_size() const {
 }
 
 std::string serialize(const Waveform& wf) {
-  std::string out;
-  out.reserve(wf.byte_size());
-  out.append(kWaveMagic, 4);
-  put_u32(out, static_cast<std::uint32_t>(wf.steps));
-  put_u32(out, static_cast<std::uint32_t>(wf.regrids));
-  put_real(out, wf.t_final);
-  put_u32(out, static_cast<std::uint32_t>(wf.psi4_22.l));
-  put_u32(out, static_cast<std::uint32_t>(wf.psi4_22.m));
-  put_real(out, wf.psi4_22.radius);
-  put_u64(out, wf.psi4_22.times.size());
+  ByteWriter w(wf.byte_size());
+  w.raw(kWaveMagic).u32(wf.steps).u32(wf.regrids).real(wf.t_final);
+  w.u32(wf.psi4_22.l).u32(wf.psi4_22.m).real(wf.psi4_22.radius);
+  w.u64(wf.psi4_22.times.size());
   for (std::size_t i = 0; i < wf.psi4_22.times.size(); ++i) {
-    put_real(out, wf.psi4_22.times[i]);
-    put_real(out, wf.psi4_22.values[i].real());
-    put_real(out, wf.psi4_22.values[i].imag());
+    w.real(wf.psi4_22.times[i]);
+    w.real(wf.psi4_22.values[i].real()).real(wf.psi4_22.values[i].imag());
   }
-  put_u64(out, wf.strain.size());
-  for (const Complex& h : wf.strain) {
-    put_real(out, h.real());
-    put_real(out, h.imag());
-  }
-  return out;
+  w.u64(wf.strain.size());
+  for (const Complex& h : wf.strain) w.real(h.real()).real(h.imag());
+  return w.take();
 }
 
-Waveform deserialize(const std::string& bytes) {
-  DGR_CHECK_MSG(bytes.size() >= 4 && bytes.compare(0, 4, kWaveMagic, 4) == 0,
-                "not a serialized waveform (bad magic)");
-  Reader r{bytes, 4};
+Waveform deserialize(std::string_view bytes) {
+  ByteReader r(bytes, "DWF1 waveform");
+  r.magic(kWaveMagic);
   Waveform wf;
   wf.steps = static_cast<int>(r.u32());
   wf.regrids = static_cast<int>(r.u32());
@@ -196,30 +128,20 @@ Waveform deserialize(const std::string& bytes) {
   wf.psi4_22.l = static_cast<int>(r.u32());
   wf.psi4_22.m = static_cast<int>(r.u32());
   wf.psi4_22.radius = r.real();
-  const std::uint64_t n = r.u64();
-  // Bounded by the actual payload: a corrupt count cannot trigger an
-  // oversized allocation (the load_checkpoint hardening pattern).
-  DGR_CHECK_MSG(n <= (bytes.size() - r.pos) / (3 * 8),
-                "waveform sample count " << n << " exceeds payload");
+  const std::size_t n = r.count(3 * 8);
   wf.psi4_22.times.reserve(n);
   wf.psi4_22.values.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Real t = r.real();
-    const Real re = r.real();
-    const Real im = r.real();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Real t = r.real(), re = r.real(), im = r.real();  // in order
     wf.psi4_22.append(t, Complex{re, im});
   }
-  const std::uint64_t ns = r.u64();
-  DGR_CHECK_MSG(ns <= (bytes.size() - r.pos) / (2 * 8),
-                "strain sample count " << ns << " exceeds payload");
+  const std::size_t ns = r.count(2 * 8);
   wf.strain.reserve(ns);
-  for (std::uint64_t i = 0; i < ns; ++i) {
-    const Real re = r.real();
-    const Real im = r.real();
+  for (std::size_t i = 0; i < ns; ++i) {
+    const Real re = r.real(), im = r.real();
     wf.strain.emplace_back(re, im);
   }
-  DGR_CHECK_MSG(r.pos == bytes.size(),
-                "trailing bytes after serialized waveform");
+  r.finish();
   return wf;
 }
 

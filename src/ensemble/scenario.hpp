@@ -6,8 +6,8 @@
 /// byte string whose content hash keys the waveform cache.
 ///
 /// Canonicalization contract. encode() serializes every field in a fixed
-/// order with doubles written as their IEEE-754 bit patterns (little-endian
-/// std::bit_cast, never printf), so the encoding round-trips byte-for-byte:
+/// order with doubles written as their IEEE-754 bit patterns (ByteWriter,
+/// little-endian, never printf), so the encoding round-trips byte-for-byte:
 /// decode(encode(cfg)) reproduces cfg exactly, including -0.0 and the last
 /// ulp of any tolerance. Two configs hash equal iff every field is bitwise
 /// equal — the property the cache's correctness rests on, tested across
@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -64,20 +65,20 @@ struct ScenarioConfig {
 void validate_scenario(const ScenarioConfig& cfg);
 
 /// Canonical byte encoding (versioned, fixed field order, IEEE-754 bit
-/// patterns for doubles). Stable across processes, thread counts and
-/// architectures of the same endianness.
+/// patterns for doubles, little-endian). Stable across processes and
+/// thread counts; common/bytes.hpp refuses to build on a big-endian host.
 std::string encode(const ScenarioConfig& cfg);
 
 /// Exact inverse of encode(); throws dgr::Error on truncated or
 /// wrong-version input. decode(encode(c)) == c bitwise, always.
-ScenarioConfig decode(const std::string& bytes);
+ScenarioConfig decode(std::string_view bytes);
 
 /// FNV-1a 64-bit over a byte string — the content hash of the canonical
 /// encoding. Collisions are guarded one level up: the cache compares the
 /// full canonical bytes, the hash only names entries and disk files.
-std::uint64_t fnv1a64(const std::string& bytes);
+std::uint64_t fnv1a64(std::string_view bytes);
 
-/// `v` as 16 lowercase hex digits, most significant first.
+/// dgr::to_hex of `v`'s big-endian bytes: 16 digits, most significant first.
 std::string hex16(std::uint64_t v);
 
 /// Cache key: canonical bytes plus their content hash (hex() names disk
@@ -133,7 +134,7 @@ struct Waveform {
 /// of these bytes is what the serve protocol reports, so a cache hit and a
 /// recomputation agree iff the waveforms are bitwise identical.
 std::string serialize(const Waveform& wf);
-Waveform deserialize(const std::string& bytes);
+Waveform deserialize(std::string_view bytes);
 
 /// Run the scenario synchronously on the calling thread: build the
 /// puncture mesh and Bowen-York initial data, evolve `steps` RK4 steps

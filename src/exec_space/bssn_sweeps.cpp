@@ -89,9 +89,11 @@ void sweep_rk4_axpy(const ExecSpace& es, BssnState& y, Real s,
                    const Real* xv = x.field(v);
                    if (base) {
                      const Real* bv = base->field(v);
+                     // DGR_HOT_LOOP(rk4_set_axpy)
                      for (std::size_t d = 0; d < nd; ++d)
                        yv[d] = bv[d] + s * xv[d];
                    } else {
+                     // DGR_HOT_LOOP(rk4_axpy)
                      for (std::size_t d = 0; d < nd; ++d) yv[d] += s * xv[d];
                    }
                  }

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
@@ -201,16 +202,12 @@ bool dump(const std::string& path) {
   if (!enabled()) return false;
   if (recorded_entries() == 0) return false;
   const std::string dest = path.empty() ? dump_path() : path;
-  std::FILE* f = std::fopen(dest.c_str(), "w");
-  if (!f) {
-    log::error("flightrec: cannot open " + dest);
+  if (!write_file_atomic(dest, {dump_json()})) {
+    log::error("flightrec: cannot write " + dest);
     return false;
   }
-  const std::string body = dump_json();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  if (ok) log::info("flightrec: wrote " + dest);
-  return ok;
+  log::info("flightrec: wrote " + dest);
+  return true;
 }
 
 void crash_dump(const char* path) {

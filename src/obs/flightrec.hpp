@@ -69,8 +69,8 @@ std::string dump_path();
 /// per ring; one pid, one tid per recorded thread (registration order).
 std::string dump_json();
 
-/// Write dump_json() to `path` (empty: dump_path()). Returns false when
-/// disabled, nothing was recorded, or the file cannot be written.
+/// Write dump_json() atomically to `path` (empty: dump_path()). Returns
+/// false when disabled, nothing was recorded, or the write failed.
 bool dump(const std::string& path = "");
 
 /// Async-signal-cautious dump: snprintf + write(2) only, no allocation,

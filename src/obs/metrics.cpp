@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
-#include <cstdio>
-
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 
@@ -46,16 +45,12 @@ std::string MetricsRegistry::json() const {
 }
 
 bool MetricsRegistry::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    log::error("metrics: cannot open " + path);
+  if (!write_file_atomic(path, {json(), "\n"})) {
+    log::error("metrics: cannot write " + path);
     return false;
   }
-  const std::string body = json() + "\n";
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
   log::info("metrics: wrote " + path);
-  return ok;
+  return true;
 }
 
 namespace {

@@ -137,7 +137,7 @@ class MetricsRegistry {
   /// {"counters":{...},"gauges":{...},"summaries":{"x":{"count":...}},
   ///  "histograms":{"y":{"count":...,"p50":...}}}
   std::string json() const;
-  /// Write json() to `path`; returns false if the file cannot be written.
+  /// Write json() atomically to `path`; false if the write failed.
   bool write_file(const std::string& path) const;
 
   /// Prometheus-style text exposition of the whole registry: counters and

@@ -5,11 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <regex>
-#include <sstream>
 
+#include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/json_read.hpp"
 
 namespace dgr::obs::perfdiff {
@@ -17,6 +17,9 @@ namespace dgr::obs::perfdiff {
 namespace fs = std::filesystem;
 
 namespace {
+
+// A bench report is a few hundred KB at most; a larger file is not one.
+constexpr std::size_t kMaxReportBytes = std::size_t{64} << 20;
 
 bool contains_any(const std::string& s,
                   std::initializer_list<const char*> needles) {
@@ -191,13 +194,6 @@ std::map<std::string, std::string> bench_files(const std::string& dir,
   return out;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
 }  // namespace
 
 Report diff_dirs(const std::string& base_dir, const std::string& cur_dir,
@@ -217,7 +213,12 @@ Report diff_dirs(const std::string& base_dir, const std::string& cur_dir,
       report.problems.push_back(bench + ": no current report in " + cur_dir);
       continue;
     }
-    diff_reports(bench, slurp(bpath), slurp(it->second), opt, report);
+    try {
+      diff_reports(bench, read_file(bpath, kMaxReportBytes),
+                   read_file(it->second, kMaxReportBytes), opt, report);
+    } catch (const Error& e) {  // a missing, oversized or short report
+      report.problems.push_back(bench + ": " + e.what());
+    }
   }
   return report;
 }

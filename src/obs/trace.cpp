@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
-
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 
@@ -120,17 +119,13 @@ std::string TraceSession::chrome_json() const {
 }
 
 bool TraceSession::write_chrome_trace(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    log::error("trace: cannot open " + path);
+  if (!write_file_atomic(path, {chrome_json()})) {
+    log::error("trace: cannot write " + path);
     return false;
   }
-  const std::string body = chrome_json();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
   log::info("trace: wrote " + path + " (" +
             jsonu::num(std::uint64_t(event_count())) + " events)");
-  return ok;
+  return true;
 }
 
 }  // namespace dgr::obs

@@ -69,8 +69,8 @@ class TraceSession {
   /// followed by the event stream in insertion order, one event per line.
   std::string chrome_json() const;
 
-  /// Write chrome_json() to `path`; logs the destination at info level.
-  /// Returns false if the file cannot be written.
+  /// Write chrome_json() atomically to `path`; logs the destination at info
+  /// level once it is in place. Returns false if the write failed.
   bool write_chrome_trace(const std::string& path) const;
 
  private:

@@ -1,8 +1,10 @@
 #include "perf/machine_model.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/timer.hpp"
+#include "simd/simd.hpp"
 
 namespace dgr::perf {
 
@@ -26,8 +28,32 @@ MachineModel frontera_node() {
 
 namespace {
 
-/// One-shot microbenchmarks: a dependent-FMA loop for tau_f and a large
-/// array triad sweep for tau_m.
+/// Seconds per flop of twelve independent multiply-add chains on
+/// dgr::simd<double, W> packs, enough to keep both FP ports busy. A peak
+/// is the best rate seen, so the fastest of five repetitions counts: host
+/// noise only ever slows a repetition down. At width 1, GCC -O3 packs the
+/// scalar chains four to a vector register, as it may any width-1 code.
+template <int W>
+double seconds_per_flop() {
+  using P = simd<double, W>;
+  P a[12];
+  for (int c = 0; c < 12; ++c) a[c] = P::broadcast(1.0 + 0.01 * c);
+  const P b = P::broadcast(1.0000001), d = P::broadcast(1e-9);
+  const int iters = 1'000'000;
+  double best = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    WallTimer t;
+    for (int i = 0; i < iters; ++i)
+      for (P& x : a) x = x * b + d;
+    best = std::min(best, t.seconds());
+  }
+  volatile double sink = 0;
+  for (const P& x : a) sink = sink + x[0];  // keeps every chain live
+  return best / (2.0 * W * 12 * iters);
+}
+
+/// One-shot microbenchmarks: multiply-add chains at the active SIMD width
+/// for tau_f and a large array triad sweep for tau_m.
 MachineModel measure_host() {
   MachineModel m;
   m.name = "calibrated host";
@@ -35,23 +61,8 @@ MachineModel measure_host() {
   m.cache_reg = 2.0e3;
   m.ell = 0.25;
   m.h2d_bw = 0;
-  {
-    // Independent chains so the core's FMA pipes are busy.
-    volatile double sink;
-    double a0 = 1.0, a1 = 1.1, a2 = 1.2, a3 = 1.3;
-    const double b = 1.0000001, c = 1e-9;
-    const int iters = 4'000'000;
-    WallTimer t;
-    for (int i = 0; i < iters; ++i) {
-      a0 = a0 * b + c;
-      a1 = a1 * b + c;
-      a2 = a2 * b + c;
-      a3 = a3 * b + c;
-    }
-    sink = a0 + a1 + a2 + a3;
-    (void)sink;
-    m.tau_f = t.seconds() / (8.0 * iters);  // 2 flops x 4 chains
-  }
+  m.tau_f = simd_active_width() == 4 ? seconds_per_flop<4>()
+                                     : seconds_per_flop<1>();
   {
     const std::size_t n = 8'000'000;  // 64 MB per array: beats the caches
     std::vector<double> x(n, 1.0), y(n, 2.0);

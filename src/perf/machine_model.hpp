@@ -66,8 +66,9 @@ MachineModel epyc7763_node();
 MachineModel frontera_node();
 
 /// The host this library actually runs on, calibrated at startup from a
-/// small STREAM-like and FMA-loop measurement (used to convert measured
-/// seconds into model-comparable numbers).
+/// STREAM-like sweep and a multiply-add loop on simd packs at
+/// simd_active_width(), the width the patch kernels run at (used to convert
+/// measured seconds into model-comparable numbers).
 MachineModel calibrated_host();
 
 }  // namespace dgr::perf

@@ -11,43 +11,12 @@
 #include <sstream>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/parse.hpp"
 
 namespace dgr::serve {
-
-std::string to_hex(const std::string& bytes) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(2 * bytes.size());
-  for (unsigned char c : bytes) {
-    out.push_back(digits[c >> 4]);
-    out.push_back(digits[c & 0xf]);
-  }
-  return out;
-}
-
-namespace {
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-}  // namespace
-
-std::string from_hex(const std::string& hex) {
-  DGR_CHECK_MSG(hex.size() % 2 == 0, "hex payload has odd length");
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hex_digit(hex[i]), lo = hex_digit(hex[i + 1]);
-    DGR_CHECK_MSG(hi >= 0 && lo >= 0, "invalid hex digit in payload");
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
-}
 
 namespace {
 

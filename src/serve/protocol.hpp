@@ -41,9 +41,6 @@
 
 namespace dgr::serve {
 
-std::string to_hex(const std::string& bytes);
-std::string from_hex(const std::string& hex);  ///< throws on odd/non-hex
-
 struct Request {
   enum class Kind { kPing, kStats, kMetrics, kDump, kEvolve, kShutdown,
                     kQuit };
@@ -67,7 +64,7 @@ Request parse_request(const std::string& line,
 std::string format_evolve(const ensemble::ScenarioConfig& cfg,
                           bool full = false);
 
-/// Client-side formatter for EVOLVEX (hex canonical encoding).
+/// Client-side formatter for EVOLVEX (dgr::to_hex of the canonical encoding).
 std::string format_evolvex(const ensemble::ScenarioConfig& cfg,
                            bool full = false);
 

@@ -411,18 +411,14 @@ void Server::handle_connection(int fd) {
                " digest=" + ensemble::hex16(ensemble::fnv1a64(blob));
         if (p.full) {
           resp += "\nSAMPLES " + std::to_string(wf->psi4_22.times.size());
-          for (std::size_t i = 0; i < wf->psi4_22.times.size(); ++i) {
-            // Bit patterns in hex: the textual stream is bitwise-faithful.
-            resp += "\n" +
-                    ensemble::hex16(std::bit_cast<std::uint64_t>(
-                        wf->psi4_22.times[i])) +
-                    " " +
-                    ensemble::hex16(std::bit_cast<std::uint64_t>(
-                        wf->psi4_22.values[i].real())) +
-                    " " +
-                    ensemble::hex16(std::bit_cast<std::uint64_t>(
-                        wf->psi4_22.values[i].imag()));
-          }
+          // Bit patterns in hex: the textual stream is bitwise-faithful.
+          const auto bits = [](Real x) {
+            return ensemble::hex16(std::bit_cast<std::uint64_t>(x));
+          };
+          for (std::size_t i = 0; i < wf->psi4_22.times.size(); ++i)
+            resp += "\n" + bits(wf->psi4_22.times[i]) + " " +
+                    bits(wf->psi4_22.values[i].real()) + " " +
+                    bits(wf->psi4_22.values[i].imag());
           resp += "\nEND";
         }
       } catch (const std::exception& e) {

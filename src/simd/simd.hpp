@@ -13,7 +13,7 @@
 ///    (`-DDGR_ENABLE_AVX2=ON` -> global `-mavx2` + `DGR_SIMD_AVX2`),
 ///    otherwise the generic array fallback below;
 ///  - `simd<double, W>`  — a portable array-of-W fallback whose per-lane
-///    loops the compiler auto-vectorizes (asserted by tools/vec_probe.cpp).
+///    loops the compiler is left to auto-vectorize.
 ///
 /// ODR/ABI safety: everything here is a header-only template, and the AVX2
 /// specialization is compiled in (or out) uniformly for the whole build via

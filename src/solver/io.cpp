@@ -1,128 +1,70 @@
 #include "solver/io.hpp"
 
-#include <cstdio>
-#include <fstream>
+#include <cmath>
+#include <cstring>
+#include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 
 namespace dgr::solver {
 
 namespace {
 constexpr std::uint64_t kMagic = 0x4447525F43505431ULL;  // "DGR_CPT1"
 constexpr std::uint32_t kVersion = 1;
-
-template <class T>
-void put(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-template <class T>
-void get(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DGR_CHECK_MSG(bool(is), "truncated checkpoint");
-}
+constexpr std::size_t kLeafBytes = 3 * 4 + 1;  // x, y, z as u32, level
+constexpr std::size_t kDofBytes = std::size_t(bssn::kNumVars) * sizeof(Real);
+// Far above any mesh this library builds; refused before it is read.
+constexpr std::size_t kMaxCheckpointBytes = std::size_t{1} << 36;
 }  // namespace
 
 void save_checkpoint(const std::string& path, const mesh::Mesh& mesh,
                      const bssn::BssnState& state, Real time,
                      std::uint64_t step) {
   DGR_CHECK(state.num_dofs() == mesh.num_dofs());
-  // Write-to-temp + rename: `path` either keeps its previous (good) content
-  // or atomically becomes the complete new checkpoint — never a torn write.
-  const std::string tmp = path + ".tmp";
-  try {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    DGR_CHECK_MSG(bool(os), "cannot open checkpoint for writing: " + tmp);
-    put(os, kMagic);
-    put(os, kVersion);
-    put(os, mesh.domain().half_extent);
-    put(os, time);
-    put(os, step);
-    const auto& leaves = mesh.tree().leaves();
-    put(os, std::uint64_t(leaves.size()));
-    for (const auto& t : leaves) {
-      put(os, t.x);
-      put(os, t.y);
-      put(os, t.z);
-      put(os, t.level);
-    }
-    put(os, std::uint64_t(mesh.num_dofs()));
-    for (int v = 0; v < bssn::kNumVars; ++v)
-      os.write(reinterpret_cast<const char*>(state.field(v)),
-               mesh.num_dofs() * sizeof(Real));
-    os.flush();
-    DGR_CHECK_MSG(bool(os), "checkpoint write failed: " + tmp);
-    os.close();
-    DGR_CHECK_MSG(!os.fail(), "checkpoint close failed: " + tmp);
-    DGR_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                  "cannot move checkpoint into place: " + tmp + " -> " + path);
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
+  const auto& leaves = mesh.tree().leaves();
+  ByteWriter head(8 + 4 + 3 * 8 + 8 + leaves.size() * kLeafBytes + 8);
+  head.u64(kMagic).u32(kVersion).real(mesh.domain().half_extent);
+  head.real(time).u64(step).u64(leaves.size());
+  for (const auto& t : leaves) head.u32(t.x).u32(t.y).u32(t.z).u8(t.level);
+  head.u64(mesh.num_dofs());
+  // The 24 fields are one contiguous buffer, written in place.
+  const std::string_view fields(reinterpret_cast<const char*>(state.field(0)),
+                                mesh.num_dofs() * kDofBytes);
+  DGR_CHECK_MSG(write_file_atomic(path, {head.bytes(), fields}),
+                "cannot write checkpoint: " + path);
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  DGR_CHECK_MSG(bool(is), "cannot open checkpoint: " + path);
-  // Total file size up front: every variable-length section is checked
-  // against the bytes actually present before it is read (or allocated), so
-  // a truncated or garbage file fails cleanly instead of driving a huge
-  // resize/reserve or returning a partially-populated checkpoint.
-  is.seekg(0, std::ios::end);
-  const std::uint64_t file_size = std::uint64_t(is.tellg());
-  is.seekg(0, std::ios::beg);
-  const auto remaining = [&]() -> std::uint64_t {
-    return file_size - std::uint64_t(is.tellg());
-  };
-
-  std::uint64_t magic;
-  std::uint32_t version;
-  get(is, magic);
-  DGR_CHECK_MSG(magic == kMagic, "not a dendrite-gr checkpoint: " + path);
-  get(is, version);
-  DGR_CHECK_MSG(version == kVersion, "unsupported checkpoint version");
+  const std::string file = read_file(path, kMaxCheckpointBytes);
+  ByteReader r(file, "DGR_CPT1 checkpoint");
+  DGR_CHECK_MSG(r.u64() == kMagic, "not a dendrite-gr checkpoint: " + path);
+  DGR_CHECK_MSG(r.u32() == kVersion, "unsupported checkpoint version");
 
   Checkpoint cp;
-  get(is, cp.domain.half_extent);
-  get(is, cp.time);
-  get(is, cp.step);
-  std::uint64_t nleaves;
-  get(is, nleaves);
-  constexpr std::uint64_t kLeafBytes = 3 * sizeof(oct::Coord) + 1;
-  DGR_CHECK_MSG(nleaves >= 1 && nleaves <= remaining() / kLeafBytes,
-                "corrupt checkpoint: leaf table (" << nleaves
-                    << " octants) exceeds file size: " + path);
+  cp.domain.half_extent = r.real();
+  cp.time = r.real();
+  cp.step = r.u64();
+  DGR_CHECK_MSG(std::isfinite(cp.domain.half_extent) &&
+                    cp.domain.half_extent > 0 && std::isfinite(cp.time),
+                "corrupt checkpoint domain or time: " + path);
+  const std::size_t nleaves = r.count(kLeafBytes);
   std::vector<oct::TreeNode> leaves;
   leaves.reserve(nleaves);
-  for (std::uint64_t i = 0; i < nleaves; ++i) {
-    oct::Coord x, y, z;
-    std::uint8_t level;
-    get(is, x);
-    get(is, y);
-    get(is, z);
-    get(is, level);
-    leaves.emplace_back(x, y, z, level);
+  for (std::size_t i = 0; i < nleaves; ++i) {
+    const oct::Coord x = r.u32(), y = r.u32(), z = r.u32();
+    leaves.emplace_back(x, y, z, r.u8());
   }
-  cp.tree = oct::Octree(std::move(leaves));  // validates on construction
+  cp.tree = oct::Octree(std::move(leaves));  // validates, rejects 0 leaves
 
-  std::uint64_t ndofs;
-  get(is, ndofs);
-  // The field payload must account for every remaining byte — catches
-  // truncation and trailing garbage in one check, before the allocation.
-  constexpr std::uint64_t kDofBytes = std::uint64_t(bssn::kNumVars) * sizeof(Real);
-  DGR_CHECK_MSG(
-      ndofs >= 1 && ndofs <= remaining() / kDofBytes &&
-          ndofs * kDofBytes == remaining(),
-      "corrupt checkpoint: field payload (" << ndofs
-          << " dofs x " << bssn::kNumVars
-          << " vars) does not match file size: " + path);
+  // The field payload must account for every remaining byte.
+  const std::size_t ndofs = r.count(kDofBytes);
+  DGR_CHECK_MSG(ndofs >= 1, "corrupt checkpoint: no field payload: " + path);
+  const std::string_view fields = r.raw(ndofs * kDofBytes);
+  r.finish();
   cp.state.resize(ndofs);
-  for (int v = 0; v < bssn::kNumVars; ++v) {
-    is.read(reinterpret_cast<char*>(cp.state.field(v)),
-            ndofs * sizeof(Real));
-    DGR_CHECK_MSG(bool(is) && std::uint64_t(is.gcount()) == ndofs * sizeof(Real),
-                  "truncated checkpoint fields: " + path);
-  }
+  std::memcpy(cp.state.field(0), fields.data(), fields.size());
   return cp;
 }
 
@@ -138,8 +80,7 @@ void write_vtk_points(const std::string& path, const mesh::Mesh& mesh,
                       const bssn::BssnState& state,
                       const std::vector<int>& vars) {
   DGR_CHECK(state.num_dofs() == mesh.num_dofs());
-  std::ofstream os(path);
-  DGR_CHECK_MSG(bool(os), "cannot open VTK file for writing: " + path);
+  std::ostringstream os;
   const std::size_t n = mesh.num_dofs();
   os << "# vtk DataFile Version 3.0\n"
      << "dendrite-gr snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n"
@@ -156,7 +97,8 @@ void write_vtk_points(const std::string& path, const mesh::Mesh& mesh,
     const Real* f = state.field(v);
     for (std::size_t d = 0; d < n; ++d) os << f[d] << "\n";
   }
-  DGR_CHECK_MSG(bool(os), "VTK write failed: " + path);
+  DGR_CHECK_MSG(write_file_atomic(path, {os.view()}),
+                "cannot write VTK file: " + path);
 }
 
 }  // namespace dgr::solver

@@ -22,20 +22,19 @@ struct Checkpoint {
   bssn::BssnState state;
 };
 
-/// Write a checkpoint; throws dgr::Error on I/O failure. The write is
-/// atomic-by-rename: the payload goes to `<path>.tmp` first, is flushed and
-/// checked, then renamed into place — a crash or error mid-write can never
-/// corrupt or truncate an existing good checkpoint at `path` (the temp file
-/// is removed on failure).
+/// Write a checkpoint with dgr::write_file_atomic (the state's field buffer
+/// in place, not copied); throws dgr::Error on I/O failure. A crash or
+/// error mid-write never corrupts an existing checkpoint at `path`.
 void save_checkpoint(const std::string& path, const mesh::Mesh& mesh,
                      const bssn::BssnState& state, Real time,
                      std::uint64_t step);
 
 /// Read a checkpoint written by save_checkpoint; validates magic, version,
-/// and structural consistency. Truncated or garbage files fail with a
+/// and structural consistency. The file is read whole (dgr::read_file) and
+/// parsed with dgr::ByteReader, so truncated or garbage files fail with a
 /// clean dgr::Error before any oversized allocation or partial state can
-/// escape: the leaf table and field payload sizes are checked against the
-/// actual file size before reading them.
+/// escape: every count is checked against the bytes left before it is
+/// allocated. A restart holds the file and the state: twice the fields.
 Checkpoint load_checkpoint(const std::string& path);
 
 /// Rebuild the mesh a checkpoint was taken on (deterministic from the

@@ -28,7 +28,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/json_read.hpp"
 #include "common/parse.hpp"
 #include "ensemble/scenario.hpp"
@@ -57,17 +59,6 @@ std::string test_socket(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-/// Read the whole file at `path`; empty string when unreadable.
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return "";
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
 
 /// Split "OK hash=... source=... ..." into {key: value} (verb under "").
 std::map<std::string, std::string> fields(const std::string& line) {
@@ -692,7 +683,7 @@ TEST(Server, DumpWritesPerfettoLoadableFlightRecording) {
   EXPECT_EQ(resp.at("flightrec"), path);
 
   std::string err;
-  const auto doc = jsonu::parse(slurp(path), &err);
+  const auto doc = jsonu::parse(read_file(path, 1 << 26), &err);
   ASSERT_TRUE(doc.has_value()) << "flightrec dump must parse: " << err;
   const jsonu::JValue* events = doc->get("traceEvents");
   ASSERT_NE(events, nullptr);

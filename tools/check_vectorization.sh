@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Mechanical vectorization gate for the AVX2 CI leg.
 #
-#  gate 1: every loop tagged `DGR_HOT_LOOP(name)` in tools/vec_probe.cpp
-#          must be reported "loop vectorized" by -fopt-info-vec-optimized;
-#          on failure the -fopt-info-vec-missed reasons for the offending
-#          lines are printed and the script exits nonzero.
+#  gate 1: every loop tagged `DGR_HOT_LOOP(name)` in the production
+#          source src/exec_space/bssn_sweeps.cpp (the RK4 AXPY loops of
+#          sweep_rk4_axpy) must be reported "loop vectorized" by
+#          -fopt-info-vec-optimized; on failure the -fopt-info-vec-missed
+#          reasons for the offending lines are printed and the script
+#          exits nonzero. A tag sits on the line right above its loop.
 #  gate 2: the explicit dgr::simd packs of the pack kernels (the RHS in
 #          src/bssn/rhs.cpp, Psi4, the constraints) must materialize as
 #          256-bit ymm instructions (asm grep). The stencil reductions
@@ -26,25 +28,32 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # ---- gate 1: tagged hot loops must auto-vectorize -------------------------
-probe=tools/vec_probe.cpp
+probe=src/exec_space/bssn_sweeps.cpp
+name=$(basename "$probe")
 "$CXX" "${FLAGS[@]}" -fopt-info-vec-optimized -c "$probe" -o "$tmp/probe.o" \
   2> "$tmp/vec.log"
 fail=0
+tags=0
 while IFS=: read -r tag_line tag; do
+  tags=$((tags + 1))
   loop_line=$((tag_line + 1))
-  if grep -q "vec_probe\.cpp:$loop_line:.*loop vectorized" "$tmp/vec.log"; then
-    echo "ok: hot loop '$tag' (vec_probe.cpp:$loop_line) vectorized"
+  if grep -q "$name:$loop_line:.*loop vectorized" "$tmp/vec.log"; then
+    echo "ok: hot loop '$tag' ($name:$loop_line) vectorized"
   else
-    echo "FAIL: hot loop '$tag' (vec_probe.cpp:$loop_line) NOT vectorized"
+    echo "FAIL: hot loop '$tag' ($name:$loop_line) NOT vectorized"
     fail=1
   fi
 done < <(grep -n '^ *// DGR_HOT_LOOP(' "$probe" |
          awk -F'[:()]' '{print $1":"$3}')
+if [ "$tags" -eq 0 ]; then
+  echo "FAIL: no DGR_HOT_LOOP tag in $probe"
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "--- compiler missed-vectorization report ---"
   "$CXX" "${FLAGS[@]}" -fopt-info-vec-missed -c "$probe" -o "$tmp/probe.o" \
-    2>&1 | grep 'vec_probe\.cpp' || true
+    2>&1 | grep "$name" || true
   exit 1
 fi
 
