@@ -4,7 +4,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -14,8 +16,12 @@ namespace dgr {
 
 bool write_file_atomic(const std::string& path,
                        std::initializer_list<std::string_view> parts) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  // One temp name per call, so writers of one path never share a file.
+  // "x" refuses an existing one; fopen keeps 0666 & ~umask, mkstemp 0600.
+  static std::atomic<std::uint64_t> serial{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(serial.fetch_add(1));
+  std::FILE* f = std::fopen(tmp.c_str(), "wbx");
   if (!f) return false;
   bool ok = true;
   for (std::string_view p : parts)

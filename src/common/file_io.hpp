@@ -13,11 +13,12 @@
 
 namespace dgr {
 
-/// Write the concatenated `parts` to `<path>.tmp`, flush, check the close
-/// and rename it onto `path`, so `path` holds its old content or all of the
-/// new, never a torn write. On failure the temp file is removed, `path` is
-/// untouched and the result is false. No fsync: a write survives a crash of
-/// the process, not of the machine.
+/// Write the concatenated `parts` to this call's own temp file,
+/// `<path>.tmp.<pid>.<n>`, flush, check the close and rename it onto
+/// `path`, so `path` holds its old content or all of one writer's new
+/// content, never a torn write, also with concurrent writers. On failure
+/// the temp file is removed, `path` is untouched and the result is false.
+/// No fsync: a write survives a crash of the process, not of the machine.
 bool write_file_atomic(const std::string& path,
                        std::initializer_list<std::string_view> parts);
 

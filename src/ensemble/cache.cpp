@@ -54,7 +54,7 @@ std::shared_ptr<const Waveform> WaveformCache::get(const ScenarioKey& key,
         std::unique_lock<std::mutex> lk(m_);
         ++stats_.hits_disk;
         obs::count("cache.hits_disk");
-        insert_locked(lk, key, wf);
+        insert_locked(lk, key, wf, /*on_disk=*/true);
         return wf;
       }
     }
@@ -82,12 +82,13 @@ void WaveformCache::put(const ScenarioKey& key,
                         std::shared_ptr<const Waveform> wf) {
   std::unique_lock<std::mutex> lk(m_);
   ++stats_.insertions;
-  insert_locked(lk, key, std::move(wf));
+  insert_locked(lk, key, std::move(wf), /*on_disk=*/false);
 }
 
 void WaveformCache::insert_locked(std::unique_lock<std::mutex>& lk,
                                   const ScenarioKey& key,
-                                  std::shared_ptr<const Waveform> wf) {
+                                  std::shared_ptr<const Waveform> wf,
+                                  bool on_disk) {
   auto it = entries_.find(key.bytes);
   if (it != entries_.end()) {
     // Refresh in place (same content by construction — keys are content
@@ -99,6 +100,7 @@ void WaveformCache::insert_locked(std::unique_lock<std::mutex>& lk,
   e.key = key;
   e.wf = std::move(wf);
   e.bytes = e.wf->byte_size();
+  e.on_disk = on_disk;
   lru_.push_front(key.bytes);
   e.lru = lru_.begin();
   stats_.bytes += e.bytes;
@@ -125,7 +127,7 @@ void WaveformCache::insert_locked(std::unique_lock<std::mutex>& lk,
   // Spill writes run unlocked: a slow disk never blocks memory hits.
   lk.unlock();
   for (const Entry& e2 : evicted) {
-    if (spill_dir_.empty()) continue;
+    if (spill_dir_.empty() || e2.on_disk) continue;
     ByteWriter head(12 + e2.key.bytes.size());
     head.raw(kSpillMagic).u64(e2.key.bytes.size()).raw(e2.key.bytes);
     if (write_file_atomic(spill_path(e2.key),

@@ -31,7 +31,7 @@ class WaveformCache {
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t spills = 0;          ///< evictions written to disk
+    std::uint64_t spills = 0;          ///< spill files written
     std::uint64_t spill_failures = 0;  ///< unreadable/mismatched spill files
     std::size_t bytes = 0;             ///< current in-memory footprint
     std::size_t entries = 0;
@@ -58,7 +58,9 @@ class WaveformCache {
   std::shared_ptr<const Waveform> get_memory(const ScenarioKey& key);
 
   /// Insert (or refresh) an entry, then evict least-recently-used entries
-  /// until the budget holds, spilling them to disk when enabled.
+  /// until the budget holds, spilling them to disk when enabled. An entry
+  /// faulted in from its spill file is evicted without a write: its file
+  /// already holds the same bytes.
   void put(const ScenarioKey& key, std::shared_ptr<const Waveform> wf);
 
   std::size_t capacity_bytes() const { return capacity_; }
@@ -74,10 +76,11 @@ class WaveformCache {
     std::shared_ptr<const Waveform> wf;
     std::size_t bytes = 0;
     std::list<std::string>::iterator lru;  // position in lru_ (front = MRU)
+    bool on_disk = false;  ///< faulted in from its spill file: evict unwritten
   };
 
   void insert_locked(std::unique_lock<std::mutex>& lk, const ScenarioKey& key,
-                     std::shared_ptr<const Waveform> wf);
+                     std::shared_ptr<const Waveform> wf, bool on_disk);
 
   std::size_t capacity_;
   std::string spill_dir_;

@@ -1,6 +1,7 @@
 #include "ensemble/driver.hpp"
 
 #include "common/clock.hpp"
+#include "common/error.hpp"
 #include "exec/pool.hpp"
 #include "obs/obs.hpp"
 
@@ -18,18 +19,9 @@ const char* source_name(Source s) {
 
 EnsembleDriver::EnsembleDriver(EnsembleConfig cfg)
     : cfg_(cfg), cache_(cfg.cache_bytes, cfg.spill_dir) {
-  if (cfg_.concurrency <= 0) cfg_.concurrency = exec::lanes();
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
-
-EnsembleDriver::~EnsembleDriver() {
-  drain();
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  dispatcher_.join();
+  DGR_CHECK_MSG(cfg_.concurrency >= 1,
+                "EnsembleConfig::concurrency must be >= 1, got "
+                    << cfg_.concurrency);
 }
 
 EnsembleDriver::Ticket EnsembleDriver::submit(const ScenarioConfig& cfg) {
@@ -86,26 +78,13 @@ EnsembleDriver::Ticket EnsembleDriver::submit(const ScenarioConfig& cfg) {
   t.future = job->promise.get_future().share();
   inflight_.emplace(key.bytes, t.future);
 
-  const bool large = estimated_octants(cfg) >= cfg_.large_job_octants;
-  if (large) {
-    ++stats_.jobs_large;
-    obs::count("ensemble.jobs_large");
-    large_queue_.push_back(std::move(job));
-    lk.unlock();
-    cv_.notify_all();
-  } else {
-    ++stats_.jobs_small;
-    obs::count("ensemble.jobs_small");
-    small_queue_.push_back(std::move(job));
-    // Seed up to `concurrency` chained runner tasks in the pool; each
-    // runner drains queued jobs until the queue is empty, so no pool lane
-    // ever blocks waiting for work.
-    const bool seed = active_small_ < cfg_.concurrency;
-    if (seed) ++active_small_;
-    lk.unlock();
-    if (seed)
-      exec::ThreadPool::global().submit([this] { run_small_jobs(); });
-  }
+  queue_.push_back(std::move(job));
+  // Seed up to `concurrency` chained runners; each drains queued jobs until
+  // the queue is empty, so no driver thread ever blocks waiting for work.
+  const bool seed = active_ < cfg_.concurrency;
+  if (seed) ++active_;
+  lk.unlock();
+  if (seed) exec::ThreadPool::global().post([this] { run_jobs(); });
   return t;
 }
 
@@ -144,53 +123,30 @@ void EnsembleDriver::execute(const JobPtr& job) {
   job->promise.set_value(std::move(result));
 }
 
-void EnsembleDriver::run_small_jobs() {
+void EnsembleDriver::run_jobs() {
   for (;;) {
     JobPtr job;
     {
       std::lock_guard<std::mutex> lk(m_);
-      if (small_queue_.empty()) {
-        --active_small_;
+      if (queue_.empty()) {
+        --active_;
         // Notify while still holding m_: the instant the lock is released
-        // with active_small_ == 0 a drain() waiter may complete and the
-        // driver be destroyed, so no member may be touched afterwards.
+        // with active_ == 0 a drain() waiter may complete and the driver be
+        // destroyed, so no member may be touched afterwards.
         cv_.notify_all();
         return;
       }
-      job = std::move(small_queue_.front());
-      small_queue_.pop_front();
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
     execute(job);
-  }
-}
-
-void EnsembleDriver::dispatcher_loop() {
-  for (;;) {
-    JobPtr job;
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      cv_.wait(lk, [&] { return stop_ || !large_queue_.empty(); });
-      if (stop_ && large_queue_.empty()) return;
-      job = std::move(large_queue_.front());
-      large_queue_.pop_front();
-      large_running_ = true;
-    }
-    // The dispatcher is the pool's single external driver: this evolution's
-    // parallel_for internals spread over every lane.
-    execute(job);
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      large_running_ = false;
-    }
-    cv_.notify_all();
   }
 }
 
 void EnsembleDriver::drain() {
   std::unique_lock<std::mutex> lk(m_);
   cv_.wait(lk, [&] {
-    return inflight_.empty() && small_queue_.empty() && large_queue_.empty() &&
-           active_small_ == 0 && !large_running_;
+    return inflight_.empty() && queue_.empty() && active_ == 0;
   });
 }
 
@@ -201,7 +157,7 @@ EnsembleDriver::Stats EnsembleDriver::stats() const {
 
 int EnsembleDriver::queue_depth() const {
   std::lock_guard<std::mutex> lk(m_);
-  return int(small_queue_.size() + large_queue_.size());
+  return int(queue_.size());
 }
 
 }  // namespace dgr::ensemble

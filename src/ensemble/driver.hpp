@@ -4,24 +4,19 @@
 /// any number of client threads, deduplicates them against the waveform
 /// cache and against evolutions already in flight (duplicate requests
 /// coalesce onto the running one — a unique config is evolved exactly
-/// once), and schedules the misses over the src/exec thread pool with a
-/// size-aware policy:
+/// once), and runs the misses from one FIFO job queue. Up to
+/// `concurrency` runners drain that queue, each on a driver thread of the
+/// src/exec pool (exec::ThreadPool::post): a driver thread is lane 0, so
+/// an evolution's parallel regions spread over every idle lane, and a lone
+/// miss gets the whole host.
 ///
-///  - small scenarios (estimated_octants below EnsembleConfig::
-///    large_job_octants) are packed as independent pool tasks — up to
-///    `concurrency` of them run concurrently, each on one worker lane,
-///    their nested parallel regions staying lane-local unless stolen;
-///  - large scenarios are executed one at a time by the driver's dispatcher
-///    thread, which as the pool's single external driver hands the whole
-///    pool to the evolution's parallel_for internals.
+/// Results are bitwise independent of the runner thread, the concurrency
+/// and the thread count — the src/exec determinism contract — so a cache
+/// hit is bitwise identical to a recomputation.
 ///
-/// Results are bitwise independent of the placement (worker lane vs
-/// dispatcher, any thread count) — the src/exec determinism contract — so
-/// a cache hit is bitwise identical to a recomputation.
-///
-/// Threading rules: submit()/evolve() are safe from any thread. Client
-/// threads must not themselves open parallel regions while the driver is
-/// running (the dispatcher is the pool's one external driver).
+/// Threading rules: submit()/evolve() are safe from any thread. The driver
+/// owns no thread: its runners are pool tasks, so the global pool must not
+/// be resized while the driver has work (drain() first).
 
 #include <condition_variable>
 #include <cstdint>
@@ -29,7 +24,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "ensemble/cache.hpp"
@@ -38,13 +32,11 @@
 namespace dgr::ensemble {
 
 struct EnsembleConfig {
-  /// Max small evolutions running concurrently; 0 means exec::lanes().
-  int concurrency = 0;
+  /// Evolutions running at once, each on every lane (>= 1; the driver's
+  /// constructor rejects less).
+  int concurrency = 1;
   std::size_t cache_bytes = std::size_t{64} << 20;
   std::string spill_dir;  ///< "" disables disk spill
-  /// Scenarios at or above this estimated octant count are "large" and get
-  /// the whole pool via the dispatcher instead of being packed.
-  std::size_t large_job_octants = 4096;
 };
 
 /// How a request was satisfied (per-request, known at submit time).
@@ -73,13 +65,12 @@ class EnsembleDriver {
     std::uint64_t submitted = 0;
     std::uint64_t evolutions = 0;  ///< evolutions actually run
     std::uint64_t coalesced = 0;
-    std::uint64_t jobs_small = 0;
-    std::uint64_t jobs_large = 0;
     std::uint64_t failures = 0;
   };
 
+  /// Throws dgr::Error when cfg.concurrency < 1.
   explicit EnsembleDriver(EnsembleConfig cfg);
-  ~EnsembleDriver();  ///< drains in-flight work, then joins the dispatcher
+  ~EnsembleDriver() { drain(); }
   EnsembleDriver(const EnsembleDriver&) = delete;
   EnsembleDriver& operator=(const EnsembleDriver&) = delete;
 
@@ -97,8 +88,8 @@ class EnsembleDriver {
   WaveformCache& cache() { return cache_; }
   const EnsembleConfig& config() const { return cfg_; }
   Stats stats() const;
-  /// Jobs queued (small + large) but not yet picked up by a runner — the
-  /// instantaneous backlog behind the serve METRICS queue-depth gauge.
+  /// Jobs queued but not yet picked up by a runner — the instantaneous
+  /// backlog behind the serve METRICS queue-depth gauge.
   int queue_depth() const;
 
  private:
@@ -111,21 +102,17 @@ class EnsembleDriver {
   using JobPtr = std::shared_ptr<Job>;
 
   void execute(const JobPtr& job);
-  void run_small_jobs();  ///< pool-task body: chain through queued jobs
-  void dispatcher_loop();
+  void run_jobs();  ///< posted runner body: chain through queued jobs
 
   EnsembleConfig cfg_;
   WaveformCache cache_;
 
   mutable std::mutex m_;
-  std::condition_variable cv_;  ///< wakes the dispatcher and drain()
+  std::condition_variable cv_;  ///< wakes drain()
   std::unordered_map<std::string, std::shared_future<Result>> inflight_;
-  std::deque<JobPtr> small_queue_, large_queue_;
-  int active_small_ = 0;  ///< pool runner tasks currently alive
-  bool large_running_ = false;
-  bool stop_ = false;
+  std::deque<JobPtr> queue_;
+  int active_ = 0;  ///< posted runners currently alive
   Stats stats_;
-  std::thread dispatcher_;
 };
 
 }  // namespace dgr::ensemble

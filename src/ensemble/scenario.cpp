@@ -89,16 +89,6 @@ ScenarioConfig scenario_from_table4(const perf::ProductionConfig& cfg) {
   return s;
 }
 
-std::size_t estimated_octants(const ScenarioConfig& cfg) {
-  // Uniform base grid: 8^base_level octants; each cascade level adds a
-  // ring of ~56 octants (a 4^3 refinement ball, 8 of which replace the
-  // parent) around each of the two punctures.
-  const std::size_t base = std::size_t{1}
-                           << (3 * std::min(cfg.base_level, 10));
-  const int cascade = std::max(0, cfg.finest_level - cfg.base_level);
-  return base + 2u * 56u * static_cast<std::size_t>(cascade);
-}
-
 std::size_t Waveform::byte_size() const {
   return 4 + 3 * 8 + 2 * 4 + 8 + 8 +
          psi4_22.times.size() * 3 * 8 + strain.size() * 2 * 8;

@@ -102,12 +102,6 @@ struct ScenarioKey {
 /// perf::table4_configs() maps to a distinct canonical encoding.
 ScenarioConfig scenario_from_table4(const perf::ProductionConfig& cfg);
 
-/// Cheap octant-count estimate for the size-aware scheduling policy: the
-/// uniform base grid plus a per-level cascade ring around each puncture.
-/// A policy heuristic, not a mesh build — monotone in base/finest level is
-/// all the driver needs.
-std::size_t estimated_octants(const ScenarioConfig& cfg);
-
 /// The memoized product: the Psi4 (2,2) mode series at the extraction
 /// radius and the strain h = h+ - i hx double-integrated from it.
 struct Waveform {

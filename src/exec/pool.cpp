@@ -29,6 +29,12 @@ ThreadPool::ThreadPool(int threads) : lanes_(threads < 1 ? 1 : threads) {
 
 ThreadPool::~ThreadPool() {
   {
+    std::lock_guard<std::mutex> lk(post_m_);
+    stop_drivers_ = true;
+  }
+  post_cv_.notify_all();
+  for (std::thread& t : drivers_) t.join();
+  {
     std::lock_guard<std::mutex> lk(cv_m_);
     stop_ = true;
   }
@@ -55,6 +61,36 @@ void ThreadPool::submit(std::function<void()> task) {
   // that just evaluated its predicate, so the notify cannot be missed.
   { std::lock_guard<std::mutex> lk(cv_m_); }
   cv_.notify_one();
+}
+
+void ThreadPool::post(std::function<void()> task) {
+  std::lock_guard<std::mutex> lk(post_m_);
+  posted_.push_back(std::move(task));
+  // Every idle driver takes at most one queued task; start a thread for
+  // each task beyond them.
+  if (posted_.size() > idle_drivers_)
+    drivers_.emplace_back([this] { drive(); });
+  else
+    post_cv_.notify_one();
+}
+
+void ThreadPool::drive() {
+  std::function<void()> task;
+  std::unique_lock<std::mutex> lk(post_m_);
+  for (;;) {
+    ++idle_drivers_;
+    lk.unlock();
+    task = nullptr;  // release the finished task's captures once idle
+    lk.lock();
+    post_cv_.wait(lk, [&] { return stop_drivers_ || !posted_.empty(); });
+    --idle_drivers_;
+    if (posted_.empty()) return;
+    task = std::move(posted_.front());
+    posted_.pop_front();
+    lk.unlock();
+    task();
+    lk.lock();
+  }
 }
 
 bool ThreadPool::try_pop(int widx, std::function<void()>& out) {

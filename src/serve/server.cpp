@@ -173,8 +173,6 @@ std::string Server::stats_line() {
   s += " pending=" + std::to_string(pending_.load());
   s += " evolutions=" + std::to_string(ds.evolutions);
   s += " coalesced=" + std::to_string(ds.coalesced);
-  s += " jobs_small=" + std::to_string(ds.jobs_small);
-  s += " jobs_large=" + std::to_string(ds.jobs_large);
   s += " hits_mem=" + std::to_string(cs.hits_memory);
   s += " hits_disk=" + std::to_string(cs.hits_disk);
   s += " misses=" + std::to_string(cs.misses);

@@ -13,6 +13,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -193,13 +196,25 @@ TEST(Bytes, ReaderChecksEveryReadAndCount) {
   EXPECT_EQ(from_hex("00FFa0"), std::string("\x00\xff\xa0", 3));
 }
 
+namespace {
+
+/// Files in `dir` named like write_file_atomic's temp files.
+int temp_files(const std::string& dir) {
+  int n = 0;
+  for (const auto& e : fs::directory_iterator(dir))
+    n += e.path().filename().string().find(".tmp") != std::string::npos;
+  return n;
+}
+
+}  // namespace
+
 TEST(FileIo, AtomicWriteAndBoundedRead) {
   TempDir dir("file_io");
   const std::string path = dir.path + "/f.bin";
   ASSERT_TRUE(write_file_atomic(path, {"ab", "", "cd"}));
   EXPECT_EQ(read_file(path, 4), "abcd");
   EXPECT_THROW(read_file(path, 3), Error);  // over the bound
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_EQ(temp_files(dir.path), 0);
 
   // No directory for the temp file: nothing is written.
   EXPECT_FALSE(write_file_atomic(dir.path + "/no/such/dir", {"x"}));
@@ -207,7 +222,7 @@ TEST(FileIo, AtomicWriteAndBoundedRead) {
   const std::string occupied = dir.path + "/occupied";
   fs::create_directories(occupied + "/child");
   EXPECT_FALSE(write_file_atomic(occupied, {"x"}));
-  EXPECT_FALSE(fs::exists(occupied + ".tmp"));
+  EXPECT_EQ(temp_files(dir.path), 0);
   EXPECT_EQ(read_file(path, 4), "abcd");  // a failed write leaves others
 
   EXPECT_THROW(read_file(dir.path + "/missing", 16), Error);
@@ -217,6 +232,45 @@ TEST(FileIo, AtomicWriteAndBoundedRead) {
   ASSERT_TRUE(write_file_atomic(big, {"x"}));
   fs::resize_file(big, std::uintmax_t{64} << 20);
   EXPECT_THROW(read_file(big, std::size_t{1} << 20), Error);
+}
+
+TEST(FileIo, ConcurrentWritersOfOnePathNeverTear) {
+  TempDir dir("file_io_race");
+  const std::string path = dir.path + "/shared.bin";
+  constexpr int kWriters = 4;
+  constexpr int kWrites = 40;
+  constexpr std::size_t kBytes = std::size_t{256} << 10;
+  std::vector<std::string> contents;
+  for (int w = 0; w < kWriters; ++w)
+    contents.emplace_back(kBytes, static_cast<char>('a' + w));
+  ASSERT_TRUE(write_file_atomic(path, {contents[0]}));
+
+  std::atomic<int> failed_writes{0}, torn_reads{0}, reads{0};
+  std::atomic<int> writing{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w)
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kWrites; ++i)
+        failed_writes += !write_file_atomic(path, {contents[w]});
+      --writing;
+    });
+  threads.emplace_back([&] {
+    while (writing.load() > 0) {
+      std::string got;
+      try {
+        got = read_file(path, kBytes);
+      } catch (const Error&) {  // gone, oversized or short: torn as well
+      }
+      torn_reads += std::find(contents.begin(), contents.end(), got) ==
+                    contents.end();
+      ++reads;
+    }
+  });
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_EQ(torn_reads.load(), 0) << "of " << reads.load() << " reads";
+  EXPECT_EQ(temp_files(dir.path), 0);
 }
 
 // ------------------------------------------------------ the mutation fuzz

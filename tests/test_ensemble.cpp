@@ -3,10 +3,12 @@
 /// (byte-for-byte double round-trip, hash determinism across thread counts,
 /// distinct hashes over the Table IV space), the content-addressed waveform
 /// cache (golden equivalence of hits vs recomputes, disk-spill round-trip,
-/// LRU accounting), and the ensemble driver (in-flight coalescing,
-/// size-aware routing, drain).
+/// LRU accounting, no rewrite of a spill file that exists), and the
+/// ensemble driver (in-flight coalescing, one job queue at any concurrency
+/// and lane count, drain).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <bit>
@@ -278,6 +280,39 @@ TEST(WaveformCache, DiskSpillRoundTripIsBitwiseIdentical) {
   EXPECT_EQ(st.spill_failures, 0u);
 }
 
+TEST(WaveformCache, FaultedInEntryIsNotSpilledAgain) {
+  TempDir dir("respill");
+  const auto one = fake_waveform(0)->byte_size();
+  WaveformCache cache(one + one / 2, dir.path.string());  // one entry fits
+
+  const ScenarioKey k0 = ScenarioKey::of(tagged_scenario(0));
+  const ScenarioKey k1 = ScenarioKey::of(tagged_scenario(1));
+  const ScenarioKey k2 = ScenarioKey::of(tagged_scenario(2));
+  const auto wf0 = fake_waveform(0);
+  cache.put(k0, wf0);
+  cache.put(k1, fake_waveform(1));  // spills k0
+  const std::string path0 = cache.spill_path(k0);
+  struct stat before {};
+  ASSERT_EQ(::stat(path0.c_str(), &before), 0);
+
+  bool from_disk = false;
+  ASSERT_NE(cache.get(k0, &from_disk), nullptr);  // spills k1
+  ASSERT_TRUE(from_disk);
+  cache.put(k2, fake_waveform(2));  // evicts k0, whose file already exists
+
+  EXPECT_EQ(cache.stats().spills, 2u) << "k0 and k1 written once each";
+  struct stat after {};
+  ASSERT_EQ(::stat(path0.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino) << "k0's spill file was replaced";
+  EXPECT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+  EXPECT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
+
+  const auto again = cache.get(k0, &from_disk);
+  ASSERT_NE(again, nullptr);
+  EXPECT_TRUE(from_disk);
+  EXPECT_EQ(serialize(*again), serialize(*wf0));
+}
+
 TEST(WaveformCache, RejectsCorruptedSpillFiles) {
   TempDir dir("corrupt");
   const auto one = fake_waveform(0)->byte_size();
@@ -378,42 +413,48 @@ TEST(EnsembleDriver, CoalescesDuplicatesOneEvolutionPerUniqueConfig) {
   EXPECT_EQ(st.failures, 0u);
 }
 
-TEST(EnsembleDriver, SizeAwareRoutingSmallVsLarge) {
-  EnsembleConfig ecfg;
-  ecfg.concurrency = 2;
-  // Threshold between the two test scenarios' estimates.
-  const ScenarioConfig small_cfg = tiny_scenario();
-  ScenarioConfig large_cfg = tiny_scenario();
-  large_cfg.base_level = 2;
-  large_cfg.finest_level = 3;
-  ASSERT_LT(estimated_octants(small_cfg), estimated_octants(large_cfg));
-  ecfg.large_job_octants = estimated_octants(large_cfg);
-  EnsembleDriver driver(ecfg);
-
-  (void)driver.evolve(small_cfg);
-  (void)driver.evolve(large_cfg);
-  driver.drain();
-
-  const auto st = driver.stats();
-  EXPECT_EQ(st.jobs_small, 1u);
-  EXPECT_EQ(st.jobs_large, 1u);
-  EXPECT_EQ(st.evolutions, 2u);
+TEST(EnsembleDriver, ResultsIndependentOfRoutingAndConcurrency) {
+  // Three distinct configs submitted at once, so at concurrency 3 three
+  // runners evolve side by side, each a lane-0 driver of the shared pool.
+  std::vector<ScenarioConfig> cfgs;
+  std::vector<std::string> golden;
+  for (int tag = 0; tag < 3; ++tag) {
+    cfgs.push_back(tagged_scenario(0));
+    cfgs.back().spin1[2] = 0.1 * tag;  // one step each, distinct keys
+    golden.push_back(serialize(run_scenario(cfgs.back())));
+  }
+  for (const int lanes : {1, 2, 7}) {
+    exec::ThreadPool::set_global_threads(lanes);
+    std::string first;
+    for (const int concurrency : {1, 3}) {
+      EnsembleConfig ecfg;
+      ecfg.concurrency = concurrency;
+      EnsembleDriver driver(ecfg);
+      std::vector<EnsembleDriver::Ticket> tickets;
+      for (const auto& cfg : cfgs) tickets.push_back(driver.submit(cfg));
+      const std::string blob = serialize(*tickets[0].future.get());
+      if (first.empty()) first = blob;
+      EXPECT_EQ(first, blob)
+          << "concurrency 1 vs 3 must agree bitwise at " << lanes << " lanes";
+      for (std::size_t i = 0; i < cfgs.size(); ++i)
+        EXPECT_EQ(serialize(*tickets[i].future.get()), golden[i])
+            << "driver vs direct run_scenario must agree bitwise at " << lanes
+            << " lanes, concurrency " << concurrency << ", config " << i;
+    }
+  }
+  exec::ThreadPool::set_global_threads(exec::ThreadPool::configured_threads());
 }
 
-TEST(EnsembleDriver, ResultsIndependentOfRoutingAndConcurrency) {
-  const ScenarioConfig cfg = tiny_scenario();
-  std::string blobs[3];
-  int i = 0;
-  for (const std::size_t threshold : {std::size_t{1}, std::size_t{1} << 30}) {
+TEST(EnsembleDriver, RejectsConcurrencyBelowOne) {
+  for (const int bad : {0, -1}) {
     EnsembleConfig ecfg;
-    ecfg.concurrency = (i == 0) ? 1 : 3;
-    ecfg.large_job_octants = threshold;  // force large vs small routing
-    EnsembleDriver driver(ecfg);
-    blobs[i++] = serialize(*driver.evolve(cfg));
+    ecfg.concurrency = bad;
+    try {
+      EnsembleDriver driver(ecfg);
+      ADD_FAILURE() << "concurrency " << bad << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("concurrency"), std::string::npos)
+          << e.what();
+    }
   }
-  blobs[i++] = serialize(run_scenario(cfg));
-  EXPECT_EQ(blobs[0], blobs[1])
-      << "dispatcher vs pool-task execution must agree bitwise";
-  EXPECT_EQ(blobs[1], blobs[2])
-      << "driver vs direct run_scenario must agree bitwise";
 }

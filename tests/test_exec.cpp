@@ -1,17 +1,21 @@
 /// \file test_exec.cpp
 /// \brief The work-stealing host pool (src/exec): chunk coverage,
-/// exception propagation and nesting, and a data-parallel launch of the
-/// simulated GPU runtime (an exec_space sweep on a simgpu space) recording
-/// the same kernel record as a serial launch.
+/// exception propagation and nesting, posted tasks on driver threads, and a
+/// data-parallel launch of the simulated GPU runtime (an exec_space sweep
+/// on a simgpu space) recording the same kernel record as a serial launch.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -111,6 +115,83 @@ TEST(Parallel, NestedRegionsComplete) {
   });
   for (std::int64_t v : inner) EXPECT_EQ(v, 4950);
   exec::ThreadPool::set_global_threads(1);
+}
+
+constexpr auto kPatience = std::chrono::seconds(10);
+
+TEST(Pool, PostedTaskRegionRunsOnEveryLane) {
+  exec::ThreadPool::set_global_threads(2);
+  // Each chunk waits until both have started: only a region whose two
+  // chunks run at once, on the driver thread and the one worker, passes.
+  // A region left to one lane times out instead of hanging.
+  std::atomic<int> started{0};
+  std::atomic<bool> timed_out{false};
+  std::atomic<int> lanes_seen{0};
+  std::promise<void> done;
+  exec::ThreadPool::global().post([&] {
+    exec::for_each_chunk(0, 2, 1, [&](std::int64_t, std::int64_t,
+                                      std::int64_t) {
+      lanes_seen |= 1 << exec::this_lane();
+      ++started;
+      const auto deadline = std::chrono::steady_clock::now() + kPatience;
+      while (started.load() < 2)
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out = true;
+          return;
+        } else {
+          std::this_thread::yield();
+        }
+    });
+    done.set_value();
+  });
+  ASSERT_EQ(done.get_future().wait_for(2 * kPatience),
+            std::future_status::ready);
+  EXPECT_FALSE(timed_out.load()) << "the posted region ran on one lane";
+  EXPECT_EQ(lanes_seen.load(), 0b11) << "lanes 0 and 1 each ran a chunk";
+  exec::ThreadPool::set_global_threads(1);
+}
+
+TEST(Pool, SequentialPostsRunOnOneDriverThread) {
+  exec::ThreadPool::set_global_threads(2);
+  exec::ThreadPool& pool = exec::ThreadPool::global();
+  std::vector<std::thread::id> ids;
+  for (int i = 0; i < 3; ++i) {
+    // The driver releases a task's captures only once it is idle again,
+    // so after `released` the next post finds it waiting.
+    std::promise<void> released;
+    auto guard =
+        std::shared_ptr<void>(nullptr, [&](void*) { released.set_value(); });
+    std::thread::id id;
+    int lane = -1;
+    pool.post([&, guard] {
+      id = std::this_thread::get_id();
+      lane = exec::this_lane();
+    });
+    guard.reset();
+    ASSERT_EQ(released.get_future().wait_for(kPatience),
+              std::future_status::ready);
+    EXPECT_EQ(lane, 0) << "a driver thread is lane 0, not a worker";
+    EXPECT_NE(id, std::this_thread::get_id()) << "ran inline on the poster";
+    ids.push_back(id);
+  }
+  EXPECT_EQ(ids[1], ids[0]);
+  EXPECT_EQ(ids[2], ids[0]);
+  exec::ThreadPool::set_global_threads(1);
+}
+
+TEST(Pool, PostReturnsBeforeTheTaskRunsAtOneLane) {
+  exec::ThreadPool::set_global_threads(1);
+  std::promise<void> returned, ran;
+  std::shared_future<void> returned_f = returned.get_future().share();
+  std::atomic<bool> after_return{false};
+  exec::ThreadPool::global().post([&, returned_f] {
+    after_return = returned_f.wait_for(kPatience) == std::future_status::ready;
+    ran.set_value();
+  });
+  returned.set_value();
+  ASSERT_EQ(ran.get_future().wait_for(2 * kPatience),
+            std::future_status::ready);
+  EXPECT_TRUE(after_return.load()) << "post ran the task inline";
 }
 
 TEST(Runtime, RangeForLaunchMatchesSerialLaunchBitwise) {

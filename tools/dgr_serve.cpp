@@ -8,7 +8,8 @@
 /// (common/parse.hpp) — garbage is a startup error, not a silent zero:
 ///
 ///   --socket PATH / DGR_SERVE_SOCKET        socket path
-///   --concurrency N / DGR_SERVE_CONCURRENCY max concurrent small evolutions
+///   --concurrency N / DGR_SERVE_CONCURRENCY evolutions at once, each on every
+///                                           lane (default 1)
 ///   --cache-mb N / DGR_SERVE_CACHE_MB       in-memory cache budget (MiB)
 ///   --queue-max N / DGR_SERVE_QUEUE_MAX     admission-control bound
 ///   --spill-dir PATH / DGR_SERVE_SPILL_DIR  on-disk spill directory
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
     if (const char* e = std::getenv("DGR_SERVE_SPILL_DIR"))
       cfg.ensemble.spill_dir = e;
     cfg.ensemble.concurrency = static_cast<int>(
-        dgr::env_count("DGR_SERVE_CONCURRENCY", 0, 1, 4096));
+        dgr::env_count("DGR_SERVE_CONCURRENCY", 1, 1, 4096));
     cfg.ensemble.cache_bytes =
         static_cast<std::size_t>(
             dgr::env_count("DGR_SERVE_CACHE_MB", 64, 1, 1 << 20))
